@@ -14,6 +14,7 @@ Configs round-trip losslessly through to_text / parse_config.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .drift import DriftSpec, FAMILIES
@@ -116,6 +117,9 @@ def parse_config(source):
                 values[field_name] = float(val)
             else:
                 values[field_name] = val
+            floats = values[field_name] if typ == "floats" else [values[field_name]] if typ is float else []
+            if not all(map(math.isfinite, floats)):
+                raise ConfigError(f"{key}: must be a finite number, got {val!r}")
         except ConfigError:
             raise
         except ValueError as exc:

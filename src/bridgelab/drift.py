@@ -22,7 +22,6 @@ FAMILIES = ("power", "exponential", "constant", "tabulated")
 # integration ranges; the dropped mass is below 1e-26 of the retained one.
 _EXP_CUTOFF = 60.0
 _QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-10, limit=200)
-_MASK64 = (1 << 64) - 1
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 # mapped to (0, 1)
@@ -296,12 +295,6 @@ def laplace_asymptotic_ratio(spec, kappa, t):
     return a_t * decay_integral(spec, 0.0, t, kappa)
 
 
-def _loglog_fit(x, y):
-    lx, ly = np.log(x), np.log(y)
-    slope, intercept = np.polyfit(lx, ly, 1)
-    return float(slope), float(intercept)
-
-
 def check_growth_conditions(spec, gamma, probe_horizon, n_points=48):
     """Probe the two sufficient conditions for the bridge to pin at infinity.
 
@@ -333,7 +326,9 @@ def check_growth_conditions(spec, gamma, probe_horizon, n_points=48):
         fitted = float("nan")
         worst = float("inf")
     else:
-        slope, _ = _loglog_fit(grid, ratio)
+        from .holder_analysis import loglog_slope
+
+        slope, _ = loglog_slope(zip(grid, ratio))
         fitted = -slope
         cond_i = fitted > 0.05
         worst = float(ratio.max())

@@ -111,12 +111,13 @@ def time_modulus_bound_fit(curve, T, spec):
     return fitted
 
 
-def level_sweep(path_values, h, x_grid, eps, time_chunk=8192):
+def level_sweep(path_values, h, x_grid, eps, time_chunk=256):
     """Kernel local time at every level of x_grid from one traversal of the path.
 
-    Trapezoid weights in time, Gaussian kernel of variance eps in space;
-    the (time x level) kernel matrix is materialized in time chunks so the
-    sweep runs in O(N * levels) flops with bounded memory.
+    Trapezoid weights in time, Gaussian kernel of variance eps in space.  Each
+    time chunk is evaluated only on the levels within 10 sqrt(eps) of the
+    chunk's range, so kernel terms below exp(-50) of the peak are dropped
+    (the truncated sweep of Wand 1994); memory stays O(time_chunk * levels).
     """
     if eps <= 0:
         raise DomainError("eps must be positive")
@@ -124,12 +125,13 @@ def level_sweep(path_values, h, x_grid, eps, time_chunk=8192):
     x = np.asarray(x_grid, dtype=float)
     w = np.full(len(v), h)
     w[0] = w[-1] = 0.5 * h
-    norm = math.sqrt(2.0 * math.pi * eps)
+    reach = 10.0 * math.sqrt(eps)
     out = np.zeros(len(x))
     for lo in range(0, len(v), time_chunk):
-        vb = v[lo : lo + time_chunk, None]
-        out += w[lo : lo + time_chunk] @ np.exp(-((vb - x[None, :]) ** 2) / (2.0 * eps))
-    return out / norm
+        vb = v[lo : lo + time_chunk]
+        near = np.flatnonzero((x >= vb.min() - reach) & (x <= vb.max() + reach))
+        out[near] += w[lo : lo + time_chunk] @ np.exp(-((vb[:, None] - x[near]) ** 2) / (2.0 * eps))
+    return out / math.sqrt(2.0 * math.pi * eps)
 
 
 def space_modulus(
@@ -146,10 +148,10 @@ def space_modulus(
 ):
     """Sup-increment profile of L_t^x in the level variable, ensemble-averaged.
 
-    Per path: one level sweep over the uniform x_grid, then nested
-    sup-increments across dyadic level distances; profiles are averaged over
-    paths (max within a path, then mean across paths) and fitted in log-log
-    coordinates.
+    Paths are stepped together in chunks of up to 64.  Per path: one level
+    sweep over the uniform x_grid, then nested sup-increments across dyadic
+    level distances; profiles are averaged over paths (max within a path,
+    then mean across paths) and fitted in log-log coordinates.
     """
     x = np.asarray(x_grid, dtype=float)
     dx = _uniform_spacing(x)
@@ -160,19 +162,13 @@ def space_modulus(
     if scales[-1] < dx * (1 - 1e-9):
         raise DomainError(f"smallest scale {scales[-1]} is below the level spacing {dx}")
     lags = [int(round(s / dx)) for s in scales]
-    times = simulate._grid(t, h)
-    table = simulate.exact_transition_table(spec, times) if scheme == "exact" else None
+    times = simulate.grid(t, h)
 
-    def one_path(p):
-        if scheme == "euler":
-            values, _, _ = simulate._euler_block(spec, times, seed, [p])
-        else:
-            values = simulate._exact_block(spec, times, seed, [p], table=table)
-        levels = level_sweep(values[0], float(h), x, eps)
-        return _nested_sup_increments(levels, lags)
+    def profiles(idx):
+        values, _ = simulate.paths(spec, times, seed, idx, scheme)
+        return [_nested_sup_increments(level_sweep(v, float(h), x, eps), lags) for v in values]
 
-    profiles = simulate._map_ordered(one_path, list(range(n_paths)), threads)
-    sups = np.mean(profiles, axis=0)
+    sups = np.mean(simulate.ensemble(profiles, n_paths, 64, threads), axis=0)
     try:
         slope, intercept = loglog_slope(zip(scales, sups))
     except InsufficientDataError:

@@ -117,27 +117,45 @@ def tanaka_estimate(path, spec, x, checkpoints):
     )
 
 
-def _kernel_at_ensemble(spec, x, eps_list, t, h, n_paths, seed, chunk=512, threads=1):
-    """Kernel local time at a single checkpoint for an ensemble of Euler paths.
+def kernel_ensemble(spec, x, eps_list, T, h, n_paths, seed, steps=None, scheme="euler", chunk=512, threads=1):
+    """Kernel local time of paths 0 .. n_paths-1 at grid steps, shape (n_paths, len(steps), len(eps_list)).
 
-    Returns an (n_paths, len(eps_list)) array; chunked so the transient path
-    block stays small.
+    steps defaults to the end of the grid reaching T.  The trapezoid sum runs
+    step by step (the carry is prepended before np.cumsum), so block length,
+    chunk and threads do not change a bit of the result.
     """
-    times = simulate._grid(t, h)
-    weights = np.full(len(times), h)
-    weights[0] = weights[-1] = 0.5 * h
+    times = simulate.grid(T, h)
+    steps = np.asarray([len(times) - 1] if steps is None else steps)
+    eps = np.asarray(eps_list, dtype=float)
+    norm = _SQRT_2PI * np.sqrt(eps)
+    table = simulate.exact_transition_table(spec, times) if scheme == "exact" else None
+
+    def density(values):  # kernel_estimate's density bit for bit, one column per eps
+        dens = (values - x)[..., None] ** 2 / (-2.0 * eps)
+        np.exp(dens, out=dens)
+        dens /= norm
+        return dens
 
     def one_chunk(idx):
-        values, _, _ = simulate._euler_block(spec, times, seed, list(idx))
-        sq = (values - x) ** 2
-        out = np.empty((len(values), len(eps_list)))
-        for j, eps in enumerate(eps_list):
-            dens = np.exp(-sq / (2.0 * eps)) / (_SQRT_2PI * math.sqrt(eps))
-            out[:, j] = dens @ weights
+        out = np.zeros((len(idx), len(steps), len(eps)))
+        prev, acc = density(np.zeros(len(idx))), np.zeros((len(idx), len(eps)))
+        for k0, values, _ in simulate.walk(spec, times, seed, idx, scheme, table):
+            dens = density(values)
+            cum = np.concatenate([acc[None], prev[None], dens[:-1]])
+            cum[1:] += dens
+            cum[1:] *= 0.5
+            cum[1:] *= h
+            np.cumsum(cum, axis=0, out=cum)
+            simulate.record(out, steps, k0, cum[1:])
+            prev, acc = dens[-1], cum[-1]
         return out
 
-    blocks = simulate._map_ordered(one_chunk, simulate._chunks(n_paths, chunk), threads)
-    return np.concatenate(blocks, axis=0)
+    return simulate.ensemble(one_chunk, n_paths, chunk, threads)
+
+
+def _kernel_at_ensemble(spec, x, eps_list, t, h, n_paths, seed, chunk=512, threads=1):
+    """Kernel local time at the end of the grid reaching t, shape (n_paths, len(eps_list))."""
+    return kernel_ensemble(spec, x, eps_list, t, h, n_paths, seed, chunk=chunk, threads=threads)[:, 0, :]
 
 
 def cauchy_diagnostic(spec, x, t, eps_ladder, n_paths, seed, h=None, chunk=512, threads=1):
@@ -174,39 +192,9 @@ def growth_probe(spec, x, horizons, h, n_paths, seed, scheme="exact", eps=None, 
         raise DomainError("horizons must be positive and strictly increasing")
     if eps is None:
         eps = h
-    times = simulate._grid(horizons[-1], h)
-    snap_idx = np.array([int(round(t / h)) for t in horizons])
-    table = simulate.exact_transition_table(spec, times) if scheme == "exact" else None
-    alpha = None if scheme == "exact" else np.asarray(drift_mod.eval_alpha(spec, times[:-1]), dtype=float)
-    norm = _SQRT_2PI * math.sqrt(eps)
-    n = len(times) - 1
-    col = {k: j for j, k in enumerate(snap_idx)}
-
-    def one_chunk(idx):
-        pidx = list(idx)
-        noise = simulate._noise_block(seed, pidx, n)
-        if scheme == "euler":
-            noise *= math.sqrt(h)
-        x_now = np.zeros(len(pidx))
-        dens_prev = np.exp(-((x_now - x) ** 2) / (2.0 * eps)) / norm
-        acc = np.zeros(len(pidx))
-        out = np.empty((len(pidx), len(snap_idx)))
-        if 0 in col:
-            out[:, col[0]] = acc
-        for k in range(n):
-            if scheme == "euler":
-                x_now = (x_now - (alpha[k] * x_now) * h) + noise[:, k]
-            else:
-                x_now = table[0][k] * x_now + table[1][k] * noise[:, k]
-            dens = np.exp(-((x_now - x) ** 2) / (2.0 * eps)) / norm
-            acc += 0.5 * (dens_prev + dens) * h
-            dens_prev = dens
-            if k + 1 in col:
-                out[:, col[k + 1]] = acc
-        return out
-
-    blocks = simulate._map_ordered(one_chunk, simulate._chunks(n_paths, chunk), threads)
-    curve = np.concatenate(blocks, axis=0).mean(axis=0)
+    steps = simulate.horizon_steps(horizons, h)
+    l_vals = kernel_ensemble(spec, x, [eps], horizons[-1], h, n_paths, seed, steps, scheme, chunk, threads)
+    curve = l_vals[:, :, 0].mean(axis=0)
     if np.any(np.diff(curve) <= 0):
         raise NumericsError("ensemble local-time curve failed to increase strictly")
     slope, _ = np.polyfit(np.log(horizons), np.log(curve), 1)

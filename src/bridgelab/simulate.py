@@ -9,6 +9,13 @@ Randomness is drawn from counter-based Philox streams keyed by
 (seed, path_index), with step k consuming the k-th draw of the stream, so a
 sample is a pure function of (seed, path_index, step) and results never
 depend on execution order or worker count.
+
+One engine, walk, steps a chunk of paths time-major over blocks of
+BLOCK_STEPS steps, drawing each block from the chunk's Philox generators,
+which stay alive between blocks.  Callers reduce each (steps, paths) block as
+it comes (snapshots at horizons, whole-path capture, a running kernel
+integral), so memory is O(chunk x block) unless whole paths are kept, and
+results are bit-identical for any block length, chunk size and thread count.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from . import drift as drift_mod
 from .errors import DomainError
 
 _MASK64 = (1 << 64) - 1
+BLOCK_STEPS = 1024
 
 
 @dataclass
@@ -70,42 +78,33 @@ class DecayStats:
     std_err_sq: np.ndarray
 
 
-def _grid(T, h):
+def grid(T, h):
+    """The step grid 0, h, 2h, ... of the smallest length that reaches T."""
     if T <= 0 or h <= 0 or h > T:
         raise DomainError(f"need 0 < h <= T, got h={h}, T={T}")
     n = int(math.ceil(T / h - 1e-9))
     return np.arange(n + 1) * float(h)
 
 
-def _normals(seed, path_index, n):
+_grid = grid
+
+
+def horizon_steps(horizons, h):
+    """Grid step index of each horizon; DomainError unless every horizon lies on the grid."""
+    steps = [int(round(t / h)) for t in horizons]
+    if any(abs(k * h - t) > 1e-9 * max(1.0, t) for k, t in zip(steps, horizons)):
+        raise DomainError("horizons must lie on the step grid")
+    return steps
+
+
+def _stream(seed, path_index):
     key = np.array([seed & _MASK64, path_index & _MASK64], dtype=np.uint64)
-    return Generator(Philox(key=key)).standard_normal(n)
+    return Generator(Philox(key=key))
 
 
-def _noise_block(seed, path_indices, n, xi=None):
-    if xi is not None:
-        block = np.broadcast_to(np.asarray(xi, dtype=float), (len(path_indices), n))
-        return np.array(block)
-    return np.stack([_normals(seed, p, n) for p in path_indices])
-
-
-def _euler_block(spec, times, seed, path_indices, xi=None):
-    """Euler trajectories for several paths at once; returns (values, dW, warn).
-
-    The update is evaluated exactly as x - (alpha * x) * h + dW so that a
-    single-path run, a batched run and a scalar re-derivation are
-    bit-identical.
-    """
-    h = float(times[1] - times[0])
-    n = len(times) - 1
-    alpha = np.asarray(drift_mod.eval_alpha(spec, times[:-1]), dtype=float)
-    warn = bool(np.any(alpha * h > 1.0))
-    dw = math.sqrt(h) * _noise_block(seed, path_indices, n, xi)
-    values = np.zeros((len(path_indices), n + 1))
-    for k in range(n):
-        x = values[:, k]
-        values[:, k + 1] = (x - (alpha[k] * x) * h) + dw[:, k]
-    return values, dw, warn
+def _normals(seed, path_index, n):
+    """The first n normals of a path's stream; walk draws the same values block by block."""
+    return _stream(seed, path_index).standard_normal(n)
 
 
 def exact_transition_table(spec, times):
@@ -119,19 +118,88 @@ def exact_transition_table(spec, times):
     return decays, stds
 
 
-def _exact_block(spec, times, seed, path_indices, table=None, xi=None):
-    decays, stds = table if table is not None else exact_transition_table(spec, times)
-    n = len(times) - 1
-    noise = _noise_block(seed, path_indices, n, xi)
-    values = np.zeros((len(path_indices), n + 1))
-    for k in range(n):
-        values[:, k + 1] = decays[k] * values[:, k] + stds[k] * noise[:, k]
-    return values
+def walk(spec, times, seed, path_indices, scheme="euler", table=None, xi=None):
+    """Yield (k0, values, noise) per block: X at steps k0+1, k0+2, ... as (block_steps, paths).
+
+    noise drove those steps (dW for Euler, std * N for exact).  x - (alpha * x) * h + dW
+    and decay * x + std * N are evaluated in that order, on Python floats for one path
+    and in place on numpy rows for several, so they agree bit for bit with a scalar
+    re-derivation.  table: a precomputed exact_transition_table; xi: test hook.
+    """
+    n, h = len(times) - 1, float(times[1] - times[0])
+    euler = scheme == "euler"
+    if euler:
+        coef, scale = np.asarray(drift_mod.eval_alpha(spec, times[:-1]), dtype=float), np.full(n, math.sqrt(h))
+    elif scheme == "exact":
+        coef, scale = table if table is not None else exact_transition_table(spec, times)
+    else:
+        raise DomainError(f"scheme must be euler or exact, got {scheme!r}")
+    m = len(path_indices)
+    streams = [_stream(seed, p) for p in path_indices] if xi is None else None
+    x = np.zeros(m) if m > 1 else 0.0
+    for k0 in range(0, n, BLOCK_STEPS):
+        k1 = min(k0 + BLOCK_STEPS, n)
+        draws = np.empty((m, k1 - k0))
+        if xi is None:
+            for row, stream in zip(draws, streams):
+                stream.standard_normal(out=row)
+        else:
+            draws[:] = np.broadcast_to(np.asarray(xi, dtype=float), (m, n))[:, k0:k1]
+        draws *= scale[k0:k1]
+        values = np.empty((k1 - k0, m))
+        if m == 1:
+            column = []
+            for c, w in zip(coef[k0:k1].tolist(), draws[0].tolist()):
+                x = (x - (c * x) * h) + w if euler else c * x + w
+                column.append(x)
+            values[:, 0] = column
+        else:
+            for c, w, row in zip(coef[k0:k1].tolist(), draws.T, values):
+                np.multiply(x, c, out=row)
+                if euler:
+                    row *= h
+                    np.subtract(x, row, out=row)
+                row += w
+                x = row
+        yield k0, values, draws.T
+
+
+def record(out, steps, k0, block):
+    """Copy the rows of block (grid steps k0+1, k0+2, ...) at the given steps into out[:, j]."""
+    rows = np.asarray(steps) - k0 - 1
+    hit = (rows >= 0) & (rows < len(block))
+    out[:, hit] = np.moveaxis(block[rows[hit]], 0, 1)
+
+
+def paths(spec, times, seed, path_indices, scheme="euler", xi=None):
+    """Whole trajectories and the noise that drove them, as (values, noise), one row per path."""
+    values = np.zeros((len(path_indices), len(times)))
+    noise = np.empty((len(path_indices), len(times) - 1))
+    for k0, v, w in walk(spec, times, seed, path_indices, scheme, xi=xi):
+        values[:, k0 + 1 : k0 + 1 + len(v)] = v.T
+        noise[:, k0 : k0 + len(v)] = w.T
+    return values, noise
+
+
+def ensemble(fn, n_paths, chunk, threads):
+    """Stack fn(path_indices) over chunks of paths 0 .. n_paths-1, run on up to `threads` threads."""
+    chunks = [range(lo, min(lo + chunk, n_paths)) for lo in range(0, n_paths, chunk)]
+    if threads <= 1 or len(chunks) <= 1:
+        return np.concatenate([fn(c) for c in chunks], axis=0)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return np.concatenate(list(pool.map(fn, chunks)), axis=0)
+
+
+def _euler_block(spec, times, seed, path_indices, xi=None):
+    """Euler trajectories for several paths at once; returns (values, dW, warn)."""
+    alpha = np.asarray(drift_mod.eval_alpha(spec, times[:-1]), dtype=float)
+    values, dw = paths(spec, times, seed, path_indices, "euler", xi)
+    return values, dw, bool(np.any(alpha * (times[1] - times[0]) > 1.0))
 
 
 def euler_path(spec, T, h, seed=0, path_index=0, xi=None):
     """One Euler path; xi is a test hook overriding the standard normals."""
-    times = _grid(T, h)
+    times = grid(T, h)
     values, dw, warn = _euler_block(spec, times, seed, [path_index], xi)
     return SamplePath(
         times=times,
@@ -146,8 +214,8 @@ def euler_path(spec, T, h, seed=0, path_index=0, xi=None):
 
 def exact_path(spec, T, h, seed=0, path_index=0, xi=None):
     """One exact-transition path; every marginal has the true Gaussian law."""
-    times = _grid(T, h)
-    values = _exact_block(spec, times, seed, [path_index], xi=xi)
+    times = grid(T, h)
+    values, _ = paths(spec, times, seed, [path_index], "exact", xi=xi)
     return SamplePath(
         times=times,
         values=values[0],
@@ -176,59 +244,20 @@ def shift_to_ab(path, a, b, spec):
     )
 
 
-def _chunks(n_paths, chunk):
-    return [range(lo, min(lo + chunk, n_paths)) for lo in range(0, n_paths, chunk)]
-
-
-def _map_ordered(fn, items, threads):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
-def _terminal_block(spec, times, snap_idx, seed, path_indices, scheme, table):
-    n = len(times) - 1
-    h = float(times[1] - times[0])
-    out = np.empty((len(path_indices), len(snap_idx)))
-    col = {k: j for j, k in enumerate(snap_idx)}
-    if scheme == "euler":
-        alpha = np.asarray(drift_mod.eval_alpha(spec, times[:-1]), dtype=float)
-        dw = math.sqrt(h) * _noise_block(seed, path_indices, n)
-        x = np.zeros(len(path_indices))
-        if 0 in col:
-            out[:, col[0]] = x
-        for k in range(n):
-            x = (x - (alpha[k] * x) * h) + dw[:, k]
-            if k + 1 in col:
-                out[:, col[k + 1]] = x
-    else:
-        decays, stds = table
-        noise = _noise_block(seed, path_indices, n)
-        x = np.zeros(len(path_indices))
-        if 0 in col:
-            out[:, col[0]] = x
-        for k in range(n):
-            x = decays[k] * x + stds[k] * noise[:, k]
-            if k + 1 in col:
-                out[:, col[k + 1]] = x
-    return out
-
-
 def terminal_values(spec, horizons, h, n_paths, seed, scheme="exact", chunk=4096, threads=1):
     """X at each horizon for n_paths independent paths, shape (n_paths, len(horizons))."""
     horizons = np.asarray(horizons, dtype=float)
-    times = _grid(horizons[-1], h)
-    snap_idx = [int(round(t / h)) for t in horizons]
-    if any(abs(k * h - t) > 1e-9 * max(1.0, t) for k, t in zip(snap_idx, horizons)):
-        raise DomainError("horizons must lie on the step grid")
+    steps = horizon_steps(horizons, h)
+    times = grid(horizons[-1], h)
     table = exact_transition_table(spec, times) if scheme == "exact" else None
-    blocks = _map_ordered(
-        lambda idx: _terminal_block(spec, times, snap_idx, seed, list(idx), scheme, table),
-        _chunks(n_paths, chunk),
-        threads,
-    )
-    return np.concatenate(blocks, axis=0)
+
+    def one_chunk(idx):
+        out = np.zeros((len(idx), len(steps)))
+        for k0, values, _ in walk(spec, times, seed, idx, scheme, table):
+            record(out, steps, k0, values)
+        return out
+
+    return ensemble(one_chunk, n_paths, chunk, threads)
 
 
 def batch_terminal_stats(spec, horizons, n_paths, scheme="exact", h=0.05, seed=0, chunk=4096, threads=1):

@@ -137,7 +137,7 @@ def check_localtime_second_moment(seed, n_paths=5000):
     """Quadrature value of E(L_1^0)^2 for Brownian motion, and its Monte Carlo twin."""
     bm = DriftSpec.constant(0.0)
     quad_val = gaussian_law.localtime_second_moment(bm, 1.0, 0.0, 0.0)
-    l_vals = local_time._kernel_at_ensemble(bm, 0.0, [1e-4], 1.0, 1e-4, n_paths, seed)[:, 0]
+    l_vals = local_time.kernel_ensemble(bm, 0.0, [1e-4], 1.0, 1e-4, n_paths, seed)[:, 0, 0]
     mc_val = float((l_vals**2).mean())
     metrics = {"lt2_quadrature": quad_val, "lt2_monte_carlo": mc_val}
     flags = {
@@ -242,19 +242,6 @@ def check_localtime_growth(seed, n_paths=200):
     return metrics, flags
 
 
-def _kernel_curves_block(spec, T, h, seed, n_paths):
-    """Full-grid kernel local-time curves (eps = h) for a block of Euler paths."""
-    times = simulate._grid(T, h)
-    values, _, _ = simulate._euler_block(spec, times, seed, list(range(n_paths)))
-    eps = h
-    dens = np.exp(-(values**2) / (2.0 * eps)) / math.sqrt(2.0 * math.pi * eps)
-    cum = np.concatenate(
-        [np.zeros((n_paths, 1)), np.cumsum(0.5 * (dens[:, 1:] + dens[:, :-1]) * h, axis=1)],
-        axis=1,
-    )
-    return times, cum
-
-
 def check_holder_time(seed, n_paths=16):
     """Time-modulus slope of the kernel local-time curve, and T-uniformity of its constant.
 
@@ -268,19 +255,17 @@ def check_holder_time(seed, n_paths=16):
     spec = DriftSpec.power(0.8)
     h = 2.0**-16
     scales = np.sort(2.0 ** -np.arange(6, 15))[::-1]
-    times, curves = _kernel_curves_block(spec, 1.0, h, seed, n_paths)
-    lags = [int(round(s / h)) for s in scales]
-    sups = holder_analysis._nested_sup_increments(curves.mean(axis=0), lags)
-    slope, _ = holder_analysis.loglog_slope(zip(scales, sups))
+    times = simulate.grid(1.0, h)
+    curves = local_time.kernel_ensemble(spec, 0.0, [h], 1.0, h, n_paths, seed, steps=range(len(times)))
+    mean_curve = local_time.LocalTimeCurve(0.0, times, curves[:, :, 0].mean(axis=0), "kernel", h, seed)
+    slope = holder_analysis.time_modulus(mean_curve, scales).fitted_slope
 
     h13 = 2.0**-13
     fitted = {}
     for T in (2.0, 8.0):
-        _, cvs = _kernel_curves_block(spec, T, h13, seed + 17, n_paths)
-        t_grid = simulate._grid(T, h13)
-        cs = [
-            local_time.LocalTimeCurve(0.0, t_grid, row, "kernel", h13, seed + 17) for row in cvs
-        ]
+        t_grid = simulate.grid(T, h13)
+        cvs = local_time.kernel_ensemble(spec, 0.0, [h13], T, h13, n_paths, seed + 17, steps=range(len(t_grid)))
+        cs = [local_time.LocalTimeCurve(0.0, t_grid, row, "kernel", h13, seed + 17) for row in cvs[:, :, 0]]
         fitted[T] = float(
             np.mean([holder_analysis.time_modulus_bound_fit(c, T, spec) for c in cs])
         )

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -50,6 +51,21 @@ class TestParseConfig:
     def test_float_lists(self):
         cfg = parse_config(MINIMAL + "law.times = 1, 2, 3.5\n")
         assert cfg.law_times == (1.0, 2.0, 3.5)
+
+    @pytest.mark.parametrize(
+        "key, raw",
+        [("h", "nan"), ("T", "inf"), ("drift.scale", "-inf"), ("localtime.x", "nan"), ("holder.r", "inf")],
+    )
+    def test_non_finite_float_names_key(self, key, raw):
+        with pytest.raises(ConfigError, match=f"^{re.escape(key)}: must be a finite number"):
+            parse_config(f"drift.family = power\ndrift.beta = 2\n{key} = {raw}\n")
+
+    @pytest.mark.parametrize(
+        "key, raw", [("law.times", "1,nan"), ("simulate.horizons", "inf"), ("localtime.eps_ladder", "0.1,-inf")]
+    )
+    def test_non_finite_list_entry_names_key(self, key, raw):
+        with pytest.raises(ConfigError, match=f"^{re.escape(key)}: must be a finite number"):
+            parse_config(MINIMAL + f"{key} = {raw}\n")
 
     def test_roundtrip_lossless(self):
         cfg = parse_config(

@@ -158,6 +158,17 @@ class TestLevelSweep:
             single = kernel_estimate(path, level, 1e-2, [path.horizon]).values[0]
             assert sweep[j] == pytest.approx(single, rel=1e-12)
 
+    def test_truncated_sweep_matches_dense_reference(self):
+        from bridgelab.simulate import euler_path
+
+        path = euler_path(BRIDGE, T=1.0, h=2.0**-13, seed=11)
+        x = np.linspace(-1, 1, 257)
+        eps = 4e-5
+        w = np.full(len(path.values), path.h)
+        w[0] = w[-1] = 0.5 * path.h
+        dense = w @ np.exp(-((path.values[:, None] - x) ** 2) / (2 * eps)) / math.sqrt(2 * math.pi * eps)
+        np.testing.assert_allclose(level_sweep(path.values, path.h, x, eps), dense, rtol=0, atol=1e-13)
+
     def test_chunking_invariance(self):
         rng = np.random.default_rng(8)
         values = np.cumsum(rng.standard_normal(2001)) * 0.02

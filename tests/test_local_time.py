@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from bridgelab import simulate
 from bridgelab.drift import DriftSpec
 from bridgelab.errors import DomainError, UnsupportedSchemeError
 from bridgelab.local_time import (
     binned_estimate,
     cauchy_diagnostic,
     growth_probe,
+    kernel_ensemble,
     kernel_estimate,
     tanaka_estimate,
 )
@@ -194,6 +196,34 @@ class TestGrowthProbe:
     def test_validation(self):
         with pytest.raises(DomainError):
             growth_probe(BM, 0.0, [3.0, 2.0], h=1e-3, n_paths=100, seed=0)
+
+    def test_invariant_to_chunk_threads_and_block(self, monkeypatch):
+        args = (DriftSpec.power(1.5), 0.0, np.arange(1.0, 4.0), 1e-3, 40, 2)
+        ref, _ = growth_probe(*args)
+        for chunk, threads in ((7, 1), (16, 3)):
+            assert growth_probe(*args, chunk=chunk, threads=threads)[0].tobytes() == ref.tobytes()
+        monkeypatch.setattr(simulate, "BLOCK_STEPS", 100)
+        assert growth_probe(*args)[0].tobytes() == ref.tobytes()
+
+
+class TestKernelEnsemble:
+    # full-grid curves at eps = h, as the holder_time check uses them
+    H = 2.0**-11
+    ARGS = (BRIDGE, 0.0, [H], 1.0, H, 12, 5)
+
+    def test_curves_equal_single_path_estimates(self):
+        curves = kernel_ensemble(*self.ARGS, steps=range(2049))[:, :, 0]
+        for p in (0, 11):
+            path = euler_path(BRIDGE, T=1.0, h=self.H, seed=5, path_index=p)
+            assert curves[p].tobytes() == kernel_estimate(path, 0.0, self.H, path.times).values.tobytes()
+
+    def test_curves_invariant_to_chunk_threads_and_block(self, monkeypatch):
+        ref = kernel_ensemble(*self.ARGS, steps=range(2049))
+        for chunk, threads in ((5, 1), (4, 3)):
+            got = kernel_ensemble(*self.ARGS, steps=range(2049), chunk=chunk, threads=threads)
+            assert got.tobytes() == ref.tobytes()
+        monkeypatch.setattr(simulate, "BLOCK_STEPS", 33)
+        assert kernel_ensemble(*self.ARGS, steps=range(2049)).tobytes() == ref.tobytes()
 
 
 class TestCurveMetadata:

@@ -1,8 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 
+from bridgelab import simulate
 from bridgelab.drift import DriftSpec, eval_alpha, eval_antiderivative
 from bridgelab.errors import DomainError
 from bridgelab.gaussian_law import abs_moment, variance
@@ -215,3 +218,46 @@ class TestDeterminismAcrossExecution:
         a = terminal_values(BRIDGE, [2.0], h=0.1, n_paths=300, seed=9, chunk=32, threads=1)
         b = terminal_values(BRIDGE, [2.0], h=0.1, n_paths=300, seed=9, chunk=32, threads=4)
         assert np.array_equal(a, b)
+
+
+class TestStreamingEngine:
+    def test_exact_recursion_is_bit_reproducible(self):
+        # scalar re-derivation of decay * x + std * N, with N the Philox stream
+        # keyed by (seed, path_index); 3000 steps cross several time blocks
+        spec = DriftSpec.power(2.0)
+        path = exact_path(spec, T=3.0, h=1e-3, seed=3, path_index=5)
+        decays, stds = exact_transition_table(spec, path.times)
+        xi = Generator(Philox(key=np.array([3, 5], dtype=np.uint64))).standard_normal(len(decays))
+        x = 0.0
+        for k in range(len(decays)):
+            x = decays[k] * x + stds[k] * xi[k]
+            assert x == path.values[k + 1]
+
+    @pytest.mark.parametrize("block", [1, 7, 10**6])
+    def test_block_length_does_not_change_results(self, monkeypatch, block):
+        times = _grid(2.0, 0.01)
+        ref = [
+            terminal_values(BRIDGE, [0.5, 2.0], h=0.01, n_paths=40, seed=4, scheme=scheme, chunk=16)
+            for scheme in ("euler", "exact")
+        ]
+        ref_block = _euler_block(BRIDGE, times, 4, [0, 3, 9])
+        ref_path = euler_path(BRIDGE, T=2.0, h=0.01, seed=4, path_index=3)
+        monkeypatch.setattr(simulate, "BLOCK_STEPS", block)
+        for scheme, expected in zip(("euler", "exact"), ref):
+            got = terminal_values(BRIDGE, [0.5, 2.0], h=0.01, n_paths=40, seed=4, scheme=scheme, chunk=16)
+            assert got.tobytes() == expected.tobytes()
+        for got, expected in zip(_euler_block(BRIDGE, times, 4, [0, 3, 9])[:2], ref_block[:2]):
+            assert got.tobytes() == expected.tobytes()
+        path = euler_path(BRIDGE, T=2.0, h=0.01, seed=4, path_index=3)
+        assert path.values.tobytes() == ref_path.values.tobytes()
+        assert path.brownian_increments.tobytes() == ref_path.brownian_increments.tobytes()
+
+    def test_long_horizon_memory_is_bounded(self):
+        # 64 paths x 2e5 steps: the whole-horizon noise alone would take 102 MB
+        tracemalloc.start()
+        try:
+            terminal_values(BRIDGE, [2.0], h=1e-5, n_paths=64, seed=0, scheme="euler", chunk=64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
