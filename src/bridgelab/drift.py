@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import DomainError, ExtrapolationError, NumericsError
 
@@ -21,12 +20,18 @@ FAMILIES = ("power", "exponential", "constant", "tabulated")
 # exp(-x) for x beyond this is treated as an exact zero when truncating
 # integration ranges; the dropped mass is below 1e-26 of the retained one.
 _EXP_CUTOFF = 60.0
-_QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-10, limit=200)
+_EPSABS, _EPSREL = 1e-12, 1e-10
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 # mapped to (0, 1)
 _GL_X = 0.5 * (_GL_NODES + 1.0)
 _GL_W = 0.5 * _GL_WEIGHTS
+# node groups of a panel in its own (0, 1) coordinate: the whole panel, its left and its right half
+_WHOLE_AND_HALVES = np.stack([_GL_X, 0.5 * _GL_X, 0.5 + 0.5 * _GL_X])
+# the most panels bisection may add to one interval before NumericsError
+_PANEL_BUDGET = 200
+# intervals per kernel pass: bounds the (intervals x 48) node arrays
+_BATCH = 2048
 
 
 @dataclass(frozen=True)
@@ -67,6 +72,12 @@ class DriftSpec:
             if any(a < 0 for _, a in pairs):
                 raise DomainError("tabulated alpha values must be nonnegative")
             object.__setattr__(self, "table", pairs)
+            # knot times, knot alphas and A at the knots (exact trapezoids), cached read-only
+            times, values = np.array(pairs).T
+            knot_cum = np.concatenate([[0.0], np.cumsum(0.5 * (values[1:] + values[:-1]) * np.diff(times))])
+            for name, arr in (("_times", times), ("_values", values), ("_knot_cum", knot_cum)):
+                arr.setflags(write=False)
+                object.__setattr__(self, name, arr)
 
     @classmethod
     def power(cls, beta, scale=1.0):
@@ -93,10 +104,6 @@ class DriftSpec:
             return all(a == 0.0 for _, a in self.table)
         return False
 
-    def _knots(self):
-        arr = np.asarray(self.table, dtype=float)
-        return arr[:, 0], arr[:, 1]
-
 
 @dataclass(frozen=True)
 class GrowthReport:
@@ -121,7 +128,7 @@ def eval_alpha(spec, t):
     elif spec.family == "constant":
         out = np.full_like(arr, spec.scale)
     else:
-        times, values = spec._knots()
+        times, values = spec._times, spec._values
         if np.any(arr > times[-1]):
             raise ExtrapolationError(
                 f"t beyond tabulated range [0, {times[-1]}]"
@@ -139,26 +146,25 @@ def eval_antiderivative(spec, t):
     arr = np.asarray(t, dtype=float)
     if np.any(arr < 0):
         raise DomainError("A(t) is only defined for t >= 0")
+    if spec.family == "tabulated" and np.any(arr > spec._times[-1]):
+        raise ExtrapolationError(f"t beyond tabulated range [0, {spec._times[-1]}]")
+    out = _antiderivative(spec, arr)
+    return float(out) if np.isscalar(t) or arr.ndim == 0 else out
+
+
+def _antiderivative(spec, arr):
+    """A on an array of times already known to lie in the drift's domain."""
     if spec.family == "power":
         p = spec.beta + 1.0
-        out = spec.scale * np.power(arr, p) / p
-    elif spec.family == "exponential":
-        out = spec.scale * np.expm1(spec.beta * arr) / spec.beta
-    elif spec.family == "constant":
-        out = spec.scale * arr
-    else:
-        times, values = spec._knots()
-        if np.any(arr > times[-1]):
-            raise ExtrapolationError(f"t beyond tabulated range [0, {times[-1]}]")
-        knot_cum = np.concatenate(
-            [[0.0], np.cumsum(0.5 * (values[1:] + values[:-1]) * np.diff(times))]
-        )
-        idx = np.clip(np.searchsorted(times, arr, side="right") - 1, 0, len(times) - 2)
-        t0 = times[idx]
-        a0 = values[idx]
-        a_t = np.interp(arr, times, values)
-        out = knot_cum[idx] + 0.5 * (a0 + a_t) * (arr - t0)
-    return float(out) if np.isscalar(t) or arr.ndim == 0 else out
+        return spec.scale * np.power(arr, p) / p
+    if spec.family == "exponential":
+        return spec.scale * np.expm1(spec.beta * arr) / spec.beta
+    if spec.family == "constant":
+        return spec.scale * arr
+    times, values = spec._times, spec._values
+    idx = np.clip(np.searchsorted(times, arr, side="right") - 1, 0, len(times) - 2)
+    a_t = np.interp(arr, times, values)
+    return spec._knot_cum[idx] + 0.5 * (values[idx] + a_t) * (arr - times[idx])
 
 
 def running_sup(spec, t):
@@ -171,7 +177,7 @@ def running_sup(spec, t):
     elif spec.family == "constant":
         out = np.full_like(arr, spec.scale)
     else:
-        times, values = spec._knots()
+        times, values = spec._times, spec._values
         if np.any(arr > times[-1]):
             raise ExtrapolationError(f"t beyond tabulated range [0, {times[-1]}]")
         knot_max = np.maximum.accumulate(values)
@@ -181,96 +187,135 @@ def running_sup(spec, t):
     return float(out) if np.isscalar(t) or arr.ndim == 0 else out
 
 
-def _inverse_gap(spec, hi, gap):
-    """Largest u in [0, hi] with A(hi) - A(u) >= gap, or 0 if none.
+def _inverse_antiderivative(spec, level):
+    """Largest u >= 0 with A(u) <= level, or 0 where level <= 0; level is an array.
 
     Used to truncate integrals whose integrand exp(-(A(hi)-A(u))) has already
-    underflowed below u.
+    underflowed below u.  Closed form for every family; for the tabulated
+    family A is piecewise quadratic, so u is a root of the quadratic on the
+    segment that the cumulative knot integrals place the level in.
     """
-    hi_arr = np.asarray(hi, dtype=float)
-    target = eval_antiderivative(spec, hi_arr) - gap
+    positive = np.maximum(level, 0.0)
     if spec.family == "power":
         p = spec.beta + 1.0
-        u = np.power(np.maximum(target, 0.0) * p / spec.scale, 1.0 / p)
-    elif spec.family == "exponential":
-        u = np.log1p(np.maximum(target, 0.0) * spec.beta / spec.scale) / spec.beta
-    elif spec.family == "constant":
-        if spec.scale == 0.0:
-            u = np.zeros_like(hi_arr)
-        else:
-            u = np.maximum(target, 0.0) / spec.scale
-    else:
-        u = np.zeros_like(hi_arr)
-        flat = np.atleast_1d(hi_arr)
-        res = np.atleast_1d(u)
-        for i, (h, tgt) in enumerate(zip(flat, np.atleast_1d(target))):
-            if tgt <= 0:
-                res[i] = 0.0
-                continue
-            lo_b, hi_b = 0.0, float(h)
-            for _ in range(80):
-                mid = 0.5 * (lo_b + hi_b)
-                if eval_antiderivative(spec, mid) < tgt:
-                    lo_b = mid
-                else:
-                    hi_b = mid
-            res[i] = lo_b
-        u = res.reshape(hi_arr.shape)
-    u = np.minimum(u, hi_arr)
-    return float(u) if np.isscalar(hi) or hi_arr.ndim == 0 else u
+        return np.power(positive * p / spec.scale, 1.0 / p)
+    if spec.family == "exponential":
+        return np.log1p(positive * spec.beta / spec.scale) / spec.beta
+    if spec.family == "constant":
+        return positive / spec.scale if spec.scale > 0.0 else np.zeros_like(positive)
+    times, values = spec._times, spec._values
+    k = np.clip(np.searchsorted(spec._knot_cum, level, side="right") - 1, 0, len(times) - 2)
+    a0 = values[k]
+    slope = (values[k + 1] - a0) / (times[k + 1] - times[k])
+    rest = np.maximum(level - spec._knot_cum[k], 0.0)
+    # a0 d + slope d^2 / 2 = rest, solved in the form without cancellation
+    root = a0 + np.sqrt(np.maximum(a0 * a0 + 2.0 * slope * rest, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = np.where(rest > 0.0, 2.0 * rest / root, 0.0)
+    return np.where(level > 0.0, times[k] + d, 0.0)
+
+
+def decay_integrals(spec, lo, hi, rate):
+    """int_lo^hi exp(-rate * (A(hi) - A(u))) du for arrays of intervals, by adaptive quadrature.
+
+    The integrand is bounded by 1 by construction.  Each range is truncated
+    where the integrand has underflowed below exp(-_EXP_CUTOFF), so sharply
+    concentrated integrands (explosive drifts at large hi) are resolved instead
+    of averaged away, and tabulated drifts are split at their knots.  Each
+    panel gets a 16-point Gauss-Legendre rule and the rule on its two halves;
+    their difference is the panel's error estimate, and only the panels whose
+    estimate exceeds their share of max(_EPSABS, _EPSREL * integral) are
+    bisected (QUADPACK's strategy, Piessens et al. 1983).  An interval that
+    needs more than _PANEL_BUDGET bisections raises NumericsError carrying
+    its estimate and the error bound it reached.
+
+    Every row is reduced on its own, so an interval's result is bit-identical
+    whether it is computed alone or in a batch of any size; intervals are
+    processed _BATCH at a time, which bounds memory.
+    """
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    ok = (lo >= 0) & (lo <= hi)
+    if not ok.all():
+        bad = np.argmin(ok)
+        raise DomainError(f"need 0 <= lo <= hi, got lo={lo.flat[bad]}, hi={hi.flat[bad]}")
+    if spec.family == "tabulated" and np.any(hi > spec._times[-1]):
+        raise ExtrapolationError(f"t beyond tabulated range [0, {spec._times[-1]}]")
+    if not rate > 0:
+        raise DomainError(f"rate must be positive, got {rate}")
+    flat_lo, flat_hi = lo.ravel(), hi.ravel()
+    out = np.empty(flat_lo.shape)
+    for i in range(0, len(out), _BATCH):
+        out[i : i + _BATCH] = _decay_batch(spec, flat_lo[i : i + _BATCH], flat_hi[i : i + _BATCH], rate)
+    return out.reshape(lo.shape)
+
+
+def _initial_panels(spec, cut, hi):
+    """(owner, left edge, width) of each interval's first panels: [cut, hi], split at tabulated knots."""
+    if spec.family != "tabulated":
+        return np.arange(len(cut)), cut, hi - cut
+    times = spec._times
+    first = np.searchsorted(times, cut, side="right")
+    inside = np.maximum(np.searchsorted(times, hi, side="left") - first, 0)
+    owner = np.repeat(np.arange(len(cut)), inside + 1)
+    j = np.arange(len(owner)) - np.repeat(np.cumsum(inside + 1) - (inside + 1), inside + 1)
+    knot = np.minimum(first[owner] + j, len(times) - 1)
+    left = np.where(j == 0, cut[owner], times[knot - 1])
+    right = np.where(j == inside[owner], hi[owner], times[knot])
+    return owner, left, right - left
+
+
+def _decay_batch(spec, lo, hi, rate):
+    a_hi = _antiderivative(spec, hi)
+    cut = np.maximum(lo, np.minimum(_inverse_antiderivative(spec, a_hi - _EXP_CUTOFF / rate), hi))
+    # a panel's share of the absolute tolerance is its share of the truncated range
+    span = np.where(hi > cut, hi - cut, 1.0)
+    owner, left, width = _initial_panels(spec, cut, hi)
+    count = np.zeros(len(hi), dtype=int)
+    value = np.zeros(len(hi))
+    error = np.zeros(len(hi))
+    whole = None
+    while True:
+        nodes = _WHOLE_AND_HALVES if whole is None else _WHOLE_AND_HALVES[1:]
+        u = left[:, None, None] + width[:, None, None] * nodes
+        f = np.exp(-rate * (a_hi[owner, None, None] - _antiderivative(spec, u)))
+        sums = width[:, None] * (f * _GL_W).sum(-1)
+        if whole is None:
+            whole, sums = sums[:, 0], sums[:, 1:]
+        halves = 0.5 * sums
+        fine = halves[:, 0] + halves[:, 1]
+        err = np.abs(fine - whole)
+        done = err <= np.maximum(_EPSABS * (width / span[owner]), _EPSREL * fine)
+        np.add.at(value, owner[done], fine[done])
+        np.add.at(error, owner[done], err[done])
+        if done.all():
+            return value
+        split = ~done
+        owner = owner[split]
+        count += np.bincount(owner, minlength=len(hi))
+        if np.any(count > _PANEL_BUDGET):
+            i = int(np.argmax(count > _PANEL_BUDGET))
+            mine = owner == i
+            raise NumericsError(
+                f"quadrature did not converge on [{cut[i]}, {hi[i]}] within {_PANEL_BUDGET} bisections",
+                estimate=float(value[i] + fine[split][mine].sum()),
+                achieved_tol=float(error[i] + err[split][mine].sum()),
+            )
+        half = 0.5 * width[split]
+        left = np.concatenate([left[split], left[split] + half])
+        width = np.concatenate([half, half])
+        whole = np.concatenate([halves[split, 0], halves[split, 1]])
+        owner = np.concatenate([owner, owner])
 
 
 def decay_integral(spec, lo, hi, rate):
-    """int_lo^hi exp(-rate * (A(hi) - A(u))) du via adaptive quadrature.
-
-    The integrand is bounded by 1 by construction.  The range is truncated
-    where the integrand has underflowed, so sharply concentrated integrands
-    (explosive drifts at large hi) are resolved instead of averaged away.
-    """
-    if not (0 <= lo <= hi):
-        raise DomainError(f"need 0 <= lo <= hi, got lo={lo}, hi={hi}")
-    if rate <= 0:
-        raise DomainError(f"rate must be positive, got {rate}")
-    if hi == lo:
-        return 0.0
-    a_hi = eval_antiderivative(spec, hi)
-    cut = max(float(lo), _inverse_gap(spec, hi, _EXP_CUTOFF / rate))
-
-    def integrand(u):
-        return math.exp(-rate * (a_hi - eval_antiderivative(spec, u)))
-
-    points = None
-    if spec.family == "tabulated":
-        times, _ = spec._knots()
-        interior = times[(times > cut) & (times < hi)]
-        points = list(interior) if len(interior) and len(interior) <= 100 else None
-
-    result = integrate.quad(integrand, cut, hi, points=points, full_output=1, **_QUAD_OPTS)
-    value, abserr = result[0], result[1]
-    if len(result) > 3:  # ier != 0 appends an explanation message
-        raise NumericsError(
-            f"quadrature did not converge on [{cut}, {hi}]: {result[3]}",
-            estimate=value,
-            achieved_tol=abserr,
-        )
-    return value
+    """int_lo^hi exp(-rate * (A(hi) - A(u))) du for one interval; see decay_integrals."""
+    return float(decay_integrals(spec, lo, hi, rate))
 
 
 def decay_integral_steps(spec, times, rate):
-    """Per-step integrals int_{t_k}^{t_{k+1}} exp(-rate*(A(t_{k+1})-A(u))) du.
-
-    Fixed 32-point Gauss-Legendre per step after truncating each step at the
-    underflow cutoff; built for transition tables with many steps, where a
-    scipy.quad call per step would dominate the runtime.
-    """
+    """Per-step integrals int_{t_k}^{t_{k+1}} exp(-rate*(A(t_{k+1})-A(u))) du on a time grid."""
     times = np.asarray(times, dtype=float)
-    lo = times[:-1]
-    hi = times[1:]
-    cut = np.maximum(lo, _inverse_gap(spec, hi, _EXP_CUTOFF / rate))
-    width = hi - cut
-    u = cut[:, None] + width[:, None] * _GL_X[None, :]
-    expo = rate * (eval_antiderivative(spec, hi)[:, None] - eval_antiderivative(spec, u))
-    return width * (np.exp(-expo) @ _GL_W)
+    return decay_integrals(spec, times[:-1], times[1:], rate)
 
 
 def laplace_asymptotic_ratio(spec, kappa, t):
@@ -288,7 +333,7 @@ def laplace_asymptotic_ratio(spec, kappa, t):
     if a_t <= 0 or spec.is_zero:
         raise DomainError("ratio requires alpha strictly positive on (0, t]")
     if spec.family == "tabulated":
-        times, values = spec._knots()
+        times, values = spec._times, spec._values
         inside = (times > 0) & (times <= t)
         if np.any(values[inside] <= 0):
             raise DomainError("ratio requires alpha strictly positive on (0, t]")
@@ -340,7 +385,7 @@ def check_growth_conditions(spec, gamma, probe_horizon, n_points=48):
         step = 1e-4 * np.maximum(1.0, grid)
         hi_t = grid + step
         if spec.family == "tabulated":
-            tmax = spec._knots()[0][-1]
+            tmax = spec._times[-1]
             hi_t = np.minimum(hi_t, tmax)
         lo_t = np.maximum(grid - step, 0.0)
         d_alpha = (eval_alpha(spec, hi_t) - eval_alpha(spec, lo_t)) / (hi_t - lo_t)

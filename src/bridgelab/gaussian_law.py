@@ -3,8 +3,9 @@
 Variances, covariances, conditional variances, covariance matrices on time
 grids, determinant identities and bounds, Gaussian absolute moments and the
 double-integral second moment of the mollified local time.  Everything is
-computed by stable quadrature of exp(-c * (A(t) - A(s))) integrands; this
-module is the oracle the simulation schemes are verified against.
+computed by stable quadrature of exp(-c * (A(t) - A(s))) integrands, all of
+them through the one adaptive kernel drift.decay_integrals; this module is
+the oracle the simulation schemes are verified against.
 """
 
 from __future__ import annotations
@@ -13,11 +14,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
-from scipy.interpolate import PchipInterpolator
 
 from . import drift
 from .errors import DomainError, NumericsError
+
+# localtime_second_moment: tolerance on the whole double integral, the most
+# tensor panels it may use, and how many panels are evaluated at once
+_LT2_EPSABS, _LT2_EPSREL = 1e-10, 1e-9
+_LT2_PANEL_BUDGET = 4000
+_LT2_BATCH = 16
 
 
 @dataclass(frozen=True)
@@ -110,16 +115,11 @@ def _validate_grid(times):
 def build_cov_matrix(spec, times):
     """Covariance matrix of (X_{u_1}, ..., X_{u_p}) on an increasing grid."""
     u = _validate_grid(times)
-    p = len(u)
-    var = np.array([variance(spec, t) for t in u])
+    var = drift.decay_integrals(spec, 0.0, u, 2.0)
     a_vals = drift.eval_antiderivative(spec, u)
-    entries = np.empty((p, p))
-    for i in range(p):
-        entries[i, i] = var[i]
-        for j in range(i + 1, p):
-            c = math.exp(-(a_vals[j] - a_vals[i])) * var[i]
-            entries[i, j] = c
-            entries[j, i] = c
+    # E(X_{u_i} X_{u_j}) = exp(-(A(u_j) - A(u_i))) Var(X_{u_i}) for i <= j
+    upper = np.exp(-np.maximum(a_vals[None, :] - a_vals[:, None], 0.0)) * var[:, None]
+    entries = np.triu(upper) + np.triu(upper, 1).T
     return CovarianceMatrix(times=u, entries=entries)
 
 
@@ -131,10 +131,7 @@ def det_by_conditioning(spec, times):
     by-product of the matrix entries.
     """
     u = _validate_grid(times)
-    det = variance(spec, u[0])
-    for s, t in zip(u[:-1], u[1:]):
-        det *= conditional_variance(spec, s, t)
-    return det
+    return float(np.prod(drift.decay_integrals(spec, np.concatenate([[0.0], u[:-1]]), u, 2.0)))
 
 
 def det_bounds(spec, times):
@@ -169,43 +166,29 @@ def abs_moment(sigma_sq, m):
     return math.factorial(2 * n) / (2**n * math.factorial(n)) * sigma_sq**n
 
 
-class _VarianceTable:
-    """Var(X_r) precomputed on a dense grid, monotone-cubic interpolated.
+def _lt2_rules(spec, s0, ds, p0, dp, eps, theta, whole):
+    """Tensor Gauss-Legendre values of 2/sqrt(g) on panels [s0, s0+ds] x [p0, p0+dp].
 
-    Built with the exact one-step recursion
-    V(r + d) = exp(-2 dA) V(r) + int_r^{r+d} exp(-2 (A(r+d) - A(u))) du
-    so every grid value carries quadrature-level accuracy.
+    Columns: the rule on the two halves in s, then on the two halves in phi,
+    preceded by the rule on the whole panel when whole is true.  Var(X_r),
+    Var(X_s) and Var(X_s | X_r) at every node come from one kernel call.
     """
-
-    def __init__(self, spec, t, n=4097):
-        grid = np.linspace(0.0, t, n)
-        steps = drift.decay_integral_steps(spec, grid, 2.0)
-        d_a = np.diff(drift.eval_antiderivative(spec, grid))
-        decay2 = np.exp(-2.0 * d_a)
-        v = np.empty(n)
-        v[0] = 0.0
-        for k in range(n - 1):
-            v[k + 1] = decay2[k] * v[k] + steps[k]
-        self._interp = PchipInterpolator(grid, v)
-
-    def __call__(self, r):
-        return max(float(self._interp(r)), 0.0)
-
-
-def _cvar_normalized(spec, r, s):
-    """conditional_variance(r, s) / (s - r) by fixed Gauss-Legendre.
-
-    The integration range is truncated at the underflow cutoff first, so the
-    panel always sees a resolvable integrand.
-    """
-    if s <= r:
-        return 1.0
-    a_s = drift.eval_antiderivative(spec, s)
-    cut = max(r, drift._inverse_gap(spec, s, drift._EXP_CUTOFF / 2.0))
-    width = s - cut
-    u = cut + width * drift._GL_X
-    vals = np.exp(-2.0 * (a_s - drift.eval_antiderivative(spec, u)))
-    return width * float(vals @ drift._GL_W) / (s - r)
+    groups = drift._WHOLE_AND_HALVES
+    s = s0[:, None, None] + ds[:, None, None] * groups  # (panels, 3 node groups, n)
+    phi = p0[:, None, None] + dp[:, None, None] * groups
+    pairs = ([(0, 0)] if whole else []) + [(1, 0), (2, 0), (0, 1), (0, 2)]
+    ss = np.stack([s[:, i, :, None] for i, _ in pairs], 1)  # (panels, rules, n, 1)
+    pp = np.stack([phi[:, j, None, :] for _, j in pairs], 1)  # (panels, rules, 1, n)
+    r = ss * np.sin(pp) ** 2
+    s_minus_r = ss * np.cos(pp) ** 2
+    ss, r = np.broadcast_arrays(ss, r)
+    zero = np.zeros_like(r)
+    v_r, cvar, v_s = drift.decay_integrals(spec, np.stack([zero, r, zero]), np.stack([r, ss, ss]), 2.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = (v_r / r) * (cvar / (ss - r)) + (theta * v_r + eps * v_s + eps * theta) / (r * s_minus_r)
+        f = np.where(np.isfinite(g) & (g > 0.0), 2.0 / np.sqrt(g), 0.0)
+    area = np.array([1.0 if pair == (0, 0) else 0.5 for pair in pairs])
+    return (ds * dp)[:, None] * area * (f * drift._GL_W[:, None] * drift._GL_W).sum((-2, -1))
 
 
 def localtime_second_moment(spec, t, eps, theta):
@@ -224,49 +207,56 @@ def localtime_second_moment(spec, t, eps, theta):
     is the Beta(1/2, 1/2) integral).  The determinant is factored as
     det = Var(r) cvar(r, s) + theta Var(r) + eps Var(s) + eps theta, all
     terms nonnegative, and each factor is normalized by its vanishing rate
-    so the transformed integrand is smooth and bounded.
+    so the transformed integrand 2/sqrt(g) on (s, phi) in [0, t] x [0, pi/2]
+    is smooth and bounded.
+
+    The double integral is adaptive tensor-panel cubature.  Each panel gets
+    the 16 x 16 Gauss-Legendre rule W and the rules S and P on its two halves
+    in s and in phi.  |S - W| and |P - W| estimate the error of each
+    direction; a panel is accepted at S + P - W when their sum is within its
+    share of the tolerance, and is otherwise bisected in the direction with
+    the larger error, so boundary layers along one edge are refined in one
+    direction only.  Panels are evaluated _LT2_BATCH at a time, so memory
+    stays bounded.
     """
     if t <= 0:
         raise DomainError("t must be positive")
     if eps < 0 or theta < 0:
         raise DomainError("smoothing parameters must be nonnegative")
 
-    table = _VarianceTable(spec, t)
-
-    def inner(s):
-        v_s = table(s)
-
-        def integrand(phi):
-            sin2 = math.sin(phi) ** 2
-            r = s * sin2
-            s_minus_r = s * (math.cos(phi) ** 2)
-            if r <= 0.0 or s_minus_r <= 0.0:
-                return 0.0
-            v_r = table(r)
-            g = (v_r / r) * _cvar_normalized(spec, r, s)
-            extra = theta * v_r + eps * v_s + eps * theta
-            if extra > 0.0:
-                g += extra / (r * s_minus_r)
-            if not math.isfinite(g) or g <= 0.0:
-                return 0.0
-            return 2.0 / math.sqrt(g)
-
-        res = integrate.quad(
-            integrand, 0.0, math.pi / 2.0, epsabs=1e-10, epsrel=1e-8, limit=200, full_output=1
-        )
-        if len(res) > 3:
+    full_area = t * (math.pi / 2.0)
+    s0, ds = np.zeros(1), np.full(1, float(t))
+    p0, dp = np.zeros(1), np.full(1, math.pi / 2.0)
+    whole = None
+    total, total_err, n_panels = 0.0, 0.0, 1
+    while len(s0):
+        parts = []
+        for k in range(0, len(s0), _LT2_BATCH):
+            batch = slice(k, k + _LT2_BATCH)
+            parts.append(_lt2_rules(spec, s0[batch], ds[batch], p0[batch], dp[batch], eps, theta, whole is None))
+        sums = np.concatenate(parts)
+        if whole is None:
+            whole, sums = sums[:, 0], sums[:, 1:]
+        err_s = np.abs(sums[:, 0] + sums[:, 1] - whole)
+        err_p = np.abs(sums[:, 2] + sums[:, 3] - whole)
+        fine = sums.sum(1) - whole
+        err = err_s + err_p
+        done = err <= np.maximum(_LT2_EPSABS * ds * dp / full_area, _LT2_EPSREL * np.abs(fine))
+        total += float(fine[done].sum())
+        total_err += float(err[done].sum())
+        split = ~done
+        n_panels += int(split.sum())
+        if n_panels > _LT2_PANEL_BUDGET:
             raise NumericsError(
-                f"inner local-time quadrature failed at s={s}: {res[3]}",
-                estimate=res[0],
-                achieved_tol=res[1],
+                f"local-time double integral did not converge within {_LT2_PANEL_BUDGET} panels",
+                estimate=(total + float(fine[split].sum())) / math.pi,
+                achieved_tol=(total_err + float(err[split].sum())) / math.pi,
             )
-        return res[0]
-
-    res = integrate.quad(inner, 0.0, t, epsabs=1e-9, epsrel=1e-7, limit=200, full_output=1)
-    if len(res) > 3:
-        raise NumericsError(
-            f"outer local-time quadrature failed: {res[3]}",
-            estimate=res[0] / math.pi,
-            achieved_tol=res[1],
-        )
-    return res[0] / math.pi
+        in_s = (err_s >= err_p)[split]
+        s0, ds, p0, dp, sums = s0[split], ds[split], p0[split], dp[split], sums[split]
+        ds, dp = np.where(in_s, 0.5 * ds, ds), np.where(in_s, dp, 0.5 * dp)
+        s0 = np.concatenate([s0, s0 + np.where(in_s, ds, 0.0)])
+        p0 = np.concatenate([p0, p0 + np.where(in_s, 0.0, dp)])
+        ds, dp = np.tile(ds, 2), np.tile(dp, 2)
+        whole = np.concatenate([np.where(in_s, sums[:, 0], sums[:, 2]), np.where(in_s, sums[:, 1], sums[:, 3])])
+    return total / math.pi

@@ -114,7 +114,7 @@ def exact_transition_table(spec, times):
     """
     a_vals = drift_mod.eval_antiderivative(spec, np.asarray(times, dtype=float))
     decays = np.exp(-np.diff(a_vals))
-    stds = np.sqrt(np.maximum(drift_mod.decay_integral_steps(spec, times, 2.0), 0.0))
+    stds = np.sqrt(drift_mod.decay_integral_steps(spec, times, 2.0))
     return decays, stds
 
 

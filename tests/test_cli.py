@@ -1,8 +1,12 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bridgelab
 from bridgelab.cli import main, run_figures_preset
 from bridgelab.reporting import read_csv
 
@@ -125,3 +129,13 @@ class TestEnvironmentDefaults:
         monkeypatch.setenv("BRIDGELAB_OUT", str(tmp_path / "envout"))
         assert run(["figures", "--which", "figure1"]) == 0
         assert (tmp_path / "envout" / "figure1_report.json").exists()
+
+
+class TestImportGraph:
+    def test_import_loads_no_scipy(self):
+        # numpy is the only runtime dependency; scipy serves the tests as a reference only
+        src = str(Path(bridgelab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = "import bridgelab, sys; assert not any(m.startswith('scipy') for m in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr

@@ -3,17 +3,19 @@ import math
 import numpy as np
 import pytest
 
+from bridgelab import drift
 from bridgelab.drift import (
     DriftSpec,
     check_growth_conditions,
     decay_integral,
     decay_integral_steps,
+    decay_integrals,
     eval_alpha,
     eval_antiderivative,
     laplace_asymptotic_ratio,
     running_sup,
 )
-from bridgelab.errors import DomainError, ExtrapolationError
+from bridgelab.errors import DomainError, ExtrapolationError, NumericsError
 
 
 def dense_trapezoid(spec, t, n=200001):
@@ -106,6 +108,18 @@ class TestAntiderivative:
             assert eval_antiderivative(spec, t) == pytest.approx(
                 dense_trapezoid(spec, t), rel=1e-10
             )
+
+    def test_tabulated_inverse_is_closed_form_root(self):
+        # u = A^{-1}(A(hi) - gap) on a table with rising, falling and zero segments
+        spec = DriftSpec.tabulated([0.0, 0.5, 1.0, 2.0, 2.5, 3.0], [0.0, 3.0, 0.0, 0.0, 2.0, 0.7])
+        rng = np.random.default_rng(13)
+        hi = rng.uniform(0.0, 3.0, 2000)
+        a_hi = eval_antiderivative(spec, hi)
+        gap = a_hi * rng.uniform(0.0, 1.0, hi.shape)
+        u = drift._inverse_antiderivative(spec, a_hi - gap)
+        assert np.all((0.0 <= u) & (u <= hi + 1e-12))
+        reached = a_hi - eval_antiderivative(spec, np.minimum(u, hi))
+        np.testing.assert_allclose(reached, gap, rtol=1e-12, atol=1e-14)
 
     def test_monotone_in_time(self):
         rng = np.random.default_rng(11)
@@ -237,3 +251,45 @@ class TestDecayIntegral:
             decay_integral(DriftSpec.power(1.0), 2.0, 1.0, 2.0)
         with pytest.raises(DomainError):
             decay_integral(DriftSpec.power(1.0), 0.0, 1.0, -1.0)
+        with pytest.raises(DomainError):
+            decay_integrals(DriftSpec.power(1.0), [0.0, -0.5], [1.0, 1.0], 2.0)
+        with pytest.raises(DomainError):
+            decay_integrals(DriftSpec.power(1.0), [0.0, math.nan], [1.0, 1.0], 2.0)
+        with pytest.raises(ExtrapolationError):
+            decay_integrals(HUMP, [0.0, 1.0], [1.0, 3.5], 2.0)
+
+
+class TestDecayIntegrals:
+    def test_batch_of_1e5_is_bit_identical_to_single_calls(self):
+        rng = np.random.default_rng(17)
+        for spec in (DriftSpec.power(2.0), DriftSpec.exponential(1.2), HUMP):
+            tmax = 3.0 if spec.family == "tabulated" else 6.0
+            ends = np.sort(rng.uniform(0.0, tmax, (100_000, 2)), axis=1)
+            batch = decay_integrals(spec, ends[:, 0], ends[:, 1], 2.0)
+            for k in rng.choice(len(ends), 40, replace=False):
+                single = decay_integral(spec, ends[k, 0], ends[k, 1], 2.0)
+                assert np.float64(single).tobytes() == batch[k].tobytes()
+
+    def test_batch_length_does_not_change_bits(self, monkeypatch):
+        times = np.linspace(0.0, 3.0, 700)
+        ref = [decay_integral_steps(spec, times, 2.0) for spec in (HUMP, DriftSpec.power(0.8))]
+        monkeypatch.setattr(drift, "_BATCH", 7)
+        for spec, expected in zip((HUMP, DriftSpec.power(0.8)), ref):
+            assert decay_integral_steps(spec, times, 2.0).tobytes() == expected.tobytes()
+
+    def test_broadcasts_and_keeps_shape(self):
+        his = np.array([[0.5, 1.0], [2.0, 0.0]])
+        out = decay_integrals(DriftSpec.constant(0.0), 0.0, his, 2.0)
+        assert out.shape == (2, 2)
+        np.testing.assert_allclose(out, his, rtol=1e-14)
+
+    def test_budget_exhaustion_reports_estimate_and_tolerance(self, monkeypatch):
+        # power(2) at hi = 10: one panel on the truncated range is not enough, two are
+        spec = DriftSpec.power(2.0)
+        full = decay_integral(spec, 0.0, 10.0, 2.0)
+        monkeypatch.setattr(drift, "_PANEL_BUDGET", 0)
+        with pytest.raises(NumericsError, match=r"10\.0\] within 0 bisections") as info:
+            decay_integrals(spec, [0.0, 0.0], [1.0, 10.0], 2.0)
+        err = info.value
+        assert err.estimate == pytest.approx(full, rel=1e-6)
+        assert drift._EPSREL * err.estimate < err.achieved_tol < 1e-5 * err.estimate

@@ -261,3 +261,13 @@ class TestStreamingEngine:
         finally:
             tracemalloc.stop()
         assert peak < 16e6
+
+    def test_exact_scheme_long_horizon_memory_is_bounded(self):
+        # the transition table is built in fixed batches of steps: O(steps) output, bounded work arrays
+        tracemalloc.start()
+        try:
+            terminal_values(BRIDGE, [2.0], h=1e-5, n_paths=64, seed=0, scheme="exact", chunk=64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
