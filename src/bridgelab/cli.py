@@ -2,11 +2,11 @@
 
 Subcommands: simulate, law, localtime, holder, figures, verify.  Experiment
 parameters come from a key=value config file (see config.py); --seed, --out
-and --threads override the corresponding knobs.  Every subcommand writes its
-CSV artifacts plus a <command>_report.json summary into the output directory.
-Given a fixed config and seed, artifacts are byte-identical regardless of
-the thread count: path randomness is keyed by (seed, path_index, step),
-never by execution order.
+and (simulate, holder) --threads override the corresponding knobs.  Every
+subcommand writes its CSV artifacts plus a <command>_report.json summary into
+the output directory.  Given a fixed config and seed, artifacts are
+byte-identical regardless of the thread count: path randomness is keyed by
+(seed, path_index, step), never by execution order.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ def run_figures_preset(which, seed, outputs):
     return summary
 
 
-def _cmd_simulate(cfg, threads):
+def _cmd_simulate(cfg, args):
     spec = cfg.drift_spec()
     summary = ReportSummary(command="simulate", config_digest=config_digest(cfg))
     gen = simulate.euler_path if cfg.scheme == "euler" else simulate.exact_path
@@ -88,14 +88,14 @@ def _cmd_simulate(cfg, threads):
     horizons = cfg.simulate_horizons or (cfg.T,)
     if cfg.n_paths >= 100:
         stats = simulate.batch_terminal_stats(
-            spec, horizons, cfg.n_paths, cfg.scheme, h=cfg.h, seed=cfg.seed, threads=threads
+            spec, horizons, cfg.n_paths, cfg.scheme, h=cfg.h, seed=cfg.seed, threads=args.threads
         )
         decay_stats_to_csv(stats, os.path.join(cfg.outputs, "terminal_stats.csv"))
         summary.metrics["mean_sq_final"] = float(stats.mean_sq[-1])
     return summary
 
 
-def _cmd_law(cfg, threads):
+def _cmd_law(cfg, args):
     spec = cfg.drift_spec()
     summary = ReportSummary(command="law", config_digest=config_digest(cfg))
     times = np.asarray(cfg.law_times, dtype=float)
@@ -115,7 +115,7 @@ def _cmd_law(cfg, threads):
     return summary
 
 
-def _cmd_localtime(cfg, threads):
+def _cmd_localtime(cfg, args):
     spec = cfg.drift_spec()
     summary = ReportSummary(command="localtime", config_digest=config_digest(cfg))
     path = simulate.euler_path(spec, T=cfg.T, h=cfg.h, seed=cfg.seed)
@@ -138,7 +138,7 @@ def _cmd_localtime(cfg, threads):
     return summary
 
 
-def _cmd_holder(cfg, threads):
+def _cmd_holder(cfg, args):
     spec = cfg.drift_spec()
     summary = ReportSummary(command="holder", config_digest=config_digest(cfg))
     path = simulate.euler_path(spec, T=cfg.T, h=cfg.h, seed=cfg.seed)
@@ -148,7 +148,7 @@ def _cmd_holder(cfg, threads):
     profile_to_csv(profile, os.path.join(cfg.outputs, "holder_time_profile.csv"))
     summary.metrics["time_slope"] = profile.fitted_slope
     summary.metrics["time_intercept"] = profile.fitted_intercept
-    summary.metrics["time_band_low"], summary.metrics["time_band_high"] = 0.4, 0.6
+    summary.metrics["time_band_low"], summary.metrics["time_band_high"] = verification.HOLDER_TIME_BAND
 
     r = cfg.holder_r
     x_grid = np.linspace(-r, r, 257)
@@ -160,36 +160,41 @@ def _cmd_holder(cfg, threads):
         h=cfg.h,
         seed=cfg.seed,
         eps=cfg.h,
-        threads=threads,
+        threads=args.threads,
     )
     profile_to_csv(space, os.path.join(cfg.outputs, "holder_space_profile.csv"))
     summary.metrics["space_slope"] = space.fitted_slope
     summary.metrics["space_intercept"] = space.fitted_intercept
-    summary.metrics["space_band_low"], summary.metrics["space_band_high"] = 0.35, 0.6
+    summary.metrics["space_band_low"], summary.metrics["space_band_high"] = verification.HOLDER_SPACE_BAND
     return summary
 
 
-def _cmd_figures(cfg, threads, which):
-    return run_figures_preset(which, seed=cfg.seed, outputs=cfg.outputs)
+def _cmd_figures(cfg, args):
+    return run_figures_preset(args.which, seed=cfg.seed, outputs=cfg.outputs)
 
 
-def _cmd_verify(cfg, threads, checks=None):
-    only = set(checks.split(",")) if checks else None
+def _cmd_verify(cfg, args):
+    only = set(args.checks.split(",")) if args.checks else None
     summary = verification.run_verify_suite(cfg, only=only)
     for name, ok in sorted(summary.pass_flags.items()):
         print(f"{'PASS' if ok else 'FAIL'}  {name}")
     return summary
 
 
+_HANDLERS = dict(simulate=_cmd_simulate, law=_cmd_law, localtime=_cmd_localtime, holder=_cmd_holder,
+                 figures=_cmd_figures, verify=_cmd_verify)
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(prog="bridgelab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("simulate", "law", "localtime", "holder", "figures", "verify"):
+    for name in _HANDLERS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="path to a key=value config file")
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--out", help="output directory (or $BRIDGELAB_OUT, or config outputs)")
-        p.add_argument("--threads", type=int, default=1, help="worker threads for path batches")
+        if name in ("simulate", "holder"):
+            p.add_argument("--threads", type=int, default=1, help="worker threads for path batches")
         if name == "figures":
             p.add_argument("--which", choices=("figure1", "figure2"), default="figure1")
         if name == "verify":
@@ -221,26 +226,14 @@ def main(argv=None):
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.threads < 1:
+    if getattr(args, "threads", 1) < 1:
         print("error: --threads must be at least 1", file=sys.stderr)
         return 2
     os.makedirs(cfg.outputs, exist_ok=True)
 
     start = time.monotonic()
-    if args.command == "figures":
-        summary = _cmd_figures(cfg, args.threads, args.which)
-    elif args.command == "verify":
-        summary = _cmd_verify(cfg, args.threads, checks=args.checks)
-        summary.wall_time = time.monotonic() - start
-        summary.write(cfg.outputs)
-    else:
-        handler = {
-            "simulate": _cmd_simulate,
-            "law": _cmd_law,
-            "localtime": _cmd_localtime,
-            "holder": _cmd_holder,
-        }[args.command]
-        summary = handler(cfg, args.threads)
+    summary = _HANDLERS[args.command](cfg, args)
+    if args.command != "figures":  # the preset writes its own report
         summary.wall_time = time.monotonic() - start
         summary.write(cfg.outputs)
     return 0 if summary.all_passed else 1

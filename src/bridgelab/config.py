@@ -22,6 +22,10 @@ from .errors import ConfigError
 from .reporting import digest_text, fmt_float
 
 
+MAX_STEPS = 10**8  # per path: one whole path of 10^8 float64 values takes 0.8 GB
+MAX_PATH_STEPS = 10**10  # n_paths * steps: ~6 min at the engine's ~37 ns per path-step (2 vCPUs)
+
+
 def _parse_float_list(raw, key):
     try:
         return tuple(float(v) for v in raw.split(","))
@@ -143,6 +147,12 @@ def _validate(cfg):
         raise ConfigError(f"T: must be at least h, got T={cfg.T}, h={cfg.h}")
     if cfg.n_paths < 1:
         raise ConfigError(f"n_paths: must be at least 1, got {cfg.n_paths}")
+    steps = max((cfg.T, *cfg.simulate_horizons)) / cfg.h
+    if steps > MAX_STEPS:
+        key = "T" if cfg.T / cfg.h == steps else "simulate.horizons"
+        raise ConfigError(f"{key}: {steps:.3g} steps of h per path exceed the cap of {MAX_STEPS:.0e}")
+    if cfg.n_paths * math.ceil(steps) > MAX_PATH_STEPS:
+        raise ConfigError(f"n_paths: {cfg.n_paths} x {math.ceil(steps)} path-steps exceed the cap of {MAX_PATH_STEPS:.0e}")
     cfg.drift_spec()  # surfaces drift-level constraint violations early
 
 

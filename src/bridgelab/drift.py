@@ -232,6 +232,10 @@ def decay_integrals(spec, lo, hi, rate):
     Every row is reduced on its own, so an interval's result is bit-identical
     whether it is computed alone or in a batch of any size; intervals are
     processed _BATCH at a time, which bounds memory.
+
+    Accuracy floor: A(hi) and A(u) are rounded before they are subtracted, so
+    relative accuracy is no better than about rate * A(hi) * 2^-52 whatever
+    _EPSREL asks (~1e-9 for exponential(1.5) near t = 10); it is not reported.
     """
     lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
     ok = (lo >= 0) & (lo <= hi)

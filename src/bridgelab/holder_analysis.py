@@ -162,10 +162,10 @@ def space_modulus(
     if scales[-1] < dx * (1 - 1e-9):
         raise DomainError(f"smallest scale {scales[-1]} is below the level spacing {dx}")
     lags = [int(round(s / dx)) for s in scales]
-    times = simulate.grid(t, h)
+    table = simulate.transition_table(spec, simulate.grid(t, h), scheme)
 
     def profiles(idx):
-        values, _ = simulate.paths(spec, times, seed, idx, scheme)
+        values, _ = simulate.paths(table, seed, idx)
         return [_nested_sup_increments(level_sweep(v, float(h), x, eps), lags) for v in values]
 
     sups = np.mean(simulate.ensemble(profiles, n_paths, 64, threads), axis=0)

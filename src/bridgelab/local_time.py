@@ -128,7 +128,7 @@ def kernel_ensemble(spec, x, eps_list, T, h, n_paths, seed, steps=None, scheme="
     steps = np.asarray([len(times) - 1] if steps is None else steps)
     eps = np.asarray(eps_list, dtype=float)
     norm = _SQRT_2PI * np.sqrt(eps)
-    table = simulate.exact_transition_table(spec, times) if scheme == "exact" else None
+    table = simulate.transition_table(spec, times, scheme)
 
     def density(values):  # kernel_estimate's density bit for bit, one column per eps
         dens = (values - x)[..., None] ** 2 / (-2.0 * eps)
@@ -139,7 +139,7 @@ def kernel_ensemble(spec, x, eps_list, T, h, n_paths, seed, steps=None, scheme="
     def one_chunk(idx):
         out = np.zeros((len(idx), len(steps), len(eps)))
         prev, acc = density(np.zeros(len(idx))), np.zeros((len(idx), len(eps)))
-        for k0, values, _ in simulate.walk(spec, times, seed, idx, scheme, table):
+        for k0, values, _ in simulate.walk(table, seed, idx):
             dens = density(values)
             cum = np.concatenate([acc[None], prev[None], dens[:-1]])
             cum[1:] += dens
@@ -151,11 +151,6 @@ def kernel_ensemble(spec, x, eps_list, T, h, n_paths, seed, steps=None, scheme="
         return out
 
     return simulate.ensemble(one_chunk, n_paths, chunk, threads)
-
-
-def _kernel_at_ensemble(spec, x, eps_list, t, h, n_paths, seed, chunk=512, threads=1):
-    """Kernel local time at the end of the grid reaching t, shape (n_paths, len(eps_list))."""
-    return kernel_ensemble(spec, x, eps_list, t, h, n_paths, seed, chunk=chunk, threads=threads)[:, 0, :]
 
 
 def cauchy_diagnostic(spec, x, t, eps_ladder, n_paths, seed, h=None, chunk=512, threads=1):
@@ -174,7 +169,7 @@ def cauchy_diagnostic(spec, x, t, eps_ladder, n_paths, seed, h=None, chunk=512, 
         raise DomainError("need at least 500 paths")
     if h is None:
         h = min(float(ladder.min()), 1e-3)
-    l_vals = _kernel_at_ensemble(spec, x, ladder, t, h, n_paths, seed, chunk, threads)
+    l_vals = kernel_ensemble(spec, x, ladder, t, h, n_paths, seed, chunk=chunk, threads=threads)[:, 0, :]
     diffs = l_vals[:, :-1] - l_vals[:, 1:]
     return list((diffs**2).mean(axis=0))
 

@@ -1,21 +1,23 @@
 """Path generation for the bridge SDE dX = -alpha(t) X dt + dW, X_0 = 0.
 
-Two schemes: plain Euler (used by the preset experiments; retains the
-driving Brownian increments for pathwise local-time identities) and an exact
-Gaussian-transition scheme that is unbiased at any step size and therefore
-safe for stiff drifts.
+Both schemes step one affine recursion x <- decay_k * x + std_k * N_k, and a
+scheme is nothing but its (decays, stds) table (transition_table): plain Euler
+(used by the preset experiments; retains the driving Brownian increments for
+pathwise local-time identities) and the exact Gaussian transition, unbiased
+at any step size and therefore safe for stiff drifts.
 
 Randomness is drawn from counter-based Philox streams keyed by
 (seed, path_index), with step k consuming the k-th draw of the stream, so a
 sample is a pure function of (seed, path_index, step) and results never
 depend on execution order or worker count.
 
-One engine, walk, steps a chunk of paths time-major over blocks of
-BLOCK_STEPS steps, drawing each block from the chunk's Philox generators,
-which stay alive between blocks.  Callers reduce each (steps, paths) block as
-it comes (snapshots at horizons, whole-path capture, a running kernel
-integral), so memory is O(chunk x block) unless whole paths are kept, and
-results are bit-identical for any block length, chunk size and thread count.
+One engine, walk, steps a chunk of paths through a table time-major over
+blocks of BLOCK_STEPS steps, drawing each block from the chunk's Philox
+generators, which stay alive between blocks.  Callers reduce each (steps,
+paths) block as it comes (snapshots at horizons, whole-path capture, a
+running kernel integral), so memory is O(chunk x block) unless whole paths
+are kept, and results are bit-identical for any block length, chunk size and
+thread count.
 """
 
 from __future__ import annotations
@@ -40,8 +42,8 @@ class SamplePath:
 
     brownian_increments holds the Delta-W per step for the Euler scheme and
     is None for the exact scheme, which does not expose the driving noise.
-    stability_warning is set when h * alpha(t) exceeded 1 somewhere on the
-    grid (plain Euler degrades there).
+    stability_warning is set when an Euler decay 1 - h * alpha(t) is negative
+    somewhere on the grid, i.e. h * alpha(t) > 1 (plain Euler degrades there).
     """
 
     times: np.ndarray
@@ -86,9 +88,6 @@ def grid(T, h):
     return np.arange(n + 1) * float(h)
 
 
-_grid = grid
-
-
 def horizon_steps(horizons, h):
     """Grid step index of each horizon; DomainError unless every horizon lies on the grid."""
     steps = [int(round(t / h)) for t in horizons]
@@ -118,23 +117,30 @@ def exact_transition_table(spec, times):
     return decays, stds
 
 
-def walk(spec, times, seed, path_indices, scheme="euler", table=None, xi=None):
+def transition_table(spec, times, scheme):
+    """The (decays, stds) table that walk steps for a scheme on a uniform grid.
+
+    exact: exact_transition_table.  euler: its first-order form (1 - h * alpha(t_k), sqrt(h)),
+    whose decay is negative exactly where h * alpha(t_k) > 1.
+    """
+    if scheme == "exact":
+        return exact_transition_table(spec, times)
+    if scheme != "euler":
+        raise DomainError(f"scheme must be euler or exact, got {scheme!r}")
+    h = float(times[1] - times[0])
+    decays = 1.0 - h * np.asarray(drift_mod.eval_alpha(spec, times[:-1]), dtype=float)
+    return decays, np.full(len(decays), math.sqrt(h))
+
+
+def walk(table, seed, path_indices, xi=None):
     """Yield (k0, values, noise) per block: X at steps k0+1, k0+2, ... as (block_steps, paths).
 
-    noise drove those steps (dW for Euler, std * N for exact).  x - (alpha * x) * h + dW
-    and decay * x + std * N are evaluated in that order, on Python floats for one path
-    and in place on numpy rows for several, so they agree bit for bit with a scalar
-    re-derivation.  table: a precomputed exact_transition_table; xi: test hook.
+    table is (decays, stds); noise = std * N drove those steps.  decay * x + noise is
+    evaluated on Python floats for one path and in place on numpy rows for several,
+    so both agree bit for bit with a scalar re-derivation.  xi: test hook.
     """
-    n, h = len(times) - 1, float(times[1] - times[0])
-    euler = scheme == "euler"
-    if euler:
-        coef, scale = np.asarray(drift_mod.eval_alpha(spec, times[:-1]), dtype=float), np.full(n, math.sqrt(h))
-    elif scheme == "exact":
-        coef, scale = table if table is not None else exact_transition_table(spec, times)
-    else:
-        raise DomainError(f"scheme must be euler or exact, got {scheme!r}")
-    m = len(path_indices)
+    decays, stds = table
+    n, m = len(decays), len(path_indices)
     streams = [_stream(seed, p) for p in path_indices] if xi is None else None
     x = np.zeros(m) if m > 1 else 0.0
     for k0 in range(0, n, BLOCK_STEPS):
@@ -145,20 +151,17 @@ def walk(spec, times, seed, path_indices, scheme="euler", table=None, xi=None):
                 stream.standard_normal(out=row)
         else:
             draws[:] = np.broadcast_to(np.asarray(xi, dtype=float), (m, n))[:, k0:k1]
-        draws *= scale[k0:k1]
+        draws *= stds[k0:k1]
         values = np.empty((k1 - k0, m))
         if m == 1:
             column = []
-            for c, w in zip(coef[k0:k1].tolist(), draws[0].tolist()):
-                x = (x - (c * x) * h) + w if euler else c * x + w
+            for c, w in zip(decays[k0:k1].tolist(), draws[0].tolist()):
+                x = c * x + w
                 column.append(x)
             values[:, 0] = column
         else:
-            for c, w, row in zip(coef[k0:k1].tolist(), draws.T, values):
+            for c, w, row in zip(decays[k0:k1].tolist(), draws.T, values):
                 np.multiply(x, c, out=row)
-                if euler:
-                    row *= h
-                    np.subtract(x, row, out=row)
                 row += w
                 x = row
         yield k0, values, draws.T
@@ -171,11 +174,12 @@ def record(out, steps, k0, block):
     out[:, hit] = np.moveaxis(block[rows[hit]], 0, 1)
 
 
-def paths(spec, times, seed, path_indices, scheme="euler", xi=None):
+def paths(table, seed, path_indices, xi=None):
     """Whole trajectories and the noise that drove them, as (values, noise), one row per path."""
-    values = np.zeros((len(path_indices), len(times)))
-    noise = np.empty((len(path_indices), len(times) - 1))
-    for k0, v, w in walk(spec, times, seed, path_indices, scheme, xi=xi):
+    n = len(table[0])
+    values = np.zeros((len(path_indices), n + 1))
+    noise = np.empty((len(path_indices), n))
+    for k0, v, w in walk(table, seed, path_indices, xi):
         values[:, k0 + 1 : k0 + 1 + len(v)] = v.T
         noise[:, k0 : k0 + len(v)] = w.T
     return values, noise
@@ -190,40 +194,29 @@ def ensemble(fn, n_paths, chunk, threads):
         return np.concatenate(list(pool.map(fn, chunks)), axis=0)
 
 
-def _euler_block(spec, times, seed, path_indices, xi=None):
-    """Euler trajectories for several paths at once; returns (values, dW, warn)."""
-    alpha = np.asarray(drift_mod.eval_alpha(spec, times[:-1]), dtype=float)
-    values, dw = paths(spec, times, seed, path_indices, "euler", xi)
-    return values, dw, bool(np.any(alpha * (times[1] - times[0]) > 1.0))
+def _single_path(scheme, spec, T, h, seed, path_index, xi):
+    times = grid(T, h)
+    table = transition_table(spec, times, scheme)
+    values, noise = paths(table, seed, [path_index], xi)
+    return SamplePath(
+        times=times,
+        values=values[0],
+        brownian_increments=noise[0] if scheme == "euler" else None,
+        scheme=scheme,
+        seed=seed,
+        path_index=path_index,
+        stability_warning=bool(np.any(table[0] < 0.0)),
+    )
 
 
 def euler_path(spec, T, h, seed=0, path_index=0, xi=None):
     """One Euler path; xi is a test hook overriding the standard normals."""
-    times = grid(T, h)
-    values, dw, warn = _euler_block(spec, times, seed, [path_index], xi)
-    return SamplePath(
-        times=times,
-        values=values[0],
-        brownian_increments=dw[0],
-        scheme="euler",
-        seed=seed,
-        path_index=path_index,
-        stability_warning=warn,
-    )
+    return _single_path("euler", spec, T, h, seed, path_index, xi)
 
 
 def exact_path(spec, T, h, seed=0, path_index=0, xi=None):
     """One exact-transition path; every marginal has the true Gaussian law."""
-    times = grid(T, h)
-    values, _ = paths(spec, times, seed, [path_index], "exact", xi=xi)
-    return SamplePath(
-        times=times,
-        values=values[0],
-        brownian_increments=None,
-        scheme="exact",
-        seed=seed,
-        path_index=path_index,
-    )
+    return _single_path("exact", spec, T, h, seed, path_index, xi)
 
 
 def shift_to_ab(path, a, b, spec):
@@ -248,12 +241,11 @@ def terminal_values(spec, horizons, h, n_paths, seed, scheme="exact", chunk=4096
     """X at each horizon for n_paths independent paths, shape (n_paths, len(horizons))."""
     horizons = np.asarray(horizons, dtype=float)
     steps = horizon_steps(horizons, h)
-    times = grid(horizons[-1], h)
-    table = exact_transition_table(spec, times) if scheme == "exact" else None
+    table = transition_table(spec, grid(horizons[-1], h), scheme)
 
     def one_chunk(idx):
         out = np.zeros((len(idx), len(steps)))
-        for k0, values, _ in walk(spec, times, seed, idx, scheme, table):
+        for k0, values, _ in walk(table, seed, idx):
             record(out, steps, k0, values)
         return out
 

@@ -21,6 +21,11 @@ from .errors import NumericsError
 from .reporting import ReportSummary, read_csv
 
 
+# Accepted Hoelder slope bands (low, high) in time and in level; `bridgelab holder` reports them.
+HOLDER_TIME_BAND = (0.4, 0.6)
+HOLDER_SPACE_BAND = (0.35, 0.6)
+
+
 def _rel_diff(a, b):
     scale = max(abs(a), abs(b))
     return abs(a - b) / scale if scale > 0 else 0.0
@@ -277,7 +282,7 @@ def check_holder_time(seed, n_paths=16):
         "holder_time_c_ratio": c_ratio,
     }
     flags = {
-        "holder_time_slope_in_band": 0.4 <= slope <= 0.6,
+        "holder_time_slope_in_band": HOLDER_TIME_BAND[0] <= slope <= HOLDER_TIME_BAND[1],
         "holder_time_c_stable": 0.5 <= c_ratio <= 2.0,
     }
     return metrics, flags
@@ -292,7 +297,7 @@ def check_holder_space(seed, n_paths=16):
             spec, 1.0, x_grid, n_paths=n_paths, h=2.0**-15, seed=seed, eps=4e-5
         )
         metrics[f"holder_space_slope_{name}"] = profile.fitted_slope
-        flags[f"holder_space_{name}_in_band"] = 0.35 <= profile.fitted_slope <= 0.6
+        flags[f"holder_space_{name}_in_band"] = HOLDER_SPACE_BAND[0] <= profile.fitted_slope <= HOLDER_SPACE_BAND[1]
     return metrics, flags
 
 

@@ -9,6 +9,7 @@ import pytest
 import bridgelab
 from bridgelab.cli import main, run_figures_preset
 from bridgelab.reporting import read_csv
+from bridgelab.verification import HOLDER_SPACE_BAND, HOLDER_TIME_BAND
 
 
 def run(args):
@@ -108,6 +109,9 @@ class TestHolderCommand:
         report = json.loads((tmp_path / "holder_report.json").read_text())
         assert "time_slope" in report["metrics"]
         assert "space_slope" in report["metrics"]
+        m = report["metrics"]
+        assert (m["time_band_low"], m["time_band_high"]) == HOLDER_TIME_BAND
+        assert (m["space_band_low"], m["space_band_high"]) == HOLDER_SPACE_BAND
 
 
 class TestVerifyCommand:
@@ -122,6 +126,18 @@ class TestVerifyCommand:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("h = 0\n")
         assert run(["verify", "--config", cfg]) == 2
+
+
+class TestThreadsFlag:
+    @pytest.mark.parametrize("command", ["law", "localtime", "figures", "verify"])
+    def test_rejected_where_it_does_nothing(self, command):
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--threads", 2])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["simulate", "holder"])
+    def test_below_one_exits_two(self, command, tmp_path):
+        assert run([command, "--out", tmp_path, "--threads", 0]) == 2
 
 
 class TestEnvironmentDefaults:

@@ -1,11 +1,12 @@
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bridgelab.config import config_digest, parse_config, to_text
+from bridgelab.config import MAX_PATH_STEPS, MAX_STEPS, config_digest, parse_config, to_text
 from bridgelab.errors import ConfigError
 from bridgelab.reporting import ReportSummary, emit_csv, fmt_float, read_csv
 
@@ -66,6 +67,27 @@ class TestParseConfig:
     def test_non_finite_list_entry_names_key(self, key, raw):
         with pytest.raises(ConfigError, match=f"^{re.escape(key)}: must be a finite number"):
             parse_config(MINIMAL + f"{key} = {raw}\n")
+
+    def test_step_cap_names_key(self):
+        with pytest.raises(ConfigError, match=r"^T: .* exceed the cap"):
+            parse_config("drift.family = power\ndrift.beta = 2\nT = 1\nh = 1e-9\n")
+        with pytest.raises(ConfigError, match=r"^simulate\.horizons: .* exceed the cap"):
+            parse_config(MINIMAL + "simulate.horizons = 1,2e7\n")
+        parse_config(f"drift.family = constant\nT = {MAX_STEPS}\nh = 1\n")
+
+    def test_path_step_cap_names_n_paths(self):
+        with pytest.raises(ConfigError, match=r"^n_paths: .* exceed the cap"):
+            parse_config(MINIMAL + "n_paths = 100000000000\n")
+        at_cap = f"drift.family = constant\nT = {MAX_STEPS}\nh = 1\nn_paths = "
+        parse_config(at_cap + f"{MAX_PATH_STEPS // MAX_STEPS}\n")
+        with pytest.raises(ConfigError, match="^n_paths: "):
+            parse_config(at_cap + f"{MAX_PATH_STEPS // MAX_STEPS + 1}\n")
+
+    def test_readme_example_parses(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        example = readme.split("### Config format", 1)[1].split("```")[1]
+        cfg = parse_config(example)
+        assert (cfg.drift_family, cfg.T, cfg.h, cfg.outputs) == ("power", 10.0, 0.01, "out")
 
     def test_roundtrip_lossless(self):
         cfg = parse_config(

@@ -81,9 +81,7 @@ class TestKernelEstimate:
     def test_brownian_ensemble_mean(self):
         # E L_1^0 = int_0^1 (2 pi s)^(-1/2) ds = sqrt(2/pi); smoothing and
         # time discretization bias the estimate a few percent low
-        from bridgelab.local_time import _kernel_at_ensemble
-
-        l_vals = _kernel_at_ensemble(BM, 0.0, [1e-4], 1.0, 1e-4, 2000, seed=11)
+        l_vals = kernel_ensemble(BM, 0.0, [1e-4], 1.0, 1e-4, 2000, seed=11)[:, 0, :]
         target = math.sqrt(2.0 / math.pi)
         assert l_vals.mean() == pytest.approx(target, rel=0.05)
 

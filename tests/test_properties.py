@@ -1,19 +1,23 @@
-"""Property-based tests of the law oracle over all four drift families.
+"""Property-based tests over all four drift families.
 
 The fixed-example tests sample these invariants at a few points; here
-hypothesis draws the drift, the grid and the intervals.  Examples are
-derandomized so the suite is reproducible run to run.
+hypothesis draws the drift, the grid, the intervals, the path ensemble and
+the config.  Examples are derandomized so the suite is reproducible run to
+run.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate as si
 
+from bridgelab.config import ExperimentConfig, parse_config, to_text
 from bridgelab.drift import DriftSpec, decay_integral, decay_integrals, eval_antiderivative, running_sup
 from bridgelab.gaussian_law import build_cov_matrix, conditional_variance, det_by_conditioning, lu_det
+from bridgelab.simulate import euler_path, exact_path, shift_to_ab, terminal_values
 
 HORIZON = 3.0
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
@@ -102,3 +106,116 @@ def test_kernel_batch_is_bit_identical_to_single_calls(spec, pairs, rate):
     batch = decay_integrals(spec, pairs[:, 0], pairs[:, 1], rate)
     single = np.array([decay_integral(spec, lo, hi, rate) for lo, hi in pairs])
     assert batch.tobytes() == single.tobytes()
+
+
+@st.composite
+def ensembles(draw):
+    """A drift, a step h = 2^-j with h * sup alpha <= 1 up to the last horizon, and grid horizons."""
+    spec = draw(drifts())
+    n_horizons = draw(st.integers(1, 3))
+    horizons = np.array(sorted(draw(st.lists(st.integers(1, 12), min_size=n_horizons, max_size=n_horizons, unique=True))))
+    horizons = horizons * HORIZON / 12
+    j = draw(st.integers(3, 6))
+    while 2.0**-j * running_sup(spec, horizons[-1]) > 1.0:
+        j += 1
+    return spec, horizons, 2.0**-j
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    ensembles(),
+    st.sampled_from(["euler", "exact"]),
+    st.integers(0, 2**31),
+    st.integers(1, 40),
+    st.integers(1, 16),
+    st.sampled_from([1, 2]),
+)
+def test_terminal_values_equal_single_paths(ensemble, scheme, seed, n_paths, chunk, threads):
+    # chunks of several paths step numpy rows, single paths step Python floats
+    spec, horizons, h = ensemble
+    got = terminal_values(spec, horizons, h, n_paths, seed, scheme, chunk=chunk, threads=threads)
+    steps = np.rint(horizons / h).astype(int)
+    one_path = euler_path if scheme == "euler" else exact_path
+    for i in range(n_paths):
+        single = one_path(spec, horizons[-1], h, seed=seed, path_index=i).values[steps]
+        assert got[i].tobytes() == single.tobytes()
+
+
+endpoints = st.floats(-10.0, 10.0)
+
+
+@PROPERTY
+@given(drifts(), endpoints, endpoints, st.integers(0, 100))
+def test_shift_starts_at_a(spec, a, b, seed):
+    path = euler_path(spec, HORIZON, 0.05, seed=seed)
+    shifted = shift_to_ab(path, a, b, spec)
+    assert abs(shifted.values[0] - a) <= 2.0**-51 * (abs(a) + abs(b))
+
+
+@st.composite
+def unbounded_drifts(draw):
+    """Drifts with A(t) -> infinity; a tabulated drift cannot be evaluated past its last knot."""
+    family = draw(st.sampled_from(["power", "exponential", "constant"]))
+    if family == "constant":
+        return DriftSpec.constant(draw(st.floats(0.1, 5.0)))
+    return getattr(DriftSpec, family)(draw(st.floats(0.3, 2.5)), draw(st.floats(0.25, 2.0)))
+
+
+@PROPERTY
+@given(unbounded_drifts(), endpoints, endpoints)
+def test_shift_offset_tends_to_b(spec, a, b):
+    # with zero noise the shifted path is the offset b + (a - b) exp(-A(t)) alone
+    T = 1.0
+    while eval_antiderivative(spec, T) < 40.0:
+        T *= 2.0
+    offset = shift_to_ab(euler_path(spec, T, T / 256, xi=0.0), a, b, spec).values
+    gap = np.abs(offset - b)
+    ulp = 2.0**-50 * (abs(a) + abs(b))
+    assert np.all(np.diff(gap) <= ulp)
+    assert gap[-1] <= abs(a - b) * math.exp(-40.0) + ulp
+
+
+@pytest.fixture(scope="module")
+def table_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("drift") / "alpha.csv"
+    path.write_text("time,alpha\n0,0.5\n1,1.5\n3,4\n", encoding="utf-8")
+    return str(path)
+
+
+finite = st.floats(-1e6, 1e6, allow_nan=False)
+positive = st.floats(1e-3, 1e3)
+ladder = st.lists(positive, max_size=4).map(tuple)
+
+
+@st.composite
+def configs(draw, table):
+    family = draw(st.sampled_from(["power", "exponential", "constant", "tabulated"]))
+    h = draw(st.floats(1e-3, 1.0))
+    return ExperimentConfig(
+        drift_family=family,
+        drift_beta=draw(positive) if family in ("power", "exponential") else draw(st.none() | positive),
+        drift_scale=draw(positive),
+        drift_table=table if family == "tabulated" else None,
+        scheme=draw(st.sampled_from(["euler", "exact"])),
+        T=h * draw(st.floats(1.0, 1e4)),
+        h=h,
+        n_paths=draw(st.integers(1, 1000)),  # with T / h <= 1e4 and horizons / h <= 1e6: under the work caps
+        seed=draw(st.integers(-(2**63), 2**63)),
+        outputs=draw(st.text("abcxyz019_./-", min_size=1, max_size=12)),
+        simulate_horizons=draw(ladder),
+        # to_text omits empty lists, and law.times defaults to 1,2,3, so () has no text form
+        law_times=draw(st.lists(positive, min_size=1, max_size=4).map(tuple)),
+        localtime_x=draw(finite),
+        localtime_eps_ladder=draw(ladder),
+        localtime_checkpoints=draw(ladder),
+        localtime_delta=draw(st.none() | positive),
+        holder_scales=draw(ladder),
+        holder_r=draw(positive),
+    )
+
+
+@PROPERTY
+@given(st.data())
+def test_config_text_round_trips(table_csv, data):
+    cfg = data.draw(configs(table_csv))
+    assert parse_config(to_text(cfg)) == cfg

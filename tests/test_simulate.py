@@ -15,9 +15,9 @@ from bridgelab.simulate import (
     exact_path,
     exact_transition_table,
     shift_to_ab,
+    grid,
     terminal_values,
-    _euler_block,
-    _grid,
+    transition_table,
 )
 
 BRIDGE = DriftSpec.power(0.8)
@@ -26,15 +26,15 @@ BM = DriftSpec.constant(0.0)
 
 class TestGrid:
     def test_rounds_horizon_up(self):
-        times = _grid(1.0, 0.3)
+        times = grid(1.0, 0.3)
         assert len(times) == 5  # 4 steps of 0.3 cover 1.2 >= 1.0
         assert times[0] == 0.0
 
     def test_bad_steps(self):
         with pytest.raises(DomainError):
-            _grid(1.0, 0.0)
+            grid(1.0, 0.0)
         with pytest.raises(DomainError):
-            _grid(1.0, 2.0)
+            grid(1.0, 2.0)
 
 
 class TestEulerPath:
@@ -55,17 +55,17 @@ class TestEulerPath:
         assert not np.array_equal(a.values, b.values)
 
     def test_recursion_is_bit_reproducible(self):
-        # scalar re-derivation of x - (alpha * x) * h + dW must match bitwise
+        # scalar re-derivation of (1 - h * alpha) * x + dW must match bitwise
         path = euler_path(BRIDGE, T=0.5, h=1e-3, seed=3)
         a = eval_alpha(BRIDGE, path.times[:-1])
         x = 0.0
         for k, dw in enumerate(path.brownian_increments):
-            x = (x - (a[k] * x) * path.h) + dw
+            x = (1.0 - path.h * a[k]) * x + dw
             assert x == path.values[k + 1]
 
     def test_block_rows_match_single_paths(self):
-        times = _grid(1.0, 0.01)
-        block, dws, _ = _euler_block(BRIDGE, times, 42, [0, 1, 2])
+        table = transition_table(BRIDGE, grid(1.0, 0.01), "euler")
+        block, dws = simulate.paths(table, 42, [0, 1, 2])
         for p in range(3):
             single = euler_path(BRIDGE, T=1.0, h=0.01, seed=42, path_index=p)
             assert np.array_equal(block[p], single.values)
@@ -86,7 +86,7 @@ class TestEulerPath:
 class TestExactPath:
     def test_constant_drift_matches_classical_transition(self):
         c, h = 1.5, 0.25
-        decays, stds = exact_transition_table(DriftSpec.constant(c), _grid(2.0, h))
+        decays, stds = exact_transition_table(DriftSpec.constant(c), grid(2.0, h))
         np.testing.assert_allclose(decays, math.exp(-c * h), rtol=1e-12)
         np.testing.assert_allclose(
             stds, math.sqrt((1 - math.exp(-2 * c * h)) / (2 * c)), rtol=1e-10
@@ -94,7 +94,7 @@ class TestExactPath:
 
     def test_single_step_std_is_marginal_std(self):
         spec = DriftSpec.power(2.0)
-        _, stds = exact_transition_table(spec, _grid(3.0, 3.0))
+        _, stds = exact_transition_table(spec, grid(3.0, 3.0))
         assert stds[0] ** 2 == pytest.approx(variance(spec, 3.0), rel=1e-9)
 
     def test_no_increments_retained(self):
@@ -133,7 +133,7 @@ class TestEulerVsExact:
         v_exact = variance(spec, T)
         gaps = []
         for h in (0.4, 0.2, 0.1, 0.05):
-            times = _grid(T, h)
+            times = grid(T, h)
             a = eval_alpha(spec, times[:-1])
             v = 0.0
             for k in range(len(a)):
@@ -145,7 +145,7 @@ class TestEulerVsExact:
         spec = DriftSpec.power(0.8)
         vals = terminal_values(spec, [5.0], h=0.5, n_paths=20000, seed=5, scheme="euler")[:, 0]
         # compare against the deterministic Euler law, not the exact law
-        times = _grid(5.0, 0.5)
+        times = grid(5.0, 0.5)
         a = eval_alpha(spec, times[:-1])
         v = 0.0
         for k in range(len(a)):
@@ -233,20 +233,28 @@ class TestStreamingEngine:
             x = decays[k] * x + stds[k] * xi[k]
             assert x == path.values[k + 1]
 
+    def test_euler_increments_are_scaled_stream_normals(self):
+        # simulate._normals is the documented draw of a path's stream; walk must draw the same values
+        for path_index in (0, 7):
+            path = euler_path(BRIDGE, T=2.5, h=1e-3, seed=11, path_index=path_index)
+            n = len(path.brownian_increments)
+            expected = math.sqrt(path.h) * simulate._normals(11, path_index, n)
+            assert path.brownian_increments.tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("block", [1, 7, 10**6])
     def test_block_length_does_not_change_results(self, monkeypatch, block):
-        times = _grid(2.0, 0.01)
+        table = transition_table(BRIDGE, grid(2.0, 0.01), "euler")
         ref = [
             terminal_values(BRIDGE, [0.5, 2.0], h=0.01, n_paths=40, seed=4, scheme=scheme, chunk=16)
             for scheme in ("euler", "exact")
         ]
-        ref_block = _euler_block(BRIDGE, times, 4, [0, 3, 9])
+        ref_block = simulate.paths(table, 4, [0, 3, 9])
         ref_path = euler_path(BRIDGE, T=2.0, h=0.01, seed=4, path_index=3)
         monkeypatch.setattr(simulate, "BLOCK_STEPS", block)
         for scheme, expected in zip(("euler", "exact"), ref):
             got = terminal_values(BRIDGE, [0.5, 2.0], h=0.01, n_paths=40, seed=4, scheme=scheme, chunk=16)
             assert got.tobytes() == expected.tobytes()
-        for got, expected in zip(_euler_block(BRIDGE, times, 4, [0, 3, 9])[:2], ref_block[:2]):
+        for got, expected in zip(simulate.paths(table, 4, [0, 3, 9]), ref_block):
             assert got.tobytes() == expected.tobytes()
         path = euler_path(BRIDGE, T=2.0, h=0.01, seed=4, path_index=3)
         assert path.values.tobytes() == ref_path.values.tobytes()
