@@ -98,7 +98,7 @@ def _cmd_simulate(cfg, args):
 def _cmd_law(cfg, args):
     spec = cfg.drift_spec()
     summary = ReportSummary(command="law", config_digest=config_digest(cfg))
-    times = np.asarray(cfg.law_times, dtype=float)
+    times = np.asarray(cfg.law_times or (1.0, 2.0, 3.0), dtype=float)
     mat = gaussian_law.build_cov_matrix(spec, times)
     records = [
         (times[i], times[j], mat.entries[i, j])
@@ -141,7 +141,8 @@ def _cmd_localtime(cfg, args):
 def _cmd_holder(cfg, args):
     spec = cfg.drift_spec()
     summary = ReportSummary(command="holder", config_digest=config_digest(cfg))
-    path = simulate.euler_path(spec, T=cfg.T, h=cfg.h, seed=cfg.seed)
+    gen = simulate.euler_path if cfg.scheme == "euler" else simulate.exact_path
+    path = gen(spec, T=cfg.T, h=cfg.h, seed=cfg.seed)
     curve = local_time.kernel_estimate(path, 0.0, cfg.h, path.times)
     scales = cfg.holder_scales or tuple(cfg.h * 2.0 ** np.arange(2, 8))
     profile = holder_analysis.time_modulus(curve, scales)
@@ -160,6 +161,7 @@ def _cmd_holder(cfg, args):
         h=cfg.h,
         seed=cfg.seed,
         eps=cfg.h,
+        scheme=cfg.scheme,
         threads=args.threads,
     )
     profile_to_csv(space, os.path.join(cfg.outputs, "holder_space_profile.csv"))

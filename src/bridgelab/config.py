@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 
 from .drift import DriftSpec, FAMILIES
 from .errors import ConfigError
-from .reporting import digest_text, fmt_float
+from .reporting import digest_text, fmt_float, read_csv
 
 
 MAX_STEPS = 10**8  # per path: one whole path of 10^8 float64 values takes 0.8 GB
@@ -46,7 +46,7 @@ class ExperimentConfig:
     seed: int = 0
     outputs: str = "."
     simulate_horizons: tuple = ()
-    law_times: tuple = (1.0, 2.0, 3.0)
+    law_times: tuple = ()
     localtime_x: float = 0.0
     localtime_eps_ladder: tuple = ()
     localtime_checkpoints: tuple = ()
@@ -59,8 +59,6 @@ class ExperimentConfig:
         if self.drift_family == "tabulated":
             if not self.drift_table:
                 raise ConfigError("drift.table: required for the tabulated family")
-            from .reporting import read_csv
-
             header, rows, _ = read_csv(self.drift_table)
             if header[:2] != ["time", "alpha"]:
                 raise ConfigError(f"drift.table: {self.drift_table} must have header time,alpha")

@@ -375,7 +375,7 @@ def check_growth_conditions(spec, gamma, probe_horizon, n_points=48):
         fitted = float("nan")
         worst = float("inf")
     else:
-        from .holder_analysis import loglog_slope
+        from .holder_analysis import loglog_slope  # imported here: holder_analysis imports this module
 
         slope, _ = loglog_slope(zip(grid, ratio))
         fitted = -slope

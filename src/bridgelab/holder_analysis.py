@@ -15,8 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import drift as drift_mod
 from . import simulate
 from .errors import DomainError, InsufficientDataError
+
+_SWEEP_STEPS = 256  # time steps per level_sweep chunk; memory is O(_SWEEP_STEPS * levels)
+_PATH_STEP_BUDGET = 2**21  # path-steps space_modulus keeps at once (values and noise: 32 MiB)
 
 
 @dataclass
@@ -71,14 +75,16 @@ def _uniform_spacing(checkpoints):
     return float(dt[0])
 
 
-def time_modulus(curve, scales):
-    """Sup-increment profile of a local-time curve in the time variable."""
-    dt = _uniform_spacing(curve.checkpoints)
+def _scale_lags(scales, spacing):
+    """Scales sorted decreasing, and each as a whole number of grid spacings."""
     scales = np.sort(np.asarray(scales, dtype=float))[::-1]
-    if scales[-1] < dt * (1 - 1e-9):
-        raise DomainError(f"smallest scale {scales[-1]} is below the grid resolution {dt}")
-    lags = [int(round(s / dt)) for s in scales]
-    sups = _nested_sup_increments(curve.values, lags)
+    if scales[-1] < spacing * (1 - 1e-9):
+        raise DomainError(f"smallest scale {scales[-1]} is below the grid spacing {spacing}")
+    return scales, [int(round(s / spacing)) for s in scales]
+
+
+def _fitted_profile(scales, sups):
+    """The profile with its log-log fit; NaN slope and intercept when too few points are usable."""
     try:
         slope, intercept = loglog_slope(zip(scales, sups))
     except InsufficientDataError:
@@ -86,6 +92,12 @@ def time_modulus(curve, scales):
     return ModulusProfile(
         scales=scales, sup_increments=sups, fitted_slope=slope, fitted_intercept=intercept
     )
+
+
+def time_modulus(curve, scales):
+    """Sup-increment profile of a local-time curve in the time variable."""
+    scales, lags = _scale_lags(scales, _uniform_spacing(curve.checkpoints))
+    return _fitted_profile(scales, _nested_sup_increments(curve.values, lags))
 
 
 def time_modulus_bound_fit(curve, T, spec):
@@ -96,8 +108,6 @@ def time_modulus_bound_fit(curve, T, spec):
     Returns the max over all grid pairs at dyadic distances below 1 of
     |increment| / bracket; 0 for a constant curve.
     """
-    from . import drift as drift_mod
-
     dt = _uniform_spacing(curve.checkpoints)
     growth = math.sqrt((T + 1.0) * drift_mod.running_sup(spec, T + 1.0))
     fitted = 0.0
@@ -111,13 +121,13 @@ def time_modulus_bound_fit(curve, T, spec):
     return fitted
 
 
-def level_sweep(path_values, h, x_grid, eps, time_chunk=256):
+def level_sweep(path_values, h, x_grid, eps):
     """Kernel local time at every level of x_grid from one traversal of the path.
 
     Trapezoid weights in time, Gaussian kernel of variance eps in space.  Each
-    time chunk is evaluated only on the levels within 10 sqrt(eps) of the
-    chunk's range, so kernel terms below exp(-50) of the peak are dropped
-    (the truncated sweep of Wand 1994); memory stays O(time_chunk * levels).
+    chunk of _SWEEP_STEPS time steps is evaluated only on the levels within
+    10 sqrt(eps) of the chunk's range, so kernel terms below exp(-50) of the
+    peak are dropped (the truncated sweep of Wand 1994).
     """
     if eps <= 0:
         raise DomainError("eps must be positive")
@@ -127,10 +137,10 @@ def level_sweep(path_values, h, x_grid, eps, time_chunk=256):
     w[0] = w[-1] = 0.5 * h
     reach = 10.0 * math.sqrt(eps)
     out = np.zeros(len(x))
-    for lo in range(0, len(v), time_chunk):
-        vb = v[lo : lo + time_chunk]
+    for lo in range(0, len(v), _SWEEP_STEPS):
+        vb = v[lo : lo + _SWEEP_STEPS]
         near = np.flatnonzero((x >= vb.min() - reach) & (x <= vb.max() + reach))
-        out[near] += w[lo : lo + time_chunk] @ np.exp(-((vb[:, None] - x[near]) ** 2) / (2.0 * eps))
+        out[near] += w[lo : lo + _SWEEP_STEPS] @ np.exp(-((vb[:, None] - x[near]) ** 2) / (2.0 * eps))
     return out / math.sqrt(2.0 * math.pi * eps)
 
 
@@ -148,7 +158,8 @@ def space_modulus(
 ):
     """Sup-increment profile of L_t^x in the level variable, ensemble-averaged.
 
-    Paths are stepped together in chunks of up to 64.  Per path: one level
+    Paths are stepped together in chunks of up to 64, fewer for long paths so
+    that a chunk holds at most _PATH_STEP_BUDGET path-steps.  Per path: one level
     sweep over the uniform x_grid, then nested sup-increments across dyadic
     level distances; profiles are averaged over paths (max within a path,
     then mean across paths) and fitted in log-log coordinates.
@@ -158,21 +169,12 @@ def space_modulus(
     if scales is None:
         n_dyadic = max(3, int(math.floor(math.log2((x[-1] - x[0]) / (4 * dx)))) + 1)
         scales = dx * 2.0 ** np.arange(n_dyadic)
-    scales = np.sort(np.asarray(scales, dtype=float))[::-1]
-    if scales[-1] < dx * (1 - 1e-9):
-        raise DomainError(f"smallest scale {scales[-1]} is below the level spacing {dx}")
-    lags = [int(round(s / dx)) for s in scales]
+    scales, lags = _scale_lags(scales, dx)
     table = simulate.transition_table(spec, simulate.grid(t, h), scheme)
+    chunk = max(1, min(64, _PATH_STEP_BUDGET // len(table[0])))
 
     def profiles(idx):
         values, _ = simulate.paths(table, seed, idx)
         return [_nested_sup_increments(level_sweep(v, float(h), x, eps), lags) for v in values]
 
-    sups = np.mean(simulate.ensemble(profiles, n_paths, 64, threads), axis=0)
-    try:
-        slope, intercept = loglog_slope(zip(scales, sups))
-    except InsufficientDataError:
-        slope, intercept = float("nan"), float("nan")
-    return ModulusProfile(
-        scales=scales, sup_increments=sups, fitted_slope=slope, fitted_intercept=intercept
-    )
+    return _fitted_profile(scales, np.mean(simulate.ensemble(profiles, n_paths, chunk, threads), axis=0))

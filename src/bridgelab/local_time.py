@@ -24,8 +24,10 @@ import numpy as np
 from . import drift as drift_mod
 from . import simulate
 from .errors import DomainError, NumericsError, UnsupportedSchemeError
+from .holder_analysis import loglog_slope
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_CHUNK_PATHS = 512  # paths stepped together by kernel_ensemble; results do not depend on it
 
 
 @dataclass
@@ -47,45 +49,55 @@ def _checkpoint_array(checkpoints, horizon):
     return cp
 
 
-def _cumulative_trapezoid(y, h):
-    out = np.empty(len(y))
-    out[0] = 0.0
-    np.cumsum(0.5 * (y[1:] + y[:-1]) * h, out=out[1:])
-    return out
+def _gaussian_density(offsets, eps):
+    """p_eps(offsets), the Gaussian density of variance eps; eps broadcasts against offsets."""
+    dens = offsets**2 / (-2.0 * eps)
+    np.exp(dens, out=dens)
+    dens /= _SQRT_2PI * np.sqrt(eps)
+    return dens
+
+
+def _running_trapezoid(y, h, prev, carry):
+    """Trapezoid integral continued over samples y from the sample prev, whose integral is carry.
+
+    Returns carry followed by the integral at each sample of y.  The sum runs
+    step by step along axis 0, so splitting y into blocks changes no bit.
+    """
+    cum = np.concatenate([np.asarray(carry, dtype=float)[None], np.asarray(prev)[None], y[:-1]])
+    cum[1:] += y
+    cum[1:] *= 0.5
+    cum[1:] *= h
+    np.cumsum(cum, axis=0, out=cum)
+    return cum
+
+
+def _occupation_curve(path, y, x, checkpoints, estimator, smoothing):
+    """Curve of the trapezoid integral of the samples y taken along the path."""
+    cp = _checkpoint_array(checkpoints, path.horizon)
+    cum = _running_trapezoid(y[1:], path.h, y[0], 0.0)
+    return LocalTimeCurve(
+        level_x=float(x),
+        checkpoints=cp,
+        values=np.interp(cp, path.times, cum),
+        estimator=estimator,
+        smoothing=float(smoothing),
+        source_seed=path.seed,
+    )
 
 
 def kernel_estimate(path, x, eps, checkpoints):
     """Heat-kernel mollified local time: int_0^t p_eps(X_r - x) dr."""
     if eps <= 0:
         raise DomainError("eps must be positive")
-    cp = _checkpoint_array(checkpoints, path.horizon)
-    y = np.exp(-((path.values - x) ** 2) / (2.0 * eps)) / (_SQRT_2PI * math.sqrt(eps))
-    cum = _cumulative_trapezoid(y, path.h)
-    return LocalTimeCurve(
-        level_x=float(x),
-        checkpoints=cp,
-        values=np.interp(cp, path.times, cum),
-        estimator="kernel",
-        smoothing=float(eps),
-        source_seed=path.seed,
-    )
+    return _occupation_curve(path, _gaussian_density(path.values - x, eps), x, checkpoints, "kernel", eps)
 
 
 def binned_estimate(path, x, delta, checkpoints):
     """Occupation-measure estimate: Leb{r <= t : |X_r - x| < delta} / (2 delta)."""
     if delta <= 0:
         raise DomainError("delta must be positive")
-    cp = _checkpoint_array(checkpoints, path.horizon)
     y = (np.abs(path.values - x) < delta).astype(float) / (2.0 * delta)
-    cum = _cumulative_trapezoid(y, path.h)
-    return LocalTimeCurve(
-        level_x=float(x),
-        checkpoints=cp,
-        values=np.interp(cp, path.times, cum),
-        estimator="binned",
-        smoothing=float(delta),
-        source_seed=path.seed,
-    )
+    return _occupation_curve(path, y, x, checkpoints, "binned", delta)
 
 
 def tanaka_estimate(path, spec, x, checkpoints):
@@ -117,43 +129,32 @@ def tanaka_estimate(path, spec, x, checkpoints):
     )
 
 
-def kernel_ensemble(spec, x, eps_list, T, h, n_paths, seed, steps=None, scheme="euler", chunk=512, threads=1):
+def kernel_ensemble(spec, x, eps_list, T, h, n_paths, seed, steps=None, scheme="euler"):
     """Kernel local time of paths 0 .. n_paths-1 at grid steps, shape (n_paths, len(steps), len(eps_list)).
 
-    steps defaults to the end of the grid reaching T.  The trapezoid sum runs
-    step by step (the carry is prepended before np.cumsum), so block length,
-    chunk and threads do not change a bit of the result.
+    steps defaults to the end of the grid reaching T.  Each path's curve equals
+    kernel_estimate's bit for bit, whatever the block length and _CHUNK_PATHS.
     """
     times = simulate.grid(T, h)
     steps = np.asarray([len(times) - 1] if steps is None else steps)
     eps = np.asarray(eps_list, dtype=float)
-    norm = _SQRT_2PI * np.sqrt(eps)
     table = simulate.transition_table(spec, times, scheme)
-
-    def density(values):  # kernel_estimate's density bit for bit, one column per eps
-        dens = (values - x)[..., None] ** 2 / (-2.0 * eps)
-        np.exp(dens, out=dens)
-        dens /= norm
-        return dens
 
     def one_chunk(idx):
         out = np.zeros((len(idx), len(steps), len(eps)))
-        prev, acc = density(np.zeros(len(idx))), np.zeros((len(idx), len(eps)))
+        prev = _gaussian_density(np.zeros((len(idx), 1)) - x, eps)
+        acc = np.zeros((len(idx), len(eps)))
         for k0, values, _ in simulate.walk(table, seed, idx):
-            dens = density(values)
-            cum = np.concatenate([acc[None], prev[None], dens[:-1]])
-            cum[1:] += dens
-            cum[1:] *= 0.5
-            cum[1:] *= h
-            np.cumsum(cum, axis=0, out=cum)
+            dens = _gaussian_density((values - x)[..., None], eps)
+            cum = _running_trapezoid(dens, h, prev, acc)
             simulate.record(out, steps, k0, cum[1:])
             prev, acc = dens[-1], cum[-1]
         return out
 
-    return simulate.ensemble(one_chunk, n_paths, chunk, threads)
+    return simulate.ensemble(one_chunk, n_paths, _CHUNK_PATHS, 1)
 
 
-def cauchy_diagnostic(spec, x, t, eps_ladder, n_paths, seed, h=None, chunk=512, threads=1):
+def cauchy_diagnostic(spec, x, t, eps_ladder, n_paths, seed, h=None):
     """Monte Carlo E |L_{t, eps_i} - L_{t, eps_{i+1}}|^2 along a decreasing ladder.
 
     The mollified family is L^2-Cauchy as eps -> 0, so the sequence should
@@ -169,18 +170,19 @@ def cauchy_diagnostic(spec, x, t, eps_ladder, n_paths, seed, h=None, chunk=512, 
         raise DomainError("need at least 500 paths")
     if h is None:
         h = min(float(ladder.min()), 1e-3)
-    l_vals = kernel_ensemble(spec, x, ladder, t, h, n_paths, seed, chunk=chunk, threads=threads)[:, 0, :]
+    l_vals = kernel_ensemble(spec, x, ladder, t, h, n_paths, seed)[:, 0, :]
     diffs = l_vals[:, :-1] - l_vals[:, 1:]
     return list((diffs**2).mean(axis=0))
 
 
-def growth_probe(spec, x, horizons, h, n_paths, seed, scheme="exact", eps=None, chunk=256, threads=1):
+def growth_probe(spec, x, horizons, h, n_paths, seed, scheme="exact", eps=None):
     """Ensemble-mean kernel local time at integer horizons plus its growth exponent.
 
     Returns (mean curve, fitted exponent from log L vs log n regression).
     Raises if the mean curve fails to increase strictly or the exponent is
     not positive; both hold for any nondegenerate drift since the mollifier
-    is strictly positive.
+    is strictly positive.  The fit is loglog_slope's, so it needs at least
+    three horizons.
     """
     horizons = np.asarray(horizons, dtype=float)
     if np.any(np.diff(horizons) <= 0) or np.any(horizons <= 0):
@@ -188,11 +190,11 @@ def growth_probe(spec, x, horizons, h, n_paths, seed, scheme="exact", eps=None, 
     if eps is None:
         eps = h
     steps = simulate.horizon_steps(horizons, h)
-    l_vals = kernel_ensemble(spec, x, [eps], horizons[-1], h, n_paths, seed, steps, scheme, chunk, threads)
+    l_vals = kernel_ensemble(spec, x, [eps], horizons[-1], h, n_paths, seed, steps, scheme)
     curve = l_vals[:, :, 0].mean(axis=0)
     if np.any(np.diff(curve) <= 0):
         raise NumericsError("ensemble local-time curve failed to increase strictly")
-    slope, _ = np.polyfit(np.log(horizons), np.log(curve), 1)
+    slope, _ = loglog_slope(zip(horizons, curve))
     if slope <= 0:
         raise NumericsError("fitted growth exponent is not positive")
     return curve, float(slope)

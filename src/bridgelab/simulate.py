@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -132,25 +132,22 @@ def transition_table(spec, times, scheme):
     return decays, np.full(len(decays), math.sqrt(h))
 
 
-def walk(table, seed, path_indices, xi=None):
+def walk(table, seed, path_indices):
     """Yield (k0, values, noise) per block: X at steps k0+1, k0+2, ... as (block_steps, paths).
 
     table is (decays, stds); noise = std * N drove those steps.  decay * x + noise is
     evaluated on Python floats for one path and in place on numpy rows for several,
-    so both agree bit for bit with a scalar re-derivation.  xi: test hook.
+    so both agree bit for bit with a scalar re-derivation.
     """
     decays, stds = table
     n, m = len(decays), len(path_indices)
-    streams = [_stream(seed, p) for p in path_indices] if xi is None else None
+    streams = [_stream(seed, p) for p in path_indices]
     x = np.zeros(m) if m > 1 else 0.0
     for k0 in range(0, n, BLOCK_STEPS):
         k1 = min(k0 + BLOCK_STEPS, n)
         draws = np.empty((m, k1 - k0))
-        if xi is None:
-            for row, stream in zip(draws, streams):
-                stream.standard_normal(out=row)
-        else:
-            draws[:] = np.broadcast_to(np.asarray(xi, dtype=float), (m, n))[:, k0:k1]
+        for row, stream in zip(draws, streams):
+            stream.standard_normal(out=row)
         draws *= stds[k0:k1]
         values = np.empty((k1 - k0, m))
         if m == 1:
@@ -174,12 +171,12 @@ def record(out, steps, k0, block):
     out[:, hit] = np.moveaxis(block[rows[hit]], 0, 1)
 
 
-def paths(table, seed, path_indices, xi=None):
+def paths(table, seed, path_indices):
     """Whole trajectories and the noise that drove them, as (values, noise), one row per path."""
     n = len(table[0])
     values = np.zeros((len(path_indices), n + 1))
     noise = np.empty((len(path_indices), n))
-    for k0, v, w in walk(table, seed, path_indices, xi):
+    for k0, v, w in walk(table, seed, path_indices):
         values[:, k0 + 1 : k0 + 1 + len(v)] = v.T
         noise[:, k0 : k0 + len(v)] = w.T
     return values, noise
@@ -194,10 +191,10 @@ def ensemble(fn, n_paths, chunk, threads):
         return np.concatenate(list(pool.map(fn, chunks)), axis=0)
 
 
-def _single_path(scheme, spec, T, h, seed, path_index, xi):
+def _single_path(scheme, spec, T, h, seed, path_index):
     times = grid(T, h)
     table = transition_table(spec, times, scheme)
-    values, noise = paths(table, seed, [path_index], xi)
+    values, noise = paths(table, seed, [path_index])
     return SamplePath(
         times=times,
         values=values[0],
@@ -209,14 +206,14 @@ def _single_path(scheme, spec, T, h, seed, path_index, xi):
     )
 
 
-def euler_path(spec, T, h, seed=0, path_index=0, xi=None):
-    """One Euler path; xi is a test hook overriding the standard normals."""
-    return _single_path("euler", spec, T, h, seed, path_index, xi)
+def euler_path(spec, T, h, seed=0, path_index=0):
+    """One Euler path, with the Brownian increments that drove it."""
+    return _single_path("euler", spec, T, h, seed, path_index)
 
 
-def exact_path(spec, T, h, seed=0, path_index=0, xi=None):
+def exact_path(spec, T, h, seed=0, path_index=0):
     """One exact-transition path; every marginal has the true Gaussian law."""
-    return _single_path("exact", spec, T, h, seed, path_index, xi)
+    return _single_path("exact", spec, T, h, seed, path_index)
 
 
 def shift_to_ab(path, a, b, spec):
@@ -226,15 +223,7 @@ def shift_to_ab(path, a, b, spec):
     driven by the same noise.
     """
     offset = b + (a - b) * np.exp(-drift_mod.eval_antiderivative(spec, path.times))
-    return SamplePath(
-        times=path.times,
-        values=offset + path.values,
-        brownian_increments=path.brownian_increments,
-        scheme=path.scheme,
-        seed=path.seed,
-        path_index=path.path_index,
-        stability_warning=path.stability_warning,
-    )
+    return replace(path, values=offset + path.values)
 
 
 def terminal_values(spec, horizons, h, n_paths, seed, scheme="exact", chunk=4096, threads=1):
@@ -252,14 +241,14 @@ def terminal_values(spec, horizons, h, n_paths, seed, scheme="exact", chunk=4096
     return ensemble(one_chunk, n_paths, chunk, threads)
 
 
-def batch_terminal_stats(spec, horizons, n_paths, scheme="exact", h=0.05, seed=0, chunk=4096, threads=1):
+def batch_terminal_stats(spec, horizons, n_paths, scheme="exact", h=0.05, seed=0, threads=1):
     """Monte Carlo decay statistics of |X_T| and X_T^2 over a horizon ladder."""
     horizons = np.asarray(horizons, dtype=float)
     if np.any(np.diff(horizons) <= 0):
         raise DomainError("horizons must be strictly increasing")
     if n_paths < 100:
         raise DomainError("need at least 100 paths for stable statistics")
-    values = terminal_values(spec, horizons, h, n_paths, seed, scheme, chunk, threads)
+    values = terminal_values(spec, horizons, h, n_paths, seed, scheme, threads=threads)
     sq = values**2
     return DecayStats(
         horizons=horizons,

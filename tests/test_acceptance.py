@@ -131,8 +131,10 @@ def test_verify_exit_contract(report):
     assert report.wall_time < 600
 
 
-def test_sabotaged_variance_flips_law_flag():
+def test_sabotaged_variance_flips_law_flag(monkeypatch):
     cfg = parse_config("drift.family = power\ndrift.beta = 0.8\n")
-    bad = verification.run_verify_suite(cfg, variance_inflation=1.1, only={"law_agreement"})
+    true_variance = verification.gaussian_law.variance
+    monkeypatch.setattr(verification.gaussian_law, "variance", lambda spec, t: 1.1 * true_variance(spec, t))
+    bad = verification.run_verify_suite(cfg, only={"law_agreement"})
     assert not bad.pass_flags["law_var_within_3se"]
     assert not bad.all_passed

@@ -4,11 +4,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bridgelab
 from bridgelab.cli import main, run_figures_preset
+from bridgelab.drift import DriftSpec
+from bridgelab.holder_analysis import space_modulus, time_modulus
+from bridgelab.local_time import kernel_estimate
 from bridgelab.reporting import read_csv
+from bridgelab.simulate import euler_path, exact_path
 from bridgelab.verification import HOLDER_SPACE_BAND, HOLDER_TIME_BAND
 
 
@@ -112,6 +117,19 @@ class TestHolderCommand:
         m = report["metrics"]
         assert (m["time_band_low"], m["time_band_high"]) == HOLDER_TIME_BAND
         assert (m["space_band_low"], m["space_band_high"]) == HOLDER_SPACE_BAND
+
+    @pytest.mark.parametrize("scheme", ["euler", "exact"])
+    def test_profiles_follow_the_scheme(self, tmp_path, scheme):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"drift.family = power\ndrift.beta = 0.8\nscheme = {scheme}\nT = 1\nh = 0.0009765625\nn_paths = 4\nseed = 3\n")
+        assert run(["holder", "--config", cfg, "--out", tmp_path]) == 0
+        spec, h = DriftSpec.power(0.8), 2.0**-10
+        path = (euler_path if scheme == "euler" else exact_path)(spec, 1.0, h, seed=3)
+        time_profile = time_modulus(kernel_estimate(path, 0.0, h, path.times), h * 2.0 ** np.arange(2, 8))
+        space_profile = space_modulus(spec, 1.0, np.linspace(-1, 1, 257), 4, h, 3, h, scheme=scheme)
+        for name, profile in (("time", time_profile), ("space", space_profile)):
+            _, rows, _ = read_csv(tmp_path / f"holder_{name}_profile.csv")
+            assert [r[1] for r in rows] == list(profile.sup_increments)
 
 
 class TestVerifyCommand:

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy import integrate as si
 
+from bridgelab import gaussian_law
 from bridgelab.drift import DriftSpec, eval_antiderivative, running_sup
-from bridgelab.errors import DomainError
+from bridgelab.errors import DomainError, NumericsError
 from bridgelab.gaussian_law import (
     abs_moment,
     build_cov_matrix,
@@ -288,6 +289,17 @@ class TestLocaltimeSecondMoment:
             gaps.append(m11 + m22 - 2 * cross)
         assert all(g >= -1e-8 for g in gaps)
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
+
+    def test_budget_exhaustion_reports_estimate_and_tolerance(self, monkeypatch):
+        # power(1) at eps = theta = 1e-3 converges on 32 panels; 4 are not enough
+        full = localtime_second_moment(POW1, 1.0, 1e-3, 1e-3)
+        monkeypatch.setattr(gaussian_law, "_LT2_PANEL_BUDGET", 4)
+        with pytest.raises(NumericsError, match="within 4 panels") as info:
+            localtime_second_moment(POW1, 1.0, 1e-3, 1e-3)
+        err = info.value
+        assert err.estimate == pytest.approx(full, rel=1e-4)
+        assert gaussian_law._LT2_EPSREL * err.estimate < err.achieved_tol < 1e-3 * err.estimate
+        assert abs(err.estimate - full) <= err.achieved_tol
 
     def test_validation(self):
         with pytest.raises(DomainError):

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from bridgelab import holder_analysis
 from bridgelab.drift import DriftSpec
 from bridgelab.errors import DomainError, InsufficientDataError
 from bridgelab.holder_analysis import (
@@ -169,12 +171,14 @@ class TestLevelSweep:
         dense = w @ np.exp(-((path.values[:, None] - x) ** 2) / (2 * eps)) / math.sqrt(2 * math.pi * eps)
         np.testing.assert_allclose(level_sweep(path.values, path.h, x, eps), dense, rtol=0, atol=1e-13)
 
-    def test_chunking_invariance(self):
+    def test_chunking_invariance(self, monkeypatch):
         rng = np.random.default_rng(8)
         values = np.cumsum(rng.standard_normal(2001)) * 0.02
         x = np.linspace(-1, 1, 33)
-        a = level_sweep(values, 1e-3, x, 1e-3, time_chunk=100)
-        b = level_sweep(values, 1e-3, x, 1e-3, time_chunk=10**6)
+        monkeypatch.setattr(holder_analysis, "_SWEEP_STEPS", 100)
+        a = level_sweep(values, 1e-3, x, 1e-3)
+        monkeypatch.setattr(holder_analysis, "_SWEEP_STEPS", 10**6)
+        b = level_sweep(values, 1e-3, x, 1e-3)
         np.testing.assert_allclose(a, b, rtol=1e-13)
 
 
@@ -196,6 +200,23 @@ class TestSpaceModulus:
         profile = space_modulus(BRIDGE, 1.0, x, n_paths=8, h=2.0**-13, seed=0, eps=1e-4)
         assert 0.25 < profile.fitted_slope < 0.75
         assert np.all(np.diff(profile.sup_increments) <= 1e-15)
+
+    def test_memory_does_not_grow_with_paths(self, monkeypatch):
+        # with a budget of one path's steps, a chunk holds one path however many are asked for
+        args = (BRIDGE, 1.0, np.linspace(-1, 1, 65))
+        kwargs = dict(h=2.0**-14, seed=0, eps=1e-3)
+        ref = space_modulus(*args, n_paths=6, **kwargs)
+        monkeypatch.setattr(holder_analysis, "_PATH_STEP_BUDGET", 2**14)
+        peaks = []
+        for n_paths in (2, 6):
+            tracemalloc.start()
+            try:
+                profile = space_modulus(*args, n_paths=n_paths, **kwargs)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert profile.sup_increments.tobytes() == ref.sup_increments.tobytes()
+        assert peaks[1] < 1.2 * peaks[0]
 
     def test_grid_coarser_than_scale_rejected(self):
         x = np.linspace(-1, 1, 17)

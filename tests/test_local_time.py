@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from bridgelab import simulate
+from bridgelab import local_time, simulate
 from bridgelab.drift import DriftSpec
-from bridgelab.errors import DomainError, UnsupportedSchemeError
+from bridgelab.errors import DomainError, InsufficientDataError, UnsupportedSchemeError
 from bridgelab.local_time import (
     binned_estimate,
     cauchy_diagnostic,
@@ -25,7 +25,7 @@ GOOD_SEED = 6
 
 
 def zero_path(T=1.0, h=0.01):
-    return euler_path(BRIDGE, T=T, h=h, seed=0, xi=0.0)
+    return manual_path(np.zeros(len(simulate.grid(T, h))), h)
 
 
 def manual_path(values, h):
@@ -194,12 +194,15 @@ class TestGrowthProbe:
     def test_validation(self):
         with pytest.raises(DomainError):
             growth_probe(BM, 0.0, [3.0, 2.0], h=1e-3, n_paths=100, seed=0)
+        with pytest.raises(InsufficientDataError):
+            growth_probe(BM, 0.0, [1.0, 2.0], h=1e-2, n_paths=20, seed=0)
 
-    def test_invariant_to_chunk_threads_and_block(self, monkeypatch):
+    def test_invariant_to_chunk_and_block(self, monkeypatch):
         args = (DriftSpec.power(1.5), 0.0, np.arange(1.0, 4.0), 1e-3, 40, 2)
         ref, _ = growth_probe(*args)
-        for chunk, threads in ((7, 1), (16, 3)):
-            assert growth_probe(*args, chunk=chunk, threads=threads)[0].tobytes() == ref.tobytes()
+        for chunk in (7, 16):
+            monkeypatch.setattr(local_time, "_CHUNK_PATHS", chunk)
+            assert growth_probe(*args)[0].tobytes() == ref.tobytes()
         monkeypatch.setattr(simulate, "BLOCK_STEPS", 100)
         assert growth_probe(*args)[0].tobytes() == ref.tobytes()
 
@@ -215,11 +218,11 @@ class TestKernelEnsemble:
             path = euler_path(BRIDGE, T=1.0, h=self.H, seed=5, path_index=p)
             assert curves[p].tobytes() == kernel_estimate(path, 0.0, self.H, path.times).values.tobytes()
 
-    def test_curves_invariant_to_chunk_threads_and_block(self, monkeypatch):
+    def test_curves_invariant_to_chunk_and_block(self, monkeypatch):
         ref = kernel_ensemble(*self.ARGS, steps=range(2049))
-        for chunk, threads in ((5, 1), (4, 3)):
-            got = kernel_ensemble(*self.ARGS, steps=range(2049), chunk=chunk, threads=threads)
-            assert got.tobytes() == ref.tobytes()
+        for chunk in (5, 4):
+            monkeypatch.setattr(local_time, "_CHUNK_PATHS", chunk)
+            assert kernel_ensemble(*self.ARGS, steps=range(2049)).tobytes() == ref.tobytes()
         monkeypatch.setattr(simulate, "BLOCK_STEPS", 33)
         assert kernel_ensemble(*self.ARGS, steps=range(2049)).tobytes() == ref.tobytes()
 

@@ -17,7 +17,7 @@ from scipy import integrate as si
 from bridgelab.config import ExperimentConfig, parse_config, to_text
 from bridgelab.drift import DriftSpec, decay_integral, decay_integrals, eval_antiderivative, running_sup
 from bridgelab.gaussian_law import build_cov_matrix, conditional_variance, det_by_conditioning, lu_det
-from bridgelab.simulate import euler_path, exact_path, shift_to_ab, terminal_values
+from bridgelab.simulate import SamplePath, euler_path, exact_path, grid, shift_to_ab, terminal_values
 
 HORIZON = 3.0
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
@@ -168,7 +168,9 @@ def test_shift_offset_tends_to_b(spec, a, b):
     T = 1.0
     while eval_antiderivative(spec, T) < 40.0:
         T *= 2.0
-    offset = shift_to_ab(euler_path(spec, T, T / 256, xi=0.0), a, b, spec).values
+    times = grid(T, T / 256)
+    zero = SamplePath(times, np.zeros(len(times)), np.zeros(len(times) - 1), "euler", seed=0, path_index=0)
+    offset = shift_to_ab(zero, a, b, spec).values
     gap = np.abs(offset - b)
     ulp = 2.0**-50 * (abs(a) + abs(b))
     assert np.all(np.diff(gap) <= ulp)
@@ -203,8 +205,7 @@ def configs(draw, table):
         seed=draw(st.integers(-(2**63), 2**63)),
         outputs=draw(st.text("abcxyz019_./-", min_size=1, max_size=12)),
         simulate_horizons=draw(ladder),
-        # to_text omits empty lists, and law.times defaults to 1,2,3, so () has no text form
-        law_times=draw(st.lists(positive, min_size=1, max_size=4).map(tuple)),
+        law_times=draw(st.lists(positive, max_size=4).map(tuple)),
         localtime_x=draw(finite),
         localtime_eps_ladder=draw(ladder),
         localtime_checkpoints=draw(ladder),

@@ -10,6 +10,7 @@ from bridgelab.drift import DriftSpec, eval_alpha, eval_antiderivative
 from bridgelab.errors import DomainError
 from bridgelab.gaussian_law import abs_moment, variance
 from bridgelab.simulate import (
+    SamplePath,
     batch_terminal_stats,
     euler_path,
     exact_path,
@@ -38,11 +39,6 @@ class TestGrid:
 
 
 class TestEulerPath:
-    def test_zero_noise_hook_gives_zero_path(self):
-        path = euler_path(BRIDGE, T=1.0, h=0.01, seed=0, xi=0.0)
-        assert np.all(path.values == 0.0)
-        assert np.all(path.brownian_increments == 0.0)
-
     def test_deterministic_replay(self):
         a = euler_path(BRIDGE, T=2.0, h=1e-3, seed=99, path_index=4)
         b = euler_path(BRIDGE, T=2.0, h=1e-3, seed=99, path_index=4)
@@ -177,7 +173,8 @@ class TestShift:
         # the deterministic component of the shift decays below 1e-12 for
         # power(beta=2) once A(T) > 27.6, i.e. T > 4.36
         spec = DriftSpec.power(2.0)
-        path = euler_path(spec, T=5.0, h=0.01, seed=2, xi=0.0)
+        times = grid(5.0, 0.01)
+        path = SamplePath(times, np.zeros(len(times)), np.zeros(len(times) - 1), "euler", seed=2, path_index=0)
         shifted = shift_to_ab(path, 1.0, -1.0, spec)
         assert abs(shifted.values[-1] - (-1.0)) < 1e-12
 
