@@ -27,7 +27,11 @@ _LT2_BATCH = 16
 
 @dataclass(frozen=True)
 class CovarianceMatrix:
-    """E(X_{u_i} X_{u_j}) on a strictly increasing grid of positive times."""
+    """E(X_{u_i} X_{u_j}) on a strictly increasing grid of positive times.
+
+    times has shape (..., p) and entries (..., p, p): leading axes stack
+    independent grids, as passed to build_cov_matrix.
+    """
 
     times: np.ndarray
     entries: np.ndarray
@@ -35,9 +39,16 @@ class CovarianceMatrix:
 
 @dataclass(frozen=True)
 class DetBounds:
+    """lower <= det <= upper; floats for one grid, arrays over the stack for a stack of grids."""
+
     lower: float
     upper: float
     det: float
+
+
+def _one_or_stack(values):
+    """A float for one grid or one interval, the array itself for a stack; values is a numpy result."""
+    return float(values) if values.ndim == 0 else values
 
 
 def variance(spec, t):
@@ -61,12 +72,19 @@ def covariance(spec, s, t):
 
 
 def conditional_variance(spec, s, t):
-    """Var(X_t | X_s) = int_s^t exp(-2 (A(t) - A(r))) dr for 0 <= s <= t."""
-    if not 0 <= s <= t:
-        raise DomainError(f"need 0 <= s <= t, got s={s}, t={t}")
-    if s == t:
-        return 0.0
-    return drift.decay_integral(spec, s, t, 2.0)
+    """Var(X_t | X_s) = int_s^t exp(-2 (A(t) - A(r))) dr for 0 <= s <= t.
+
+    s and t may be arrays, which broadcast against each other; the result is
+    then an array, each entry bit-identical to the scalar call.  It is
+    exactly 0.0 where s == t: the kernel's panel there has width 0.
+    """
+    lo, hi = np.asarray(s), np.asarray(t)
+    ok = (0 <= lo) & (lo <= hi)
+    if not ok.all():
+        i = np.argmin(ok)
+        lo, hi = np.broadcast_arrays(lo, hi)
+        raise DomainError(f"need 0 <= s <= t, got s={lo.flat[i]}, t={hi.flat[i]}")
+    return _one_or_stack(drift.decay_integrals(spec, lo, hi, 2.0))
 
 
 def increment_variance(spec, t1, t2, gamma):
@@ -102,24 +120,33 @@ def increment_variance(spec, t1, t2, gamma):
 
 
 def _validate_grid(times):
+    """times as a float array of shape (..., p): the last axis is one grid, leading axes stack grids."""
     arr = np.asarray(times, dtype=float)
-    if arr.ndim != 1 or len(arr) < 1:
+    if arr.ndim < 1 or arr.shape[-1] < 1:
         raise DomainError("times must be a nonempty 1-d sequence")
-    if arr[0] <= 0:
+    if (arr[..., 0] <= 0).any():
         raise DomainError("all times must be strictly positive (Var(X_0) = 0 is singular)")
-    if np.any(np.diff(arr) <= 0):
+    if (arr[..., 1:] <= arr[..., :-1]).any():
         raise DomainError("times must be strictly increasing")
     return arr
 
 
+def _with_previous(times):
+    """The validated grid(s) and each point's predecessor on its grid, 0 before the first."""
+    u = _validate_grid(times)
+    prev = np.zeros_like(u)
+    prev[..., 1:] = u[..., :-1]
+    return u, prev
+
+
 def build_cov_matrix(spec, times):
-    """Covariance matrix of (X_{u_1}, ..., X_{u_p}) on an increasing grid."""
+    """Covariance matrix of (X_{u_1}, ..., X_{u_p}) on an increasing grid, or on each of a stack of grids."""
     u = _validate_grid(times)
     var = drift.decay_integrals(spec, 0.0, u, 2.0)
     a_vals = drift.eval_antiderivative(spec, u)
     # E(X_{u_i} X_{u_j}) = exp(-(A(u_j) - A(u_i))) Var(X_{u_i}) for i <= j
-    upper = np.exp(-np.maximum(a_vals[None, :] - a_vals[:, None], 0.0)) * var[:, None]
-    entries = np.triu(upper) + np.triu(upper, 1).T
+    upper = np.exp(-np.maximum(a_vals[..., None, :] - a_vals[..., :, None], 0.0)) * var[..., :, None]
+    entries = np.triu(upper) + np.triu(upper, 1).swapaxes(-1, -2)
     return CovarianceMatrix(times=u, entries=entries)
 
 
@@ -128,24 +155,29 @@ def det_by_conditioning(spec, times):
 
     The process is Markov, so conditioning on the whole past reduces to the
     previous grid point; each factor is an independent quadrature, not a
-    by-product of the matrix entries.
+    by-product of the matrix entries.  A float for one grid, an array for a
+    stack of grids.
     """
-    u = _validate_grid(times)
-    return float(np.prod(drift.decay_integrals(spec, np.concatenate([[0.0], u[:-1]]), u, 2.0)))
+    u, prev = _with_previous(times)
+    return _one_or_stack(np.prod(drift.decay_integrals(spec, prev, u, 2.0), axis=-1))
 
 
 def det_bounds(spec, times):
-    """Product-of-gaps sandwich for the covariance determinant."""
-    u = _validate_grid(times)
-    gaps = np.concatenate([[u[0]], np.diff(u)])
-    upper = float(np.prod(gaps))
-    lower = upper * math.exp(-2.0 * drift.running_sup(spec, u[-1]) * u[-1])
-    return DetBounds(lower=lower, upper=upper, det=det_by_conditioning(spec, u))
+    """Product-of-gaps sandwich for the covariance determinant, of one grid or of each of a stack."""
+    u, prev = _with_previous(times)
+    upper = np.prod(u - prev, axis=-1)
+    last = u[..., -1]
+    rates = -2.0 * drift.running_sup(spec, last) * last
+    # math.exp, not np.exp: the two round differently on a few percent of arguments
+    decay = np.array([math.exp(r) for r in rates.flat]).reshape(rates.shape)
+    return DetBounds(
+        lower=_one_or_stack(upper * decay), upper=_one_or_stack(upper), det=det_by_conditioning(spec, u)
+    )
 
 
 def lu_det(matrix):
-    """Determinant via LU with partial pivoting (LAPACK); the direct route."""
-    return float(np.linalg.det(np.asarray(matrix, dtype=float)))
+    """Determinant via LU with partial pivoting (LAPACK), of one matrix or of each of a stack; the direct route."""
+    return _one_or_stack(np.linalg.det(np.asarray(matrix, dtype=float)))
 
 
 def abs_moment(sigma_sq, m):

@@ -5,6 +5,7 @@ The full verification suite runs once per session (same code path as the
 stated tolerances, so a green run here is exactly a passing `verify`.
 """
 
+import numpy as np
 import pytest
 
 from bridgelab.config import parse_config
@@ -138,3 +139,32 @@ def test_sabotaged_variance_flips_law_flag(monkeypatch):
     bad = verification.run_verify_suite(cfg, only={"law_agreement"})
     assert not bad.pass_flags["law_var_within_3se"]
     assert not bad.all_passed
+
+
+def test_one_sabotaged_stacked_determinant_flips_identity_flag(monkeypatch):
+    # batching must not hide one bad row: only the last matrix of each stack is off
+    true_lu_det = verification.gaussian_law.lu_det
+
+    def last_matrix_off(matrix):
+        dets = np.array(true_lu_det(matrix))
+        dets[-1] *= 1 + 1e-6
+        return dets
+
+    monkeypatch.setattr(verification.gaussian_law, "lu_det", last_matrix_off)
+    metrics, flags = verification.check_determinants(seed=0)
+    assert not flags["det_identity_below_1e8"]
+    assert metrics["det_identity_worst_rel"] > 1e-7
+
+
+def test_one_sabotaged_stacked_conditional_variance_flips_sandwich_flag(monkeypatch):
+    true_cv = verification.gaussian_law.conditional_variance
+
+    def last_above_gap(spec, s, t):
+        cv = np.array(true_cv(spec, s, t))
+        cv[-1] = 1.001 * (t[-1] - s[-1])
+        return cv
+
+    monkeypatch.setattr(verification.gaussian_law, "conditional_variance", last_above_gap)
+    metrics, flags = verification.check_conditional_variance_sandwich(seed=0)
+    assert not flags["cond_var_sandwich_holds"]
+    assert metrics["cond_var_violations"] == 2.0  # one row per drift

@@ -6,7 +6,7 @@ from scipy import integrate as si
 
 from bridgelab import gaussian_law
 from bridgelab.drift import DriftSpec, eval_antiderivative, running_sup
-from bridgelab.errors import DomainError, NumericsError
+from bridgelab.errors import DomainError, ExtrapolationError, NumericsError
 from bridgelab.gaussian_law import (
     abs_moment,
     build_cov_matrix,
@@ -224,6 +224,67 @@ class TestDeterminants:
             assert b.det == pytest.approx(direct, rel=1e-8)
             assert b.lower - 1e-12 <= b.det <= b.upper + 1e-12
             assert b.lower - 1e-12 <= direct <= b.upper + 1e-12
+
+
+class TestStackedGrids:
+    # two grids of size 3; leading axes stack grids, the last axis is one grid
+    STACK = np.array([[0.5, 1.0, 2.0], [0.3, 1.1, 2.9]])
+
+    def test_one_grid_gives_floats_and_a_stack_gives_arrays(self):
+        b = det_bounds(POW1, self.STACK[0])
+        one = [det_by_conditioning(POW1, self.STACK[0]), lu_det(build_cov_matrix(POW1, self.STACK[0]).entries)]
+        assert all(type(v) is float for v in [b.lower, b.upper, b.det, *one])
+        assert type(conditional_variance(POW1, 1.0, 2.0)) is float
+        grids = self.STACK.reshape(2, 1, 3).repeat(2, axis=1)  # shape (2, 2, 3)
+        mat = build_cov_matrix(POW1, grids)
+        assert mat.times.shape == (2, 2, 3) and mat.entries.shape == (2, 2, 3, 3)
+        b = det_bounds(POW1, grids)
+        for values in (b.lower, b.upper, b.det, det_by_conditioning(POW1, grids), lu_det(mat.entries)):
+            assert values.shape == (2, 2)
+            assert values[1, 0] == values[1, 1]
+        assert conditional_variance(POW1, [1.0, 1.5], 2.0).shape == (2,)
+
+    def test_one_nonincreasing_grid_rejects_the_stack(self):
+        bad = self.STACK.copy()
+        bad[1, 2] = bad[1, 1]
+        for fn in (build_cov_matrix, det_by_conditioning, det_bounds):
+            with pytest.raises(DomainError, match="strictly increasing"):
+                fn(POW1, bad)
+
+    def test_one_grid_starting_at_zero_rejects_the_stack(self):
+        bad = self.STACK.copy()
+        bad[1, 0] = 0.0
+        for fn in (build_cov_matrix, det_by_conditioning, det_bounds):
+            with pytest.raises(DomainError, match="strictly positive"):
+                fn(POW1, bad)
+
+    def test_one_stacked_s_after_t_is_rejected(self):
+        with pytest.raises(DomainError, match=r"got s=2\.5, t=2\.0"):
+            conditional_variance(POW1, [0.5, 2.5, 1.0], [1.0, 2.0, 3.0])
+        with pytest.raises(DomainError):
+            conditional_variance(POW1, [0.5, -0.5], 1.0)
+
+    def test_zero_length_interval_beyond_a_table_is_rejected(self):
+        # every s == t goes through the kernel, which checks the tabulated range like any other query
+        tab = DriftSpec.tabulated([0.0, 1.0, 3.0], [0.5, 1.5, 4.0])
+        assert conditional_variance(tab, 3.0, 3.0) == 0.0
+        with pytest.raises(ExtrapolationError):
+            conditional_variance(tab, 5.0, 5.0)
+
+    def test_scalar_error_messages_unchanged(self):
+        cases = [
+            (lambda: build_cov_matrix(POW1, []), "times must be a nonempty 1-d sequence"),
+            (lambda: det_bounds(POW1, 2.0), "times must be a nonempty 1-d sequence"),
+            (lambda: build_cov_matrix(POW1, [0.0, 1.0]), "all times must be strictly positive (Var(X_0) = 0 is singular)"),
+            (lambda: det_by_conditioning(POW1, [1.0, 1.0, 2.0]), "times must be strictly increasing"),
+            (lambda: conditional_variance(POW1, 2.0, 1.0), "need 0 <= s <= t, got s=2.0, t=1.0"),
+            (lambda: conditional_variance(POW1, 2, 1), "need 0 <= s <= t, got s=2, t=1"),
+            (lambda: conditional_variance(POW1, -1.0, 1.0), "need 0 <= s <= t, got s=-1.0, t=1.0"),
+        ]
+        for call, message in cases:
+            with pytest.raises(DomainError) as exc:
+                call()
+            assert str(exc.value) == message
 
 
 class TestAbsMoment:

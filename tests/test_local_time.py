@@ -226,6 +226,12 @@ class TestKernelEnsemble:
         monkeypatch.setattr(simulate, "BLOCK_STEPS", 33)
         assert kernel_ensemble(*self.ARGS, steps=range(2049)).tobytes() == ref.tobytes()
 
+    def test_shorter_horizon_is_a_prefix(self):
+        # holder_time slices its T=2 curves out of the T=8 run
+        short = kernel_ensemble(BRIDGE, 0.0, [self.H], 0.5, self.H, 3, 5, steps=range(1025), scheme="exact")
+        long = kernel_ensemble(BRIDGE, 0.0, [self.H], 1.0, self.H, 3, 5, steps=range(2049), scheme="exact")
+        assert short.tobytes() == long[:, :1025].tobytes()
+
 
 class TestCurveMetadata:
     def test_estimator_tags_and_smoothing(self):

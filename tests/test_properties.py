@@ -16,7 +16,7 @@ from scipy import integrate as si
 
 from bridgelab.config import ExperimentConfig, parse_config, to_text
 from bridgelab.drift import DriftSpec, decay_integral, decay_integrals, eval_antiderivative, running_sup
-from bridgelab.gaussian_law import build_cov_matrix, conditional_variance, det_by_conditioning, lu_det
+from bridgelab.gaussian_law import build_cov_matrix, conditional_variance, det_bounds, det_by_conditioning, lu_det
 from bridgelab.simulate import SamplePath, euler_path, exact_path, grid, shift_to_ab, terminal_values
 
 HORIZON = 3.0
@@ -80,6 +80,44 @@ def test_lu_determinant_equals_conditioning_determinant(spec, times):
     direct = lu_det(build_cov_matrix(spec, times).entries)
     by_conditioning = det_by_conditioning(spec, times)
     assert abs(direct - by_conditioning) <= 1e-8 * by_conditioning
+
+
+@st.composite
+def grid_stacks(draw):
+    """Grids from `grids`, each cut to the length of the shortest, stacked along a leading axis."""
+    stack = draw(st.lists(grids(), min_size=1, max_size=5))
+    p = min(map(len, stack))
+    return np.array([times[:p] for times in stack])
+
+
+def same_bits(a, b):
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+@PROPERTY
+@given(drifts(), grid_stacks())
+def test_stacked_grids_equal_single_grids(spec, stack):
+    entries = build_cov_matrix(spec, stack).entries
+    lu = lu_det(entries)
+    dets = det_by_conditioning(spec, stack)
+    bounds = det_bounds(spec, stack)
+    for k, times in enumerate(stack):
+        one = build_cov_matrix(spec, times).entries
+        single = det_bounds(spec, times)
+        assert same_bits(entries[k], one)
+        assert same_bits(lu[k], lu_det(one))
+        assert same_bits(dets[k], det_by_conditioning(spec, times))
+        assert same_bits([bounds.lower[k], bounds.upper[k], bounds.det[k]], [single.lower, single.upper, single.det])
+
+
+@PROPERTY
+@given(drifts(), intervals(12))
+def test_stacked_conditional_variance_equals_scalar_calls(spec, pairs):
+    pairs = np.concatenate([pairs, pairs[:, [1, 1]]])  # and every t paired with itself
+    got = conditional_variance(spec, pairs[:, 0], pairs[:, 1])
+    assert same_bits(got, [conditional_variance(spec, s, t) for s, t in pairs])
+    zeros = got[pairs[:, 0] == pairs[:, 1]]
+    assert same_bits(zeros, np.zeros(len(zeros)))
 
 
 @PROPERTY
