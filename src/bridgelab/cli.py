@@ -2,7 +2,8 @@
 
 Subcommands: simulate, law, localtime, holder, figures, verify.  Experiment
 parameters come from a key=value config file (see config.py); --seed, --out
-and (simulate, holder) --threads override the corresponding knobs.  Every
+and (simulate, holder) --threads override the corresponding knobs; without
+--threads, path batches run on every core the process may use.  Every
 subcommand writes its CSV artifacts plus a <command>_report.json summary into
 the output directory.  Given a fixed config and seed, artifacts are
 byte-identical regardless of the thread count: path randomness is keyed by
@@ -196,7 +197,7 @@ def _build_parser():
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--out", help="output directory (or $BRIDGELAB_OUT, or config outputs)")
         if name in ("simulate", "holder"):
-            p.add_argument("--threads", type=int, default=1, help="worker threads for path batches")
+            p.add_argument("--threads", type=int, help="worker threads for path batches (default: every core)")
         if name == "figures":
             p.add_argument("--which", choices=("figure1", "figure2"), default="figure1")
         if name == "verify":
@@ -228,7 +229,7 @@ def main(argv=None):
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if getattr(args, "threads", 1) < 1:
+    if getattr(args, "threads", None) is not None and args.threads < 1:
         print("error: --threads must be at least 1", file=sys.stderr)
         return 2
     os.makedirs(cfg.outputs, exist_ok=True)

@@ -154,7 +154,7 @@ def space_modulus(
     eps,
     scheme="euler",
     scales=None,
-    threads=1,
+    threads=None,
 ):
     """Sup-increment profile of L_t^x in the level variable, ensemble-averaged.
 

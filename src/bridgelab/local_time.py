@@ -28,6 +28,10 @@ from .holder_analysis import loglog_slope
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _CHUNK_PATHS = 512  # paths stepped together by kernel_ensemble; results do not depend on it
+# np.exp is fast for arguments >= _EXP_FAST; below it the result is subnormal or zero and
+# costs 20-150 ns.  Below _EXP_ZERO the result is exactly 0.0.
+_EXP_FAST = -707.0
+_EXP_ZERO = -746.0
 
 
 @dataclass
@@ -49,32 +53,51 @@ def _checkpoint_array(checkpoints, horizon):
     return cp
 
 
-def _gaussian_density(offsets, eps):
-    """p_eps(offsets), the Gaussian density of variance eps; eps broadcasts against offsets."""
-    dens = offsets**2 / (-2.0 * eps)
-    np.exp(dens, out=dens)
-    dens /= _SQRT_2PI * np.sqrt(eps)
-    return dens
+def _gaussian_density(sq_offsets, eps, out=None):
+    """p_eps at squared offsets, exp(sq / (-2 eps)) / (sqrt(2 pi) sqrt(eps)); eps broadcasts.
+
+    Written into out when given.  Bit for bit the plain formula, but np.exp runs
+    on the whole array only above _EXP_FAST: exponents below _EXP_ZERO give
+    0.0, those in between go through np.exp one by one, and NaN propagates.
+    """
+    e = np.divide(sq_offsets, -2.0 * eps, out=out)
+    low = e < _EXP_FAST
+    band = np.flatnonzero(low & (e >= _EXP_ZERO))
+    band_dens = np.exp(e.flat[band])
+    np.maximum(e, _EXP_FAST, out=e)
+    np.exp(e, out=e)
+    e *= np.logical_not(low, out=low)  # 0.0 below _EXP_FAST; NaN is never low, so it stays
+    e.flat[band] = band_dens
+    e /= _SQRT_2PI * np.sqrt(eps)
+    return e
 
 
-def _running_trapezoid(y, h, prev, carry):
+def _running_trapezoid(y, h, prev, carry, out, cumulative):
     """Trapezoid integral continued over samples y from the sample prev, whose integral is carry.
 
-    Returns carry followed by the integral at each sample of y.  The sum runs
-    step by step along axis 0, so splitting y into blocks changes no bit.
+    Writes the increments into out, the carry added to the first; returns the
+    integral at each sample of y when cumulative, else only at the last one.
+    The sum runs step by step along axis 0, so splitting y into blocks changes
+    no bit.  A reduce over a single column would sum pairwise, so that case
+    takes the cumulative path too.
     """
-    cum = np.concatenate([np.asarray(carry, dtype=float)[None], np.asarray(prev)[None], y[:-1]])
-    cum[1:] += y
-    cum[1:] *= 0.5
-    cum[1:] *= h
-    np.cumsum(cum, axis=0, out=cum)
-    return cum
+    np.add(prev, y[:1], out=out[:1])
+    np.add(y[:-1], y[1:], out=out[1:])
+    out *= 0.5
+    out *= h
+    out[:1] += carry
+    if cumulative or out[0].size == 1:
+        np.cumsum(out, axis=0, out=out)
+        return out if cumulative else out[-1]
+    return np.add.reduce(out.reshape(len(out), -1), axis=0).reshape(out.shape[1:])
 
 
 def _occupation_curve(path, y, x, checkpoints, estimator, smoothing):
     """Curve of the trapezoid integral of the samples y taken along the path."""
     cp = _checkpoint_array(checkpoints, path.horizon)
-    cum = _running_trapezoid(y[1:], path.h, y[0], 0.0)
+    cum = np.empty(len(y))
+    cum[0] = 0.0
+    _running_trapezoid(y[1:], path.h, y[0], 0.0, cum[1:], cumulative=True)
     return LocalTimeCurve(
         level_x=float(x),
         checkpoints=cp,
@@ -89,7 +112,8 @@ def kernel_estimate(path, x, eps, checkpoints):
     """Heat-kernel mollified local time: int_0^t p_eps(X_r - x) dr."""
     if eps <= 0:
         raise DomainError("eps must be positive")
-    return _occupation_curve(path, _gaussian_density(path.values - x, eps), x, checkpoints, "kernel", eps)
+    dens = _gaussian_density(np.square(path.values - x), eps)
+    return _occupation_curve(path, dens, x, checkpoints, "kernel", eps)
 
 
 def binned_estimate(path, x, delta, checkpoints):
@@ -133,25 +157,54 @@ def kernel_ensemble(spec, x, eps_list, T, h, n_paths, seed, steps=None, scheme="
     """Kernel local time of paths 0 .. n_paths-1 at grid steps, shape (n_paths, len(steps), len(eps_list)).
 
     steps defaults to the end of the grid reaching T.  Each path's curve equals
-    kernel_estimate's bit for bit, whatever the block length and _CHUNK_PATHS.
+    kernel_estimate's bit for bit, whatever the block length, _CHUNK_PATHS and
+    thread count.  Chunks run on every core.  Each block is reduced in buffers
+    allocated once per chunk; in a block with no recorded step, paths whose
+    density is exactly 0.0 at every sample of the block and at the sample
+    before it are skipped, since they add exact zeros, and the running
+    integral is summed without a cumsum.
     """
     times = simulate.grid(T, h)
     steps = np.asarray([len(times) - 1] if steps is None else steps)
     eps = np.asarray(eps_list, dtype=float)
     table = simulate.transition_table(spec, times, scheme)
+    widest = -2.0 * eps.max()
 
     def one_chunk(idx):
-        out = np.zeros((len(idx), len(steps), len(eps)))
-        prev = _gaussian_density(np.zeros((len(idx), 1)) - x, eps)
-        acc = np.zeros((len(idx), len(eps)))
+        m, ne = len(idx), len(eps)
+        rows = min(simulate.BLOCK_STEPS, len(times) - 1)
+        sq, near_sq = np.empty((rows, m)), np.empty(rows * m)
+        dens, trap = np.empty(rows * m * ne), np.empty(rows * m * ne)
+        out = np.zeros((m, len(steps), ne))
+        prev = _gaussian_density(np.square(np.zeros((m, 1)) - x), eps)
+        acc = np.zeros((m, ne))
         for k0, values, _ in simulate.walk(table, seed, idx):
-            dens = _gaussian_density((values - x)[..., None], eps)
-            cum = _running_trapezoid(dens, h, prev, acc)
-            simulate.record(out, steps, k0, cum[1:])
-            prev, acc = dens[-1], cum[-1]
+            nb = len(values)
+            s = np.subtract(values, x, out=sq[:nb])
+            np.square(s, out=s)
+            recorded = np.any((steps > k0) & (steps <= k0 + nb))
+            cols = None
+            if not recorded:
+                far = (s.min(axis=0) / widest < _EXP_ZERO) & ~prev.any(axis=1)
+                if far.all():
+                    continue
+                if far.any():
+                    cols = np.flatnonzero(~far)
+                    s = np.take(s, cols, axis=1, out=near_sq[: nb * len(cols)].reshape(nb, len(cols)))
+            shape = (nb, s.shape[1], ne)
+            y = _gaussian_density(s[..., None], eps, dens[: math.prod(shape)].reshape(shape))
+            p, a = (prev, acc) if cols is None else (prev[cols], acc[cols])
+            cum = _running_trapezoid(y, h, p, a, trap[: math.prod(shape)].reshape(shape), recorded)
+            if recorded:
+                simulate.record(out, steps, k0, cum)
+                cum = cum[-1]
+            if cols is None:
+                prev[:], acc[:] = y[-1], cum
+            else:
+                prev[cols], acc[cols] = y[-1], cum
         return out
 
-    return simulate.ensemble(one_chunk, n_paths, _CHUNK_PATHS, 1)
+    return simulate.ensemble(one_chunk, n_paths, _CHUNK_PATHS, None)
 
 
 def cauchy_diagnostic(spec, x, t, eps_ladder, n_paths, seed, h=None):

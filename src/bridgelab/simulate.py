@@ -9,31 +9,39 @@ at any step size and therefore safe for stiff drifts.
 Randomness is drawn from counter-based Philox streams keyed by
 (seed, path_index), with step k consuming the k-th draw of the stream, so a
 sample is a pure function of (seed, path_index, step) and results never
-depend on execution order or worker count.
+depend on execution order or worker count.  A stream is built straight from
+its key, without reading OS entropy.
 
 One engine, walk, steps a chunk of paths through a table time-major over
 blocks of BLOCK_STEPS steps, drawing each block from the chunk's Philox
 generators, which stay alive between blocks.  Callers reduce each (steps,
 paths) block as it comes (snapshots at horizons, whole-path capture, a
-running kernel integral), so memory is O(chunk x block) unless whole paths
-are kept, and results are bit-identical for any block length, chunk size and
-thread count.
+running kernel integral).  walk writes every block into the same two
+buffers, so a yielded block is valid only until the next one is requested,
+and memory is O(chunk x block) unless whole paths are kept.  ensemble runs
+the chunks on every core the process may use unless told otherwise, so
+memory is the thread count times one chunk's working set.  Results are
+bit-identical for any block length, chunk size and thread count.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.random import Generator, Philox
+from numpy.random.bit_generator import ISeedSequence
 
 from . import drift as drift_mod
 from .errors import DomainError
 
 _MASK64 = (1 << 64) - 1
+_COUNTER0 = np.zeros(4, dtype=np.uint64)
 BLOCK_STEPS = 1024
+_SLAB_PATHS = 64  # paths drawn per slab before the slab is transposed into the time-major noise
 
 
 @dataclass
@@ -96,9 +104,32 @@ def horizon_steps(horizons, h):
     return steps
 
 
+class _Key(ISeedSequence):
+    """Hands Philox a ready key, so building a stream reads no OS entropy."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, key):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.key
+
+
 def _stream(seed, path_index):
+    """The Philox stream of a path: Generator(Philox(key=[seed, path_index] mod 2^64)), bit for bit."""
     key = np.array([seed & _MASK64, path_index & _MASK64], dtype=np.uint64)
-    return Generator(Philox(key=key))
+    return Generator(Philox(_Key(key), counter=_COUNTER0))
+
+
+def _rekeyed(seed, path_indices):
+    """One generator, re-keyed to each path's stream in turn: enough when each stream is read once."""
+    gen = _stream(seed, 0)
+    state = gen.bit_generator.state
+    for p in path_indices:
+        state["state"]["key"] = np.array([seed & _MASK64, p & _MASK64], dtype=np.uint64)
+        gen.bit_generator.state = state
+        yield gen
 
 
 def _normals(seed, path_index, n):
@@ -135,33 +166,47 @@ def transition_table(spec, times, scheme):
 def walk(table, seed, path_indices):
     """Yield (k0, values, noise) per block: X at steps k0+1, k0+2, ... as (block_steps, paths).
 
-    table is (decays, stds); noise = std * N drove those steps.  decay * x + noise is
-    evaluated on Python floats for one path and in place on numpy rows for several,
-    so both agree bit for bit with a scalar re-derivation.
+    table is (decays, stds); noise = std * N drove those steps.  Every block is
+    written into the same two buffers, so the yielded arrays are read-only and
+    valid only until the next block is requested; copy what must outlive it.
+    Each path's normals come from its own stream, a slab of _SLAB_PATHS paths at
+    a time, and are scaled into time-major noise rows.  A walk of one block
+    reads each stream once, so it re-keys a single generator instead of
+    keeping one per path.  decay * x + noise is evaluated on Python floats for
+    one path and in place on numpy rows for several, so both agree bit for bit
+    with a scalar re-derivation.
     """
     decays, stds = table
     n, m = len(decays), len(path_indices)
-    streams = [_stream(seed, p) for p in path_indices]
+    streams = [_stream(seed, p) for p in path_indices] if n > BLOCK_STEPS else None
+    rows = min(BLOCK_STEPS, n)
+    # one allocation for both: for a wide chunk it is large enough that malloc maps it on
+    # its own and unmaps it when the walk ends, rather than keeping it in a thread's heap
+    noise, values = np.empty((2, rows, m))
+    slab = np.empty((min(_SLAB_PATHS, m), rows))
     x = np.zeros(m) if m > 1 else 0.0
     for k0 in range(0, n, BLOCK_STEPS):
         k1 = min(k0 + BLOCK_STEPS, n)
-        draws = np.empty((m, k1 - k0))
-        for row, stream in zip(draws, streams):
-            stream.standard_normal(out=row)
-        draws *= stds[k0:k1]
-        values = np.empty((k1 - k0, m))
+        w, v = noise[: k1 - k0], values[: k1 - k0]
+        source = _rekeyed(seed, path_indices) if streams is None else iter(streams)
+        for lo in range(0, m, _SLAB_PATHS):
+            draws = slab[: min(_SLAB_PATHS, m - lo), : k1 - k0]
+            for row, stream in zip(draws, source):  # rows first: zip stops before an extra stream
+                stream.standard_normal(out=row)
+            draws *= stds[k0:k1]
+            w[:, lo : lo + len(draws)] = draws.T
         if m == 1:
             column = []
-            for c, w in zip(decays[k0:k1].tolist(), draws[0].tolist()):
-                x = c * x + w
+            for c, dw in zip(decays[k0:k1].tolist(), w[:, 0].tolist()):
+                x = c * x + dw
                 column.append(x)
-            values[:, 0] = column
+            v[:, 0] = column
         else:
-            for c, w, row in zip(decays[k0:k1].tolist(), draws.T, values):
+            for c, dw, row in zip(decays[k0:k1].tolist(), w, v):
                 np.multiply(x, c, out=row)
-                row += w
+                row += dw
                 x = row
-        yield k0, values, draws.T
+        yield k0, v, w
 
 
 def record(out, steps, k0, block):
@@ -182,10 +227,23 @@ def paths(table, seed, path_indices):
     return values, noise
 
 
-def ensemble(fn, n_paths, chunk, threads):
-    """Stack fn(path_indices) over chunks of paths 0 .. n_paths-1, run on up to `threads` threads."""
+def _cores():
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def ensemble(fn, n_paths, chunk, threads=None):
+    """Stack fn(path_indices) over chunks of paths 0 .. n_paths-1, run on up to `threads` threads.
+
+    threads=None uses every core the process may run on.  Each running chunk
+    holds its own working set, so memory grows with the thread count.
+    """
     chunks = [range(lo, min(lo + chunk, n_paths)) for lo in range(0, n_paths, chunk)]
-    if threads <= 1 or len(chunks) <= 1:
+    threads = min(_cores() if threads is None else threads, len(chunks))
+    if threads <= 1:
         return np.concatenate([fn(c) for c in chunks], axis=0)
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return np.concatenate(list(pool.map(fn, chunks)), axis=0)
@@ -226,7 +284,7 @@ def shift_to_ab(path, a, b, spec):
     return replace(path, values=offset + path.values)
 
 
-def terminal_values(spec, horizons, h, n_paths, seed, scheme="exact", chunk=4096, threads=1):
+def terminal_values(spec, horizons, h, n_paths, seed, scheme="exact", chunk=4096, threads=None):
     """X at each horizon for n_paths independent paths, shape (n_paths, len(horizons))."""
     horizons = np.asarray(horizons, dtype=float)
     steps = horizon_steps(horizons, h)
@@ -241,7 +299,7 @@ def terminal_values(spec, horizons, h, n_paths, seed, scheme="exact", chunk=4096
     return ensemble(one_chunk, n_paths, chunk, threads)
 
 
-def batch_terminal_stats(spec, horizons, n_paths, scheme="exact", h=0.05, seed=0, threads=1):
+def batch_terminal_stats(spec, horizons, n_paths, scheme="exact", h=0.05, seed=0, threads=None):
     """Monte Carlo decay statistics of |X_T| and X_T^2 over a horizon ladder."""
     horizons = np.asarray(horizons, dtype=float)
     if np.any(np.diff(horizons) <= 0):

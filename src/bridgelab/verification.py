@@ -27,8 +27,9 @@ HOLDER_SPACE_BAND = (0.35, 0.6)
 
 
 def _rel_diff(a, b):
+    """|a - b| relative to the larger magnitude; NaN when either is not finite."""
     scale = max(abs(a), abs(b))
-    return abs(a - b) / scale if scale > 0 else 0.0
+    return abs(a - b) / scale if scale > 0 else abs(a - b)
 
 
 def check_law_agreement(seed, n_paths=20000):
@@ -97,12 +98,13 @@ def check_determinants(seed, n_grids=1000):
         times = np.array([g for g in grids if len(g) == p])
         det_direct = gaussian_law.lu_det(gaussian_law.build_cov_matrix(spec, times).entries)
         bounds = gaussian_law.det_bounds(spec, times)
-        worst_rel = float(max([worst_rel, *map(_rel_diff, bounds.det, det_direct)]))
+        # np.max, unlike max(), propagates NaN: a non-finite determinant fails the identity
+        worst_rel = float(np.max([worst_rel, *map(_rel_diff, bounds.det, det_direct)]))
         for d in (bounds.det, det_direct):
             sandwich_violations += int(np.sum(~((bounds.lower - 1e-12 <= d) & (d <= bounds.upper + 1e-12))))
         bm_bounds = gaussian_law.det_bounds(bm, times)
         bm_gap = np.abs(bm_bounds.det - bm_bounds.upper) / np.maximum(1.0, bm_bounds.upper)
-        bm_worst = float(max([bm_worst, *bm_gap]))
+        bm_worst = float(np.max([bm_worst, *bm_gap]))
     metrics = {
         "det_identity_worst_rel": worst_rel,
         "det_sandwich_violations": float(sandwich_violations),

@@ -5,6 +5,8 @@ The full verification suite runs once per session (same code path as the
 stated tolerances, so a green run here is exactly a passing `verify`.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -168,3 +170,36 @@ def test_one_sabotaged_stacked_conditional_variance_flips_sandwich_flag(monkeypa
     metrics, flags = verification.check_conditional_variance_sandwich(seed=0)
     assert not flags["cond_var_sandwich_holds"]
     assert metrics["cond_var_violations"] == 2.0  # one row per drift
+
+
+def test_nan_stacked_determinant_fails_identity_flag(monkeypatch):
+    # max() started from 0.0 skips NaN; a non-finite determinant must fail the identity, not vanish
+    true_lu_det = verification.gaussian_law.lu_det
+
+    def last_matrix_nan(matrix):
+        dets = np.array(true_lu_det(matrix))
+        dets[-1] = np.nan
+        return dets
+
+    monkeypatch.setattr(verification.gaussian_law, "lu_det", last_matrix_nan)
+    metrics, flags = verification.check_determinants(seed=0)
+    assert not flags["det_identity_below_1e8"]
+    assert np.isnan(metrics["det_identity_worst_rel"])
+    assert flags["det_bm_equals_upper"]
+
+
+def test_nan_stacked_det_bounds_fail_identity_and_equality_flags(monkeypatch):
+    true_det_bounds = verification.gaussian_law.det_bounds
+
+    def last_grid_nan(spec, times):
+        bounds = true_det_bounds(spec, times)
+        det = np.array(bounds.det)
+        det[-1] = np.nan
+        return dataclasses.replace(bounds, det=det)
+
+    monkeypatch.setattr(verification.gaussian_law, "det_bounds", last_grid_nan)
+    metrics, flags = verification.check_determinants(seed=0)
+    assert not flags["det_identity_below_1e8"]
+    assert not flags["det_bm_equals_upper"]
+    assert np.isnan(metrics["det_identity_worst_rel"])
+    assert np.isnan(metrics["det_bm_equality_worst"])

@@ -68,6 +68,19 @@ class TestSimulateCommand:
         assert (out1 / "terminal_stats.csv").read_bytes() == (out2 / "terminal_stats.csv").read_bytes()
         assert (out1 / "path_0000.csv").read_bytes() == (out2 / "path_0000.csv").read_bytes()
 
+    def test_default_threads_write_the_csvs_of_one_thread(self, tmp_path):
+        # without --threads the batch runs on every core; 5000 paths are two chunks
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("drift.family = power\ndrift.beta = 0.8\nT = 1\nh = 0.05\nn_paths = 5000\n")
+        out1, out_default = tmp_path / "t1", tmp_path / "default"
+        assert run(["simulate", "--config", cfg, "--out", out1, "--threads", 1]) == 0
+        assert run(["simulate", "--config", cfg, "--out", out_default]) == 0
+        names = sorted(p.name for p in out1.glob("*.csv"))
+        assert "terminal_stats.csv" in names
+        assert names == sorted(p.name for p in out_default.glob("*.csv"))
+        for name in names:
+            assert (out1 / name).read_bytes() == (out_default / name).read_bytes()
+
 
 class TestLawCommand:
     def test_covariance_artifact_and_sandwich(self, tmp_path):

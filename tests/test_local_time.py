@@ -226,6 +226,57 @@ class TestKernelEnsemble:
         monkeypatch.setattr(simulate, "BLOCK_STEPS", 33)
         assert kernel_ensemble(*self.ARGS, steps=range(2049)).tobytes() == ref.tobytes()
 
+    @pytest.mark.parametrize("x", [0.0, 0.4, 50.0])
+    def test_final_step_equals_kernel_estimate(self, x):
+        # only the final step recorded: far paths are skipped block by block, and a
+        # 1-path chunk sums its single column step by step, not pairwise
+        args = (BM, x, [1e-4], 1.0, 1e-4, 40, 8)
+        finals = kernel_ensemble(*args)[:, 0, 0]
+        for p in range(40):
+            path = euler_path(BM, T=1.0, h=1e-4, seed=8, path_index=p)
+            assert finals[p].tobytes() == kernel_estimate(path, x, 1e-4, [1.0]).values[0].tobytes()
+        if x == 50.0:
+            assert np.all(finals == 0.0)
+
+    def test_one_path_chunk_sums_step_by_step(self, monkeypatch):
+        # a single column would be reduced pairwise; it must keep kernel_estimate's sequential sum
+        monkeypatch.setattr(local_time, "_CHUNK_PATHS", 1)
+        finals = kernel_ensemble(BM, 0.0, [1e-4], 1.0, 1e-4, 4, 8)[:, 0, 0]
+        for p in range(4):
+            path = euler_path(BM, T=1.0, h=1e-4, seed=8, path_index=p)
+            assert finals[p].tobytes() == kernel_estimate(path, 0.0, 1e-4, [1.0]).values[0].tobytes()
+
+    def test_far_rows_after_a_near_sample_keep_its_increment(self, monkeypatch):
+        # X ~ N(0, 0.05^2) at steps 1-4 and 11-12, |X| ~ 1e6 at steps 5-10: the two-step blocks
+        # of steps 5-10 are out of reach, yet half of the trapezoid step from step 4 belongs to
+        # them; skipping it and adding it back at step 11 rounds differently on some paths
+        stds = np.concatenate([np.full(4, 0.05), np.full(6, 1e6), np.full(2, 0.05)])
+        table = (np.zeros(12), stds)
+        monkeypatch.setattr(simulate, "transition_table", lambda spec, times, scheme: table)
+        monkeypatch.setattr(simulate, "BLOCK_STEPS", 2)
+        finals = kernel_ensemble(BM, 0.0, [1e-2], 12.0, 1.0, 16, 0)[:, 0, 0]
+        values, _ = simulate.paths(table, 0, range(16))
+        for p in range(16):
+            assert finals[p] == kernel_estimate(manual_path(values[p], 1.0), 0.0, 1e-2, [12.0]).values[0]
+
+    def test_one_path_chunks_equal_wide_chunks(self, monkeypatch):
+        args = (BM, 0.4, [1e-4, 1e-3], 1.0, 1e-4, 12, 9)
+        ref = kernel_ensemble(*args)
+        monkeypatch.setattr(local_time, "_CHUNK_PATHS", 1)
+        assert kernel_ensemble(*args).tobytes() == ref.tobytes()
+
+    def test_threads_do_not_change_curves(self, monkeypatch):
+        # kernel_ensemble runs on every core; pretend the process has one or three
+        args = (BRIDGE, 0.2, [1e-3, 1e-2], 2.0, 1e-3, 30, 4)
+        monkeypatch.setattr(local_time, "_CHUNK_PATHS", 7)
+        ref = kernel_ensemble(*args, steps=[500, 1000, 2000])
+        for cores in (1, 3):
+            monkeypatch.setattr(simulate, "_cores", lambda cores=cores: cores)
+            assert kernel_ensemble(*args, steps=[500, 1000, 2000]).tobytes() == ref.tobytes()
+
+    def test_nan_level_propagates(self):
+        assert np.all(np.isnan(kernel_ensemble(BM, math.nan, [1e-4], 0.2, 1e-4, 3, 0)))
+
     def test_shorter_horizon_is_a_prefix(self):
         # holder_time slices its T=2 curves out of the T=8 run
         short = kernel_ensemble(BRIDGE, 0.0, [self.H], 0.5, self.H, 3, 5, steps=range(1025), scheme="exact")

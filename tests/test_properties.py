@@ -12,7 +12,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.random import Generator, Philox
 from scipy import integrate as si
+
+from bridgelab import local_time, simulate
 
 from bridgelab.config import ExperimentConfig, parse_config, to_text
 from bridgelab.drift import DriftSpec, decay_integral, decay_integrals, eval_antiderivative, running_sup
@@ -258,3 +261,50 @@ def configs(draw, table):
 def test_config_text_round_trips(table_csv, data):
     cfg = data.draw(configs(table_csv))
     assert parse_config(to_text(cfg)) == cfg
+
+
+_BANDS = {
+    "fast": st.floats(-707.0, 0.0),
+    "subnormal": st.floats(-746.0, -707.0, exclude_max=True),
+    "zero": st.floats(-1e6, -746.0, exclude_max=True),
+}
+
+
+@PROPERTY
+@given(
+    st.lists(st.floats(1e-8, 10.0), min_size=1, max_size=3),
+    st.fixed_dictionaries({band: st.lists(exp, min_size=1, max_size=20) for band, exp in _BANDS.items()}),
+    st.lists(st.sampled_from([math.nan, math.inf, -math.inf]), max_size=3),
+)
+def test_fused_density_equals_plain_formula(eps, exponents, specials):
+    # offsets placed so that their exponents under the first eps fall in each band of np.exp;
+    # the plain formula exp(-o^2 / (2 eps)) / sqrt(2 pi eps) is written as the one-pass numpy
+    # expression it always was, o^2 / (-2 eps) and sqrt(2 pi) sqrt(eps), which fixes NaN signs too
+    eps = np.array(eps)
+    exps = np.concatenate(list(exponents.values()))
+    offsets = np.concatenate([np.sqrt(-2.0 * eps[0] * exps) * np.where(np.arange(len(exps)) % 2, 1, -1), specials])
+    plain = np.exp((offsets**2)[:, None] / (-2.0 * eps)) / (math.sqrt(2.0 * math.pi) * np.sqrt(eps))
+    fused = local_time._gaussian_density(np.square(offsets)[:, None], eps)
+    assert fused.tobytes() == plain.tobytes()
+    out = np.empty_like(plain)
+    assert local_time._gaussian_density(np.square(offsets)[:, None], eps, out) is out
+    assert out.tobytes() == plain.tobytes()
+
+
+_M64 = (1 << 64) - 1
+keys = st.integers(-(2**70), 2**70) | st.integers(0, 2**64 - 1)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(keys, keys, keys)
+def test_stream_equals_keyed_philox(seed, index, other):
+    # 3000 normals cross many Philox buffers, and two of walk's 1024-step blocks; a walk of
+    # one block re-keys one generator per path instead
+    def reference(i):
+        return Generator(Philox(key=np.array([seed & _M64, i & _M64], dtype=np.uint64))).standard_normal(3000)
+
+    assert simulate._stream(seed, index).standard_normal(3000).tobytes() == reference(index).tobytes()
+    for n in (3000, 1000):
+        _, noise = simulate.paths((np.ones(n), np.ones(n)), seed, [index, other, index])
+        assert noise[0].tobytes() == noise[2].tobytes() == reference(index)[:n].tobytes()
+        assert noise[1].tobytes() == reference(other)[:n].tobytes()

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -256,6 +257,46 @@ class TestStreamingEngine:
         path = euler_path(BRIDGE, T=2.0, h=0.01, seed=4, path_index=3)
         assert path.values.tobytes() == ref_path.values.tobytes()
         assert path.brownian_increments.tobytes() == ref_path.brownian_increments.tobytes()
+
+    @pytest.mark.parametrize("scheme, T", [("euler", 2.5), ("exact", 2.5), ("euler", 0.5)])
+    def test_chunk_width_does_not_change_walk(self, scheme, T):
+        # widths straddle the 64-path draw slab; 2500 steps end in a partial block, and
+        # 500 steps are one block, drawn from one re-keyed generator
+        table = transition_table(BRIDGE, grid(T, 1e-3), scheme)
+        ref = [simulate.paths(table, 21, [p]) for p in range(130)]
+        for width in (1, 2, 63, 64, 65, 130):
+            for lo in range(0, 130, width):
+                values, noise = simulate.paths(table, 21, range(lo, min(lo + width, 130)))
+                for row, p in enumerate(range(lo, min(lo + width, 130))):
+                    assert values[row].tobytes() == ref[p][0][0].tobytes()
+                    assert noise[row].tobytes() == ref[p][1][0].tobytes()
+
+    def test_walk_reuses_its_block_buffers(self):
+        # the documented contract: a yielded block is overwritten by the next one
+        table = transition_table(BRIDGE, grid(3.0, 1e-3), "euler")
+        blocks = [(values, noise) for _, values, noise in simulate.walk(table, 2, range(3))]
+        assert len(blocks) == 3
+        assert np.shares_memory(blocks[0][0], blocks[1][0])
+        assert np.shares_memory(blocks[0][1], blocks[2][1])
+
+    @pytest.mark.parametrize("scheme", ["euler", "exact"])
+    def test_default_threads_equal_one_and_three(self, monkeypatch, scheme):
+        args = (BRIDGE, [0.5, 2.0], 0.01, 70, 13, scheme)
+        ref = terminal_values(*args, chunk=16, threads=1)
+        assert terminal_values(*args, chunk=16, threads=3).tobytes() == ref.tobytes()
+        assert terminal_values(*args, chunk=16).tobytes() == ref.tobytes()
+        for cores in (1, 3):
+            monkeypatch.setattr(simulate, "_cores", lambda cores=cores: cores)
+            assert terminal_values(*args, chunk=16).tobytes() == ref.tobytes()
+
+    def test_default_threads_use_every_core_up_to_the_chunks(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(simulate, "ThreadPoolExecutor", lambda max_workers: seen.append(max_workers) or ThreadPoolExecutor(max_workers))
+        monkeypatch.setattr(simulate, "_cores", lambda: 8)
+        simulate.ensemble(lambda idx: np.zeros((len(idx), 1)), 30, 10, None)
+        simulate.ensemble(lambda idx: np.zeros((len(idx), 1)), 30, 10, 2)
+        simulate.ensemble(lambda idx: np.zeros((len(idx), 1)), 30, 10, 1)
+        assert seen == [3, 2]
 
     def test_long_horizon_memory_is_bounded(self):
         # 64 paths x 2e5 steps: the whole-horizon noise alone would take 102 MB
