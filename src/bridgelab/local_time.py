@@ -183,7 +183,7 @@ def kernel_ensemble(spec, x, eps_list, T, h, n_paths, seed, steps=None, scheme="
             s = np.subtract(values, x, out=sq[:nb])
             np.square(s, out=s)
             recorded = np.any((steps > k0) & (steps <= k0 + nb))
-            cols = None
+            cols = slice(None)
             if not recorded:
                 far = (s.min(axis=0) / widest < _EXP_ZERO) & ~prev.any(axis=1)
                 if far.all():
@@ -192,16 +192,13 @@ def kernel_ensemble(spec, x, eps_list, T, h, n_paths, seed, steps=None, scheme="
                     cols = np.flatnonzero(~far)
                     s = np.take(s, cols, axis=1, out=near_sq[: nb * len(cols)].reshape(nb, len(cols)))
             shape = (nb, s.shape[1], ne)
-            y = _gaussian_density(s[..., None], eps, dens[: math.prod(shape)].reshape(shape))
-            p, a = (prev, acc) if cols is None else (prev[cols], acc[cols])
-            cum = _running_trapezoid(y, h, p, a, trap[: math.prod(shape)].reshape(shape), recorded)
+            size = math.prod(shape)
+            y = _gaussian_density(s[..., None], eps, dens[:size].reshape(shape))
+            cum = _running_trapezoid(y, h, prev[cols], acc[cols], trap[:size].reshape(shape), recorded)
             if recorded:
                 simulate.record(out, steps, k0, cum)
                 cum = cum[-1]
-            if cols is None:
-                prev[:], acc[:] = y[-1], cum
-            else:
-                prev[cols], acc[cols] = y[-1], cum
+            prev[cols], acc[cols] = y[-1], cum
         return out
 
     return simulate.ensemble(one_chunk, n_paths, _CHUNK_PATHS, None)
