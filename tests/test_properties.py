@@ -282,7 +282,8 @@ def test_fused_density_equals_plain_formula(eps, exponents, specials):
     # expression it always was, o^2 / (-2 eps) and sqrt(2 pi) sqrt(eps), which fixes NaN signs too
     eps = np.array(eps)
     exps = np.concatenate(list(exponents.values()))
-    offsets = np.concatenate([np.sqrt(-2.0 * eps[0] * exps) * np.where(np.arange(len(exps)) % 2, 1, -1), specials])
+    signs = np.where(np.arange(len(exps)) % 2, 1.0, -1.0)
+    offsets = np.concatenate([signs * np.sqrt(-2.0 * eps[0] * exps), specials])
     plain = np.exp((offsets**2)[:, None] / (-2.0 * eps)) / (math.sqrt(2.0 * math.pi) * np.sqrt(eps))
     fused = local_time._gaussian_density(np.square(offsets)[:, None], eps)
     assert fused.tobytes() == plain.tobytes()

@@ -290,13 +290,17 @@ class TestStreamingEngine:
             assert terminal_values(*args, chunk=16).tobytes() == ref.tobytes()
 
     def test_default_threads_use_every_core_up_to_the_chunks(self, monkeypatch):
-        seen = []
-        monkeypatch.setattr(simulate, "ThreadPoolExecutor", lambda max_workers: seen.append(max_workers) or ThreadPoolExecutor(max_workers))
+        pools = []
+
+        def pool(max_workers):
+            pools.append(max_workers)
+            return ThreadPoolExecutor(max_workers)
+
+        monkeypatch.setattr(simulate, "ThreadPoolExecutor", pool)
         monkeypatch.setattr(simulate, "_cores", lambda: 8)
-        simulate.ensemble(lambda idx: np.zeros((len(idx), 1)), 30, 10, None)
-        simulate.ensemble(lambda idx: np.zeros((len(idx), 1)), 30, 10, 2)
-        simulate.ensemble(lambda idx: np.zeros((len(idx), 1)), 30, 10, 1)
-        assert seen == [3, 2]
+        for threads in (None, 2, 1):
+            simulate.ensemble(lambda idx: np.zeros((len(idx), 1)), 30, 10, threads)
+        assert pools == [3, 2]  # None: 8 cores capped at 3 chunks; 1 runs without a pool
 
     def test_long_horizon_memory_is_bounded(self):
         # 64 paths x 2e5 steps: the whole-horizon noise alone would take 102 MB
