@@ -19,8 +19,8 @@ from . import drift as drift_mod
 from . import simulate
 from .errors import DomainError, InsufficientDataError
 
-_SWEEP_STEPS = 256  # time steps per level_sweep chunk; memory is O(_SWEEP_STEPS * levels)
-_PATH_STEP_BUDGET = 2**21  # path-steps space_modulus keeps at once (values and noise: 32 MiB)
+_SWEEP_STEPS = 256  # samples per level_sweep piece; memory is O(_SWEEP_STEPS * levels)
+_CHUNK_PATHS = 64  # paths space_modulus steps together; results do not depend on it
 
 
 @dataclass
@@ -55,23 +55,35 @@ def loglog_slope(points):
 
 
 def _nested_sup_increments(values, lags):
-    """Max |values[i+l] - values[i]| over all l' <= l, for each requested lag."""
-    out = np.empty(len(lags))
-    targets = {lag: j for j, lag in enumerate(lags)}
+    """Max |values[i+l] - values[i]| over all l' <= l, for each requested lag; NaN propagates.
+
+    On a nondecreasing curve of finite span the lag-l sup already bounds
+    every shorter lag (rounding is monotone, so this holds for the computed
+    differences too), and only the requested lags are taken; otherwise every
+    lag up to the largest is.  A lag past the curve's end counts as its last.
+    """
+    if np.all(values[1:] >= values[:-1]) and np.all(np.isfinite(values[-1:] - values[:1])):
+        return np.array([_lag_sup(values, min(lag, len(values) - 1)) for lag in lags])
+    wanted, nested = set(lags), {}
     best = 0.0
     for lag in range(1, max(lags) + 1):
-        d = np.abs(values[lag:] - values[:-lag])
-        if len(d):
-            best = max(best, float(d.max()))
-        if lag in targets:
-            out[targets[lag]] = best
-    return out
+        best = np.maximum(best, _lag_sup(values, lag))
+        if lag in wanted:
+            nested[lag] = best
+    return np.array([nested[lag] for lag in lags])
+
+
+def _lag_sup(values, lag):
+    """Max |values[i+lag] - values[i]|, or 0.0 when no pair is lag apart; NaN propagates."""
+    if not 0 < lag < len(values):
+        return 0.0
+    return float(np.abs(values[lag:] - values[:-lag]).max())
 
 
 def _uniform_spacing(checkpoints):
     dt = np.diff(checkpoints)
-    if len(dt) < 1 or np.any(np.abs(dt - dt[0]) > 1e-9 * max(dt[0], 1e-300)):
-        raise DomainError("curve checkpoints must form a uniform grid")
+    if len(dt) < 1 or not dt[0] > 0 or np.any(np.abs(dt - dt[0]) > 1e-9 * max(dt[0], 1e-300)):
+        raise DomainError("curve checkpoints must form an increasing uniform grid")
     return float(dt[0])
 
 
@@ -106,7 +118,7 @@ def time_modulus_bound_fit(curve, T, spec):
     Bracket at distance eta < 1:
         sqrt(eta) * sqrt((T+1) * alpha*(T+1)) + sqrt(eta) * sqrt(log(1/eta)).
     Returns the max over all grid pairs at dyadic distances below 1 of
-    |increment| / bracket; 0 for a constant curve.
+    |increment| / bracket; 0 for a constant curve, NaN if the curve has a NaN.
     """
     dt = _uniform_spacing(curve.checkpoints)
     growth = math.sqrt((T + 1.0) * drift_mod.running_sup(spec, T + 1.0))
@@ -114,34 +126,76 @@ def time_modulus_bound_fit(curve, T, spec):
     lag = 1
     while lag * dt < 1.0 and lag < len(curve.values):
         eta = lag * dt
-        sup = float(np.abs(curve.values[lag:] - curve.values[:-lag]).max())
         bracket = math.sqrt(eta) * (growth + math.sqrt(math.log(1.0 / eta)))
-        fitted = max(fitted, sup / bracket)
+        fitted = float(np.maximum(fitted, _lag_sup(curve.values, lag) / bracket))
         lag *= 2
     return fitted
 
 
+class _LevelSweep:
+    """level_sweep of several paths at once, fed their samples block by block in time order.
+
+    Pieces of _SWEEP_STEPS samples start at multiples of _SWEEP_STEPS from
+    sample 0 whatever the block lengths, so the result equals one sweep of the
+    whole paths bit for bit.  A full piece is swept only once a later sample
+    has arrived, because the trapezoid halves the weight of a path's last
+    sample; at most _SWEEP_STEPS samples per path are held back.
+    """
+
+    def __init__(self, n_paths, h, x, eps):
+        if eps <= 0:
+            raise DomainError("eps must be positive")
+        if not np.all(x[1:] >= x[:-1]):
+            raise DomainError("levels must be nondecreasing")
+        self.h, self.x, self.eps = float(h), x, eps
+        self.reach = 10.0 * math.sqrt(eps)
+        self.out = np.zeros((n_paths, len(x)))
+        self.held = np.empty((n_paths, 0))
+        self.first = True
+
+    def feed(self, block):
+        """Take the next samples of every path, shape (samples, paths)."""
+        run = np.concatenate([self.held, block.T], axis=1)
+        cut = (run.shape[1] - 1) // _SWEEP_STEPS * _SWEEP_STEPS
+        for lo in range(0, cut, _SWEEP_STEPS):
+            self._piece(run[:, lo : lo + _SWEEP_STEPS], last=False)
+        self.held = run[:, cut:]
+
+    def total(self):
+        """Kernel local time of each path at every level, shape (paths, levels), after the last sample."""
+        self._piece(self.held, last=True)
+        return self.out / math.sqrt(2.0 * math.pi * self.eps)
+
+    def _piece(self, pieces, last):
+        w = np.full(pieces.shape[1], self.h)
+        if self.first:
+            w[0] = 0.5 * self.h
+        if last:
+            w[-1] = 0.5 * self.h
+        self.first = False
+        for out, v in zip(self.out, pieces):
+            lo = np.searchsorted(self.x, v.min() - self.reach, "left")
+            hi = np.searchsorted(self.x, v.max() + self.reach, "right")
+            if lo < hi:
+                e = np.subtract(v[:, None], self.x[lo:hi])
+                np.square(e, out=e)
+                np.negative(e, out=e)
+                e /= 2.0 * self.eps
+                np.exp(e, out=e)
+                out[lo:hi] += w @ e
+
+
 def level_sweep(path_values, h, x_grid, eps):
-    """Kernel local time at every level of x_grid from one traversal of the path.
+    """Kernel local time at every level of the nondecreasing x_grid from one traversal of the path.
 
     Trapezoid weights in time, Gaussian kernel of variance eps in space.  Each
-    chunk of _SWEEP_STEPS time steps is evaluated only on the levels within
-    10 sqrt(eps) of the chunk's range, so kernel terms below exp(-50) of the
+    piece of _SWEEP_STEPS samples is evaluated only on the levels within
+    10 sqrt(eps) of the piece's range, so kernel terms below exp(-50) of the
     peak are dropped (the truncated sweep of Wand 1994).
     """
-    if eps <= 0:
-        raise DomainError("eps must be positive")
-    v = np.asarray(path_values, dtype=float)
-    x = np.asarray(x_grid, dtype=float)
-    w = np.full(len(v), h)
-    w[0] = w[-1] = 0.5 * h
-    reach = 10.0 * math.sqrt(eps)
-    out = np.zeros(len(x))
-    for lo in range(0, len(v), _SWEEP_STEPS):
-        vb = v[lo : lo + _SWEEP_STEPS]
-        near = np.flatnonzero((x >= vb.min() - reach) & (x <= vb.max() + reach))
-        out[near] += w[lo : lo + _SWEEP_STEPS] @ np.exp(-((vb[:, None] - x[near]) ** 2) / (2.0 * eps))
-    return out / math.sqrt(2.0 * math.pi * eps)
+    sweep = _LevelSweep(1, h, np.asarray(x_grid, dtype=float), eps)
+    sweep.feed(np.asarray(path_values, dtype=float)[:, None])
+    return sweep.total()[0]
 
 
 def space_modulus(
@@ -158,11 +212,12 @@ def space_modulus(
 ):
     """Sup-increment profile of L_t^x in the level variable, ensemble-averaged.
 
-    Paths are stepped together in chunks of up to 64, fewer for long paths so
-    that a chunk holds at most _PATH_STEP_BUDGET path-steps.  Per path: one level
-    sweep over the uniform x_grid, then nested sup-increments across dyadic
-    level distances; profiles are averaged over paths (max within a path,
-    then mean across paths) and fitted in log-log coordinates.
+    Paths are stepped together in chunks of _CHUNK_PATHS, and each walk block
+    is swept over the uniform x_grid as it comes, so no path is kept and
+    memory does not grow with the horizon beyond the transition table.  Per
+    path: nested sup-increments of its level sweep across dyadic level
+    distances; profiles are averaged over paths (max within a path, then mean
+    across paths) and fitted in log-log coordinates.
     """
     x = np.asarray(x_grid, dtype=float)
     dx = _uniform_spacing(x)
@@ -171,10 +226,12 @@ def space_modulus(
         scales = dx * 2.0 ** np.arange(n_dyadic)
     scales, lags = _scale_lags(scales, dx)
     table = simulate.transition_table(spec, simulate.grid(t, h), scheme)
-    chunk = max(1, min(64, _PATH_STEP_BUDGET // len(table[0])))
 
     def profiles(idx):
-        values, _ = simulate.paths(table, seed, idx)
-        return [_nested_sup_increments(level_sweep(v, float(h), x, eps), lags) for v in values]
+        sweep = _LevelSweep(len(idx), h, x, eps)
+        sweep.feed(np.zeros((1, len(idx))))  # X_0 = 0
+        for _, values, _ in simulate.walk(table, seed, idx):
+            sweep.feed(values)
+        return np.array([_nested_sup_increments(row, lags) for row in sweep.total()])
 
-    return _fitted_profile(scales, np.mean(simulate.ensemble(profiles, n_paths, chunk, threads), axis=0))
+    return _fitted_profile(scales, np.mean(simulate.ensemble(profiles, n_paths, _CHUNK_PATHS, threads), axis=0))

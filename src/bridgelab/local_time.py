@@ -156,7 +156,8 @@ def tanaka_estimate(path, spec, x, checkpoints):
 def kernel_ensemble(spec, x, eps_list, T, h, n_paths, seed, steps=None, scheme="euler"):
     """Kernel local time of paths 0 .. n_paths-1 at grid steps, shape (n_paths, len(steps), len(eps_list)).
 
-    steps defaults to the end of the grid reaching T.  Each path's curve equals
+    steps, nondecreasing grid steps in [0, n], defaults to the end n of the
+    grid reaching T; step 0 records 0.0.  Each path's curve equals
     kernel_estimate's bit for bit, whatever the block length, _CHUNK_PATHS and
     thread count.  Chunks run on every core.  Each block is reduced in buffers
     allocated once per chunk; in a block with no recorded step, paths whose
@@ -166,6 +167,8 @@ def kernel_ensemble(spec, x, eps_list, T, h, n_paths, seed, steps=None, scheme="
     """
     times = simulate.grid(T, h)
     steps = np.asarray([len(times) - 1] if steps is None else steps)
+    if np.any(steps < 0) or np.any(steps > len(times) - 1) or np.any(np.diff(steps) < 0):
+        raise DomainError(f"steps must be nondecreasing grid steps in [0, {len(times) - 1}]")
     eps = np.asarray(eps_list, dtype=float)
     table = simulate.transition_table(spec, times, scheme)
     widest = -2.0 * eps.max()
@@ -182,7 +185,8 @@ def kernel_ensemble(spec, x, eps_list, T, h, n_paths, seed, steps=None, scheme="
             nb = len(values)
             s = np.subtract(values, x, out=sq[:nb])
             np.square(s, out=s)
-            recorded = np.any((steps > k0) & (steps <= k0 + nb))
+            span = simulate.recorded(steps, k0, nb)
+            recorded = span.start < span.stop
             cols = slice(None)
             if not recorded:
                 far = (s.min(axis=0) / widest < _EXP_ZERO) & ~prev.any(axis=1)

@@ -209,11 +209,19 @@ def walk(table, seed, path_indices):
         yield k0, v, w
 
 
+def recorded(steps, k0, n_rows):
+    """The slice of the nondecreasing array steps that falls in the block of grid steps k0+1 .. k0+n_rows."""
+    lo, hi = np.searchsorted(steps, (k0, k0 + n_rows), side="right")
+    return slice(lo, hi)
+
+
 def record(out, steps, k0, block):
-    """Copy the rows of block (grid steps k0+1, k0+2, ...) at the given steps into out[:, j]."""
-    rows = np.asarray(steps) - k0 - 1
-    hit = (rows >= 0) & (rows < len(block))
-    out[:, hit] = np.moveaxis(block[rows[hit]], 0, 1)
+    """Copy the rows of block (grid steps k0+1, k0+2, ...) at the nondecreasing steps into out[:, j]."""
+    j = recorded(steps, k0, len(block))
+    rows = steps[j] - k0 - 1
+    if len(rows) and np.all(np.diff(rows) == 1):
+        rows = slice(rows[0], rows[-1] + 1)  # one contiguous run: copy a view, not a gather
+    out[:, j] = np.moveaxis(block[rows], 0, 1)
 
 
 def paths(table, seed, path_indices):
@@ -238,11 +246,15 @@ def _cores():
 def ensemble(fn, n_paths, chunk, threads=None):
     """Stack fn(path_indices) over chunks of paths 0 .. n_paths-1, run on up to `threads` threads.
 
+    A lone chunk's result is returned as is, without a copy.
+
     threads=None uses every core the process may run on.  Each running chunk
     holds its own working set, so memory grows with the thread count.
     """
     chunks = [range(lo, min(lo + chunk, n_paths)) for lo in range(0, n_paths, chunk)]
     threads = min(_cores() if threads is None else threads, len(chunks))
+    if len(chunks) == 1:
+        return fn(chunks[0])
     if threads <= 1:
         return np.concatenate([fn(c) for c in chunks], axis=0)
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -285,9 +297,14 @@ def shift_to_ab(path, a, b, spec):
 
 
 def terminal_values(spec, horizons, h, n_paths, seed, scheme="exact", chunk=4096, threads=None):
-    """X at each horizon for n_paths independent paths, shape (n_paths, len(horizons))."""
+    """X at each horizon for n_paths independent paths, shape (n_paths, len(horizons)).
+
+    The horizons must be nonnegative and nondecreasing.
+    """
     horizons = np.asarray(horizons, dtype=float)
-    steps = horizon_steps(horizons, h)
+    if not (horizons[0] >= 0 and np.all(np.diff(horizons) >= 0)):
+        raise DomainError("horizons must be nonnegative and nondecreasing")
+    steps = np.asarray(horizon_steps(horizons, h))
     table = transition_table(spec, grid(horizons[-1], h), scheme)
 
     def one_chunk(idx):

@@ -258,6 +258,7 @@ def check_holder_time(seed, n_paths=16):
     curves = local_time.kernel_ensemble(spec, 0.0, [h], 1.0, h, n_paths, seed, steps=range(len(times)))
     mean_curve = local_time.LocalTimeCurve(0.0, times, curves[:, :, 0].mean(axis=0), "kernel", h, seed)
     slope = holder_analysis.time_modulus(mean_curve, scales).fitted_slope
+    del curves, times, mean_curve  # freed before the T=8 ensemble below
 
     # the T=2 curves are the first steps of the T=8 curves: same paths, same grid
     h13 = 2.0**-13

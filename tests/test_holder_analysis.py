@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bridgelab import holder_analysis
+from bridgelab import holder_analysis, simulate
 from bridgelab.drift import DriftSpec
 from bridgelab.errors import DomainError, InsufficientDataError
 from bridgelab.holder_analysis import (
@@ -86,6 +86,12 @@ class TestTimeModulus:
         with pytest.raises(DomainError):
             time_modulus(make_curve(np.sqrt, n=65), [2.0**-10])
 
+    def test_descending_checkpoints_rejected(self):
+        # a negative spacing made negative lags, and the profile read uninitialized memory
+        curve = LocalTimeCurve(0.0, np.linspace(1.0, 0.0, 5), np.linspace(4.0, 0.0, 5), "kernel", 1e-3, 0)
+        with pytest.raises(DomainError, match="increasing"):
+            time_modulus(curve, [0.25, 0.5, 0.75])
+
     def test_shift_invariance_and_scaling(self):
         scales = 2.0 ** -np.arange(3, 8)
         base = time_modulus(make_curve(np.sqrt), scales)
@@ -104,6 +110,18 @@ class TestTimeModulus:
         profile = time_modulus(curve, 2.0 ** -np.arange(3, 10))
         assert np.all(np.diff(profile.sup_increments) <= 1e-15)  # scales are decreasing
 
+    @pytest.mark.parametrize("shape", [np.sqrt, lambda t: np.sin(20.0 * t)], ids=["monotone", "rough"])
+    def test_nan_sample_propagates(self, shape):
+        curve = make_curve(shape, n=65)
+        curve.values[40] = math.nan
+        sups = _nested_sup_increments(curve.values, [1, 2, 4, 8])
+        assert np.all(np.isnan(sups))
+
+    def test_duplicate_lags_get_the_same_sup(self):
+        rough = np.sin(np.linspace(0.0, 20.0, 200))
+        sups = _nested_sup_increments(rough, [4, 2, 4])
+        assert sups[0] == sups[2] >= sups[1] > 0.0
+
     def test_doubling_subadditivity(self):
         rng = np.random.default_rng(4)
         rough = np.abs(np.cumsum(rng.standard_normal(4097))) * 0.01
@@ -119,6 +137,11 @@ class TestTimeModulusBoundFit:
     def test_constant_curve_gives_zero(self):
         curve = make_curve(lambda t: np.full_like(t, 2.0))
         assert time_modulus_bound_fit(curve, 1.0, DriftSpec.constant(1.0)) == 0.0
+
+    def test_nan_sample_propagates(self):
+        curve = make_curve(np.sqrt)
+        curve.values[1000] = math.nan
+        assert math.isnan(time_modulus_bound_fit(curve, 1.0, DriftSpec.constant(1.0)))
 
     def test_square_root_curve_bounded_by_inverse_root_two(self):
         # sup |sqrt(s+eta) - sqrt(s)| = sqrt(eta); bracket has the sqrt(2 eta)
@@ -171,6 +194,10 @@ class TestLevelSweep:
         dense = w @ np.exp(-((path.values[:, None] - x) ** 2) / (2 * eps)) / math.sqrt(2 * math.pi * eps)
         np.testing.assert_allclose(level_sweep(path.values, path.h, x, eps), dense, rtol=0, atol=1e-13)
 
+    def test_unsorted_levels_rejected(self):
+        with pytest.raises(DomainError, match="nondecreasing"):
+            level_sweep(np.zeros(10), 0.1, [0.0, 1.0, 0.5], 1e-2)
+
     def test_chunking_invariance(self, monkeypatch):
         rng = np.random.default_rng(8)
         values = np.cumsum(rng.standard_normal(2001)) * 0.02
@@ -201,22 +228,29 @@ class TestSpaceModulus:
         assert 0.25 < profile.fitted_slope < 0.75
         assert np.all(np.diff(profile.sup_increments) <= 1e-15)
 
-    def test_memory_does_not_grow_with_paths(self, monkeypatch):
-        # with a budget of one path's steps, a chunk holds one path however many are asked for
-        args = (BRIDGE, 1.0, np.linspace(-1, 1, 65))
-        kwargs = dict(h=2.0**-14, seed=0, eps=1e-3)
-        ref = space_modulus(*args, n_paths=6, **kwargs)
-        monkeypatch.setattr(holder_analysis, "_PATH_STEP_BUDGET", 2**14)
+    def test_memory_does_not_grow_with_horizon(self):
+        # paths are swept block by block, never kept: what grows is the (decays, stds) table
         peaks = []
-        for n_paths in (2, 6):
+        for log2_steps in (14, 18):
             tracemalloc.start()
             try:
-                profile = space_modulus(*args, n_paths=n_paths, **kwargs)
+                space_modulus(BRIDGE, 1.0, np.linspace(-1, 1, 65), n_paths=16, h=2.0**-log2_steps, seed=0, eps=1e-3)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert profile.sup_increments.tobytes() == ref.sup_increments.tobytes()
-        assert peaks[1] < 1.2 * peaks[0]
+        assert (peaks[1] - peaks[0]) / (2**18 - 2**14) < 24.0
+
+    @pytest.mark.parametrize("scheme", ["euler", "exact"])
+    def test_streamed_sweeps_equal_whole_path_sweeps(self, scheme):
+        # 70 paths span two chunks; 1000 steps end in a partial sweep piece and a partial walk block
+        x = np.linspace(-1, 1, 65)
+        h, eps = 1e-3, 1e-3
+        profile = space_modulus(BRIDGE, 1.0, x, n_paths=70, h=h, seed=3, eps=eps, scheme=scheme)
+        table = simulate.transition_table(BRIDGE, simulate.grid(1.0, h), scheme)
+        values, _ = simulate.paths(table, 3, range(70))
+        lags = [int(round(s / (x[1] - x[0]))) for s in profile.scales]
+        whole = np.mean([_nested_sup_increments(level_sweep(v, h, x, eps), lags) for v in values], axis=0)
+        assert profile.sup_increments.tobytes() == whole.tobytes()
 
     def test_grid_coarser_than_scale_rejected(self):
         x = np.linspace(-1, 1, 17)

@@ -274,6 +274,18 @@ class TestKernelEnsemble:
             monkeypatch.setattr(simulate, "_cores", lambda cores=cores: cores)
             assert kernel_ensemble(*args, steps=[500, 1000, 2000]).tobytes() == ref.tobytes()
 
+    @pytest.mark.parametrize("steps", [[50, 100, 5000], [-1, 50], [50, 20]], ids=str)
+    def test_steps_off_the_grid_or_out_of_order_rejected(self, steps):
+        with pytest.raises(DomainError, match="steps"):
+            kernel_ensemble(BM, 0.0, [1e-2], 1.0, 0.01, 2, 0, steps=steps)
+
+    def test_repeated_and_zero_steps(self):
+        curves = kernel_ensemble(BRIDGE, 0.0, [1e-2], 1.0, 0.01, 3, 2, steps=[0, 40, 40, 100])
+        final = kernel_ensemble(BRIDGE, 0.0, [1e-2], 1.0, 0.01, 3, 2)
+        assert np.all(curves[:, 0] == 0.0)
+        assert curves[:, 1].tobytes() == curves[:, 2].tobytes()
+        assert curves[:, 3].tobytes() == final[:, 0].tobytes()
+
     def test_nan_level_propagates(self):
         assert np.all(np.isnan(kernel_ensemble(BM, math.nan, [1e-4], 0.2, 1e-4, 3, 0)))
 

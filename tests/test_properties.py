@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from numpy.random import Generator, Philox
 from scipy import integrate as si
 
-from bridgelab import local_time, simulate
+from bridgelab import holder_analysis, local_time, simulate
 
 from bridgelab.config import ExperimentConfig, parse_config, to_text
 from bridgelab.drift import DriftSpec, decay_integral, decay_integrals, eval_antiderivative, running_sup
@@ -309,3 +309,69 @@ def test_stream_equals_keyed_philox(seed, index, other):
         _, noise = simulate.paths((np.ones(n), np.ones(n)), seed, [index, other, index])
         assert noise[0].tobytes() == noise[2].tobytes() == reference(index)[:n].tobytes()
         assert noise[1].tobytes() == reference(other)[:n].tobytes()
+
+
+def nested_sup_reference(values, lags):
+    """The nested sup by its definition: every lag up to each requested one, NaN propagating."""
+    out = []
+    for lag in lags:
+        best = 0.0
+        for l in range(1, min(lag, len(values) - 1) + 1):
+            best = np.maximum(best, np.abs(values[l:] - values[:-l]).max())
+        out.append(best)
+    return np.array(out, dtype=float)
+
+
+@PROPERTY
+@given(st.data(), st.sampled_from(["monotone", "monotone", "infinite", "rough"]))
+def test_monotone_fast_path_equals_general_loop(data, kind):
+    # a large start turns tiny increments into rounding plateaus, and zero increments make exact ones;
+    # lags reach past n / 2 and past the curve's end.  An infinite rise (inf - inf = NaN) and a
+    # rough curve take the general loop.
+    n = data.draw(st.integers(2, 120), label="n")
+    rise = st.sampled_from([0.0, 1e-12, 0.5]) | st.floats(0.0, 1.0)
+    rises = data.draw(st.lists(rise, min_size=n - 1, max_size=n - 1), label="rises")
+    if kind == "infinite":
+        rises[data.draw(st.integers(0, n - 2), label="infinite at")] = math.inf
+    start = data.draw(st.sampled_from([0.0, -3.0, 1e6]), label="start")
+    values = start + np.concatenate([[0.0], np.cumsum(rises)])
+    if kind == "rough":
+        values *= np.where(np.arange(n) % 3, 1.0, -1.0)
+    else:
+        assert np.all(values[1:] >= values[:-1])
+    lags = data.draw(st.lists(st.integers(1, n - 1), min_size=1, max_size=4), label="short lags")
+    lags += [data.draw(st.integers(max(1, n // 2), 2 * n), label="long lag"), 2 * n + 1]
+    lags = data.draw(st.permutations(lags), label="lags")
+    with np.errstate(invalid="ignore"):
+        got = holder_analysis._nested_sup_increments(values, lags)
+        assert got.tobytes() == nested_sup_reference(values, lags).tobytes()
+
+
+def level_sweep_reference(v, h, x, eps):
+    """The sweep of a whole path held at once: pieces of one trapezoid weight array, a mask per piece."""
+    w = np.full(len(v), h)
+    w[0] = w[-1] = 0.5 * h
+    reach = 10.0 * math.sqrt(eps)
+    out = np.zeros(len(x))
+    for lo in range(0, len(v), holder_analysis._SWEEP_STEPS):
+        vb = v[lo : lo + holder_analysis._SWEEP_STEPS]
+        near = np.flatnonzero((x >= vb.min() - reach) & (x <= vb.max() + reach))
+        out[near] += w[lo : lo + len(vb)] @ np.exp(-((vb[:, None] - x[near]) ** 2) / (2.0 * eps))
+    return out / math.sqrt(2.0 * math.pi * eps)
+
+
+@PROPERTY
+@given(st.integers(1, 1500), st.lists(st.integers(1, 700), min_size=1, max_size=6), st.integers(1, 3))
+def test_level_sweep_fed_in_any_blocks_equals_one_sweep(n, blocks, n_paths):
+    # pieces stay aligned to sample 0 and the last sample keeps its half weight, whatever the blocks
+    values = np.cumsum(np.random.default_rng(n).standard_normal((n, n_paths)), axis=0) * 0.05
+    x = np.linspace(-1.0, 1.0, 41)
+    sweep = holder_analysis._LevelSweep(n_paths, 1e-3, x, 1e-3)
+    lo, k = 0, 0
+    while lo < n:
+        sweep.feed(values[lo : lo + blocks[k % len(blocks)]])
+        lo, k = lo + blocks[k % len(blocks)], k + 1
+    got = sweep.total()
+    for j in range(n_paths):
+        reference = level_sweep_reference(values[:, j], 1e-3, x, 1e-3).tobytes()
+        assert got[j].tobytes() == holder_analysis.level_sweep(values[:, j], 1e-3, x, 1e-3).tobytes() == reference

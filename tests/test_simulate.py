@@ -205,6 +205,12 @@ class TestBatchStats:
         with pytest.raises(DomainError):
             terminal_values(BM, [1.05], h=0.5, n_paths=100, seed=0)
 
+    @pytest.mark.parametrize("horizons", [[2.0, 1.0], [-1.0, 1.0]])
+    def test_horizon_off_the_grid_rejected(self, horizons):
+        # the grid runs to horizons[-1]: a later or negative horizon would read 0.0
+        with pytest.raises(DomainError, match="horizons"):
+            terminal_values(DriftSpec.power(1.0), horizons, 0.01, 3, 5, scheme="euler")
+
 
 class TestDeterminismAcrossExecution:
     def test_chunking_does_not_change_results(self):
@@ -301,6 +307,21 @@ class TestStreamingEngine:
         for threads in (None, 2, 1):
             simulate.ensemble(lambda idx: np.zeros((len(idx), 1)), 30, 10, threads)
         assert pools == [3, 2]  # None: 8 cores capped at 3 chunks; 1 runs without a pool
+
+    @pytest.mark.parametrize(
+        "steps", [[4, 5, 6, 7], [4, 4, 6], [5, 9, 9, 12], [12, 13], [1, 2, 3, 12]], ids=str
+    )
+    def test_record_copies_each_step_of_the_block(self, steps):
+        # block rows are grid steps 4 .. 11; [4, 4, 6] spans as many rows as it has entries
+        block = np.arange(8.0)[:, None] * np.array([1.0, 10.0]) + 4.0
+        out = np.zeros((2, len(steps)))
+        simulate.record(out, np.array(steps), 3, block)
+        expected = [[k, 10.0 * k - 36.0] if 4 <= k <= 11 else [0.0, 0.0] for k in steps]
+        assert out.T.tolist() == expected
+
+    def test_lone_chunk_is_returned_without_a_copy(self):
+        result = np.zeros((3, 2))
+        assert simulate.ensemble(lambda idx: result, 3, 5) is result
 
     def test_long_horizon_memory_is_bounded(self):
         # 64 paths x 2e5 steps: the whole-horizon noise alone would take 102 MB
