@@ -36,8 +36,9 @@ class ModulusProfile:
 def loglog_slope(points):
     """Ordinary least squares of log(value) on log(scale).
 
-    Points with value <= 0 are dropped (with a warning); fewer than three
-    usable points raise InsufficientDataError.  Scales must be positive.
+    Points with value <= 0 or NaN are dropped (with a warning that counts
+    each kind); fewer than three usable points raise InsufficientDataError.
+    Scales must be positive.
     """
     pts = np.asarray(list(points), dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 3:
@@ -46,10 +47,12 @@ def loglog_slope(points):
         raise DomainError("scales must be strictly positive")
     usable = pts[:, 1] > 0
     if not np.all(usable):
-        warnings.warn(f"dropping {int((~usable).sum())} nonpositive values from log-log fit")
+        counts = {"nonpositive": int((pts[:, 1] <= 0).sum()), "NaN": int(np.isnan(pts[:, 1]).sum())}
+        dropped = " and ".join(f"{n} {kind}" for kind, n in counts.items() if n)
+        warnings.warn(f"dropping {dropped} values from log-log fit")
     pts = pts[usable]
     if len(pts) < 3:
-        raise InsufficientDataError("fewer than 3 usable points after dropping nonpositive values")
+        raise InsufficientDataError("fewer than 3 usable points after dropping nonpositive or NaN values")
     slope, intercept = np.polyfit(np.log(pts[:, 0]), np.log(pts[:, 1]), 1)
     return float(slope), float(intercept)
 

@@ -218,10 +218,7 @@ def recorded(steps, k0, n_rows):
 def record(out, steps, k0, block):
     """Copy the rows of block (grid steps k0+1, k0+2, ...) at the nondecreasing steps into out[:, j]."""
     j = recorded(steps, k0, len(block))
-    rows = steps[j] - k0 - 1
-    if len(rows) and np.all(np.diff(rows) == 1):
-        rows = slice(rows[0], rows[-1] + 1)  # one contiguous run: copy a view, not a gather
-    out[:, j] = np.moveaxis(block[rows], 0, 1)
+    out[:, j] = np.moveaxis(block[steps[j] - k0 - 1], 0, 1)
 
 
 def paths(table, seed, path_indices):
