@@ -152,19 +152,30 @@ def eval_antiderivative(spec, t):
     return float(out) if np.isscalar(t) or arr.ndim == 0 else out
 
 
-def _antiderivative(spec, arr):
-    """A on an array of times already known to lie in the drift's domain."""
+def _antiderivative(spec, arr, out=None):
+    """A on an array of times already known to lie in the drift's domain.
+
+    The closed forms are evaluated into out (which may be arr itself), or
+    into a new array when out is None; an array passed only as arr is never
+    written.
+    """
     if spec.family == "power":
         p = spec.beta + 1.0
-        return spec.scale * np.power(arr, p) / p
+        out = np.power(arr, p, out=out)
+        out *= spec.scale
+        out /= p
+        return out
     if spec.family == "exponential":
-        return spec.scale * np.expm1(spec.beta * arr) / spec.beta
+        out = np.expm1(np.multiply(arr, spec.beta, out=out), out=out)
+        out *= spec.scale
+        out /= spec.beta
+        return out
     if spec.family == "constant":
-        return spec.scale * arr
+        return np.multiply(arr, spec.scale, out=out)
     times, values = spec._times, spec._values
     idx = np.clip(np.searchsorted(times, arr, side="right") - 1, 0, len(times) - 2)
     a_t = np.interp(arr, times, values)
-    return spec._knot_cum[idx] + 0.5 * (values[idx] + a_t) * (arr - times[idx])
+    return np.add(spec._knot_cum[idx], 0.5 * (values[idx] + a_t) * (arr - times[idx]), out=out)
 
 
 def running_sup(spec, t):
@@ -227,7 +238,8 @@ def decay_integrals(spec, lo, hi, rate):
     estimate exceeds their share of max(_EPSABS, _EPSREL * integral) are
     bisected (QUADPACK's strategy, Piessens et al. 1983).  An interval that
     needs more than _PANEL_BUDGET bisections raises NumericsError carrying
-    its estimate and the error bound it reached.
+    its estimate and the error bound it reached.  A non-finite hi or rate is
+    a DomainError, and an A(hi) that overflows is a NumericsError.
 
     Every row is reduced on its own, so an interval's result is bit-identical
     whether it is computed alone or in a batch of any size; intervals are
@@ -236,16 +248,20 @@ def decay_integrals(spec, lo, hi, rate):
     Accuracy floor: A(hi) and A(u) are rounded before they are subtracted, so
     relative accuracy is no better than about rate * A(hi) * 2^-52 whatever
     _EPSREL asks (~1e-9 for exponential(1.5) near t = 10); it is not reported.
+    For the exponential family the rounding of beta * u is amplified by
+    beta * u, and the error reaches a few times that floor.
     """
-    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
-    ok = (lo >= 0) & (lo <= hi)
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    if lo.shape != hi.shape:
+        lo, hi = np.broadcast_arrays(lo, hi)
+    ok = (lo >= 0) & (lo <= hi) & (hi < math.inf)
     if not ok.all():
         bad = np.argmin(ok)
-        raise DomainError(f"need 0 <= lo <= hi, got lo={lo.flat[bad]}, hi={hi.flat[bad]}")
+        raise DomainError(f"need 0 <= lo <= hi < inf, got lo={lo.flat[bad]}, hi={hi.flat[bad]}")
     if spec.family == "tabulated" and np.any(hi > spec._times[-1]):
         raise ExtrapolationError(f"t beyond tabulated range [0, {spec._times[-1]}]")
-    if not rate > 0:
-        raise DomainError(f"rate must be positive, got {rate}")
+    if not 0 < rate < math.inf:
+        raise DomainError(f"rate must be positive and finite, got {rate}")
     flat_lo, flat_hi = lo.ravel(), hi.ravel()
     out = np.empty(flat_lo.shape)
     for i in range(0, len(out), _BATCH):
@@ -269,7 +285,11 @@ def _initial_panels(spec, cut, hi):
 
 
 def _decay_batch(spec, lo, hi, rate):
-    a_hi = _antiderivative(spec, hi)
+    with np.errstate(over="ignore"):
+        a_hi = _antiderivative(spec, hi)
+    if a_hi.max() == math.inf:
+        i = int(np.argmax(a_hi))
+        raise NumericsError(f"A(hi) overflows to inf at hi={hi[i]}, so exp(-rate * (A(hi) - A(u))) cannot be formed")
     cut = np.maximum(lo, np.minimum(_inverse_antiderivative(spec, a_hi - _EXP_CUTOFF / rate), hi))
     # a panel's share of the absolute tolerance is its share of the truncated range
     span = np.where(hi > cut, hi - cut, 1.0)
@@ -279,16 +299,24 @@ def _decay_batch(spec, lo, hi, rate):
     error = np.zeros(len(hi))
     whole = None
     while True:
-        nodes = _WHOLE_AND_HALVES if whole is None else _WHOLE_AND_HALVES[1:]
-        u = left[:, None, None] + width[:, None, None] * nodes
-        f = np.exp(-rate * (a_hi[owner, None, None] - _antiderivative(spec, u)))
-        sums = width[:, None] * (f * _GL_W).sum(-1)
-        if whole is None:
+        first = whole is None
+        # the weighted integrand w * exp(rate * (A(u) - A(hi))) at every node, in one array
+        f = width[:, None, None] * (_WHOLE_AND_HALVES if first else _WHOLE_AND_HALVES[1:])
+        f += left[:, None, None]
+        _antiderivative(spec, f, out=f)
+        f -= a_hi[owner, None, None]
+        f *= rate
+        np.exp(f, out=f)
+        f *= _GL_W
+        sums = width[:, None] * f.sum(-1)
+        if first:
             whole, sums = sums[:, 0], sums[:, 1:]
         halves = 0.5 * sums
         fine = halves[:, 0] + halves[:, 1]
         err = np.abs(fine - whole)
         done = err <= np.maximum(_EPSABS * (width / span[owner]), _EPSREL * fine)
+        if first and len(owner) == len(hi) and done.all():
+            return fine  # one accepted panel per interval; fine is never -0.0, so it equals 0.0 + fine
         np.add.at(value, owner[done], fine[done])
         np.add.at(error, owner[done], err[done])
         if done.all():

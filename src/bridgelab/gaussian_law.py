@@ -62,8 +62,8 @@ def variance(spec, t):
 
 def covariance(spec, s, t):
     """E(X_s X_t) = exp(-(A(s v t) - A(s ^ t))) * Var(X_{s ^ t})."""
-    if s < 0 or t < 0:
-        raise DomainError("times must be nonnegative")
+    if not (0 <= s < math.inf and 0 <= t < math.inf):
+        raise DomainError(f"times must be nonnegative and finite, got s={s}, t={t}")
     lo, hi = min(s, t), max(s, t)
     if lo == 0:
         return 0.0
@@ -97,8 +97,8 @@ def increment_variance(spec, t1, t2, gamma):
     (plain Brownian motion) yields bound = inf; the variance is returned
     regardless.
     """
-    if t1 <= 0 or t2 <= 0:
-        raise DomainError("t1, t2 must be positive")
+    if not (0 < t1 < math.inf and 0 < t2 < math.inf):
+        raise DomainError(f"t1, t2 must be positive and finite, got t1={t1}, t2={t2}")
     if not 0 <= gamma <= 0.5:
         raise DomainError("gamma must lie in [0, 1/2]")
     lo, hi = min(t1, t2), max(t1, t2)
@@ -202,20 +202,27 @@ def _lt2_rules(spec, s0, ds, p0, dp, eps, theta, whole):
     """Tensor Gauss-Legendre values of 2/sqrt(g) on panels [s0, s0+ds] x [p0, p0+dp].
 
     Columns: the rule on the two halves in s, then on the two halves in phi,
-    preceded by the rule on the whole panel when whole is true.  Var(X_r),
-    Var(X_s) and Var(X_s | X_r) at every node come from one kernel call.
+    preceded by the rule on the whole panel when whole is true.  Var(X_r)
+    and Var(X_s | X_r) at every node pair and Var(X_s) at every s node come
+    from one kernel call; Var(X_s) does not depend on phi, so each s node is
+    integrated once and shared by every phi node and rule that uses it.
     """
     groups = drift._WHOLE_AND_HALVES
     s = s0[:, None, None] + ds[:, None, None] * groups  # (panels, 3 node groups, n)
     phi = p0[:, None, None] + dp[:, None, None] * groups
     pairs = ([(0, 0)] if whole else []) + [(1, 0), (2, 0), (0, 1), (0, 2)]
-    ss = np.stack([s[:, i, :, None] for i, _ in pairs], 1)  # (panels, rules, n, 1)
+    s_group = [i for i, _ in pairs]
+    ss = s[:, s_group, :, None]  # (panels, rules, n, 1)
     pp = np.stack([phi[:, j, None, :] for _, j in pairs], 1)  # (panels, rules, 1, n)
     r = ss * np.sin(pp) ** 2
     s_minus_r = ss * np.cos(pp) ** 2
-    ss, r = np.broadcast_arrays(ss, r)
-    zero = np.zeros_like(r)
-    v_r, cvar, v_s = drift.decay_integrals(spec, np.stack([zero, r, zero]), np.stack([r, ss, ss]), 2.0)
+    n_pairs = r.size
+    lo = np.zeros(2 * n_pairs + s.size)
+    lo[n_pairs : 2 * n_pairs] = r.ravel()
+    hi = np.concatenate([r.ravel(), np.broadcast_to(ss, r.shape).ravel(), s.ravel()])
+    var = drift.decay_integrals(spec, lo, hi, 2.0)
+    v_r, cvar = var[: 2 * n_pairs].reshape((2,) + r.shape)
+    v_s = var[2 * n_pairs :].reshape(s.shape)[:, s_group, :, None]
     with np.errstate(divide="ignore", invalid="ignore"):
         g = (v_r / r) * (cvar / (ss - r)) + (theta * v_r + eps * v_s + eps * theta) / (r * s_minus_r)
         f = np.where(np.isfinite(g) & (g > 0.0), 2.0 / np.sqrt(g), 0.0)
@@ -251,6 +258,9 @@ def localtime_second_moment(spec, t, eps, theta):
     direction only.  Panels are evaluated _LT2_BATCH at a time, so memory
     stays bounded.
     """
+    for name, value in (("t", t), ("eps", eps), ("theta", theta)):
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
     if t <= 0:
         raise DomainError("t must be positive")
     if eps < 0 or theta < 0:

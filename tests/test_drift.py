@@ -258,6 +258,57 @@ class TestDecayIntegral:
         with pytest.raises(ExtrapolationError):
             decay_integrals(HUMP, [0.0, 1.0], [1.0, 3.5], 2.0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "lo, hi, rate, message",
+        [
+            (0.0, math.inf, 2.0, r"need 0 <= lo <= hi < inf, got lo=0\.0, hi=inf"),
+            ([0.0, 1.0], [1.0, math.inf], 2.0, r"hi=inf"),
+            (math.inf, math.inf, 2.0, r"lo=inf, hi=inf"),
+            (0.0, math.nan, 2.0, r"hi=nan"),
+            (0.0, 1.0, math.inf, r"rate must be positive and finite, got inf"),
+            (0.0, 1.0, math.nan, r"rate must be positive and finite, got nan"),
+        ],
+    )
+    def test_non_finite_input_is_a_domain_error(self, lo, hi, rate, message):
+        with pytest.raises(DomainError, match=message):
+            decay_integrals(DriftSpec.power(1.0), lo, hi, rate)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_antiderivative_is_named(self):
+        # A(800) = expm1(800) overflows; before, this ran 200 bisections on [inf, inf] and blamed convergence
+        with pytest.raises(NumericsError, match=r"A\(hi\) overflows to inf at hi=800\.0"):
+            decay_integral(DriftSpec.exponential(1.0), 0.0, 800.0, 2.0)
+        with pytest.raises(NumericsError, match="overflows"):
+            decay_integrals(DriftSpec.power(1.0), [0.0, 0.0], [1.0, 1e200], 2.0)
+
+    def test_accuracy_floor_against_mpmath(self):
+        # The exponent is formed from two rounded values of A, so the relative
+        # error is of order rate * A(hi) * 2^-52, above the 1e-10 asked.
+        # For the exponential family the rounding of beta * u inside expm1 is
+        # amplified by beta * u, which bounds the error by (1 + beta * hi) times that.
+        mp = pytest.importorskip("mpmath")
+        beta = 1.5
+        spec = DriftSpec.exponential(beta)
+        rng = np.random.default_rng(10)
+        for rate in (1.0, 2.0):
+            hi = rng.uniform(9.5, 10.0, 8)
+            lo = hi - rng.uniform(0.0, 0.5, 8)
+            got = decay_integrals(spec, lo, hi, rate)
+            rel = []
+            with mp.workdps(40):
+                for a, b, value in zip(lo, hi, got):
+                    b_mp = mp.mpf(b)
+                    a_hi = mp.expm1(beta * b_mp) / beta
+                    # the integrand is below exp(-40) more than 40 / (rate * alpha(hi)) before hi
+                    start = max(mp.mpf(a), b_mp - 40 / (rate * mp.exp(beta * b_mp)))
+                    ref = mp.quad(lambda u: mp.exp(-rate * (a_hi - mp.expm1(beta * u) / beta)), mp.linspace(start, b_mp, 9))
+                    rel.append(float(abs(value - ref) / ref))
+            rel = np.array(rel)
+            floor = rate * eval_antiderivative(spec, hi) * 2.0**-52
+            assert np.all(rel <= (1.0 + beta * hi) * floor)
+            assert rel.max() >= floor.max() > drift._EPSREL
+
 
 class TestDecayIntegrals:
     def test_batch_of_1e5_is_bit_identical_to_single_calls(self):

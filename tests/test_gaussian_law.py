@@ -367,3 +367,47 @@ class TestLocaltimeSecondMoment:
             localtime_second_moment(POW1, 0.0, 0.0, 0.0)
         with pytest.raises(DomainError):
             localtime_second_moment(POW1, 1.0, -1.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "t, eps, theta, name",
+        [
+            (1.0, math.nan, 0.1, "eps"),
+            (1.0, 0.1, math.nan, "theta"),
+            (1.0, math.inf, 0.1, "eps"),
+            (1.0, 0.1, math.inf, "theta"),
+            (math.nan, 0.1, 0.1, "t"),
+            (math.inf, 0.1, 0.1, "t"),
+        ],
+    )
+    def test_non_finite_arguments_are_named(self, t, eps, theta, name):
+        # a NaN smoothing used to pass the eps < 0 test and read as a second moment of 0.0
+        with pytest.raises(DomainError, match=rf"^{name} must be finite, got"):
+            localtime_second_moment(POW1, t, eps, theta)
+
+
+class TestNonFiniteInput:
+    """Non-finite times and rates are domain errors, and an overflowing A is named, without a RuntimeWarning."""
+
+    pytestmark = pytest.mark.filterwarnings("error")
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: variance(POW1, math.inf),
+            lambda: variance(POW1, math.nan),
+            lambda: build_cov_matrix(POW1, [1.0, math.inf]),
+            lambda: det_by_conditioning(POW1, [1.0, math.inf]),
+            lambda: conditional_variance(POW1, 1.0, math.inf),
+            lambda: covariance(POW1, 1.0, math.inf),
+            lambda: covariance(POW1, math.nan, 1.0),
+            lambda: increment_variance(POW1, 1.0, math.nan, 0.25),
+            lambda: increment_variance(POW1, math.inf, 1.0, 0.25),
+        ],
+    )
+    def test_domain_error(self, call):
+        with pytest.raises(DomainError):
+            call()
+
+    def test_overflow_is_not_a_convergence_failure(self):
+        with pytest.raises(NumericsError, match="A\\(hi\\) overflows to inf"):
+            variance(DriftSpec.exponential(1.0), 800.0)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from numpy.random import Generator, Philox
 from scipy import integrate as si
 
-from bridgelab import holder_analysis, local_time, simulate
+from bridgelab import drift, holder_analysis, local_time, simulate
 
 from bridgelab.config import ExperimentConfig, parse_config, to_text
 from bridgelab.drift import DriftSpec, decay_integral, decay_integrals, eval_antiderivative, running_sup
@@ -147,6 +147,19 @@ def test_kernel_batch_is_bit_identical_to_single_calls(spec, pairs, rate):
     batch = decay_integrals(spec, pairs[:, 0], pairs[:, 1], rate)
     single = np.array([decay_integral(spec, lo, hi, rate) for lo, hi in pairs])
     assert batch.tobytes() == single.tobytes()
+
+
+@PROPERTY
+@given(drifts(), st.lists(st.floats(0.0, HORIZON), min_size=1, max_size=48))
+def test_in_place_antiderivative_is_bit_identical(spec, times):
+    u = np.array(times).reshape(-1, 1, 1) * np.ones(3)  # a node-shaped array, as the kernel passes
+    before = u.copy()
+    expected = eval_antiderivative(spec, u)
+    fresh = drift._antiderivative(spec, u)
+    assert u.tobytes() == before.tobytes()  # out=None never writes the caller's array
+    assert fresh.tobytes() == expected.tobytes()
+    assert drift._antiderivative(spec, u, out=u) is u
+    assert u.tobytes() == expected.tobytes()
 
 
 @st.composite
