@@ -14,14 +14,6 @@ from bridgelab.config import parse_config
 from bridgelab import verification
 
 
-@pytest.fixture(scope="module")
-def report(tmp_path_factory):
-    cfg = parse_config(
-        f"drift.family = power\ndrift.beta = 0.8\noutputs = {tmp_path_factory.mktemp('verify')}\n"
-    )
-    return verification.run_verify_suite(cfg)
-
-
 def _criterion(report, number, name, flags):
     ok = all(report.pass_flags[f] for f in flags)
     print(f"{'PASS' if ok else 'FAIL'}  criterion {number:2d} ({name})")
@@ -29,91 +21,91 @@ def _criterion(report, number, name, flags):
         assert report.pass_flags[f], f"{name}: flag {f} is false"
 
 
-def test_criterion_01_law_oracle_agreement(report):
+def test_criterion_01_law_oracle_agreement(verify_report):
     # exact scheme at T=5: sample variance and 4th moment within 3 SE of quadrature
-    _criterion(report, 1, "law-oracle agreement", ["law_var_within_3se", "law_m4_within_3se"])
-    assert abs(report.metrics["law_var_z"]) < 3
-    assert abs(report.metrics["law_m4_z"]) < 3
+    _criterion(verify_report, 1, "law-oracle agreement", ["law_var_within_3se", "law_m4_within_3se"])
+    assert abs(verify_report.metrics["law_var_z"]) < 3
+    assert abs(verify_report.metrics["law_m4_z"]) < 3
 
 
-def test_criterion_02_laplace_asymptotic(report):
+def test_criterion_02_laplace_asymptotic(verify_report):
     _criterion(
-        report, 2, "Laplace asymptotic", ["laplace_beta2_within_5pct", "laplace_beta1_within_5pct"]
+        verify_report, 2, "Laplace asymptotic", ["laplace_beta2_within_5pct", "laplace_beta1_within_5pct"]
     )
-    assert report.metrics["laplace_ratio_beta2_t10"] == pytest.approx(0.5, abs=0.025)
+    assert verify_report.metrics["laplace_ratio_beta2_t10"] == pytest.approx(0.5, abs=0.025)
 
 
-def test_criterion_03_determinant_identity(report):
-    _criterion(report, 3, "determinant identity", ["det_identity_below_1e8"])
-    assert report.metrics["det_identity_worst_rel"] < 1e-8
+def test_criterion_03_determinant_identity(verify_report):
+    _criterion(verify_report, 3, "determinant identity", ["det_identity_below_1e8"])
+    assert verify_report.metrics["det_identity_worst_rel"] < 1e-8
 
 
-def test_criterion_04_determinant_bounds(report):
-    _criterion(report, 4, "determinant bounds", ["det_sandwich_holds", "det_bm_equals_upper"])
-    assert report.metrics["det_sandwich_violations"] == 0
+def test_criterion_04_determinant_bounds(verify_report):
+    _criterion(verify_report, 4, "determinant bounds", ["det_sandwich_holds", "det_bm_equals_upper"])
+    assert verify_report.metrics["det_sandwich_violations"] == 0
 
 
-def test_criterion_05_conditional_variance_sandwich(report):
-    _criterion(report, 5, "conditional-variance sandwich", ["cond_var_sandwich_holds"])
-    assert report.metrics["cond_var_violations"] == 0
+def test_criterion_05_conditional_variance_sandwich(verify_report):
+    _criterion(verify_report, 5, "conditional-variance sandwich", ["cond_var_sandwich_holds"])
+    assert verify_report.metrics["cond_var_violations"] == 0
 
 
-def test_criterion_06_localtime_second_moment(report):
+def test_criterion_06_localtime_second_moment(verify_report):
     _criterion(
-        report,
+        verify_report,
         6,
         "local-time second moment",
         ["lt2_quadrature_matches", "lt2_monte_carlo_within_10pct"],
     )
-    assert report.metrics["lt2_quadrature"] == pytest.approx(1.0, abs=1e-4)
-    assert report.metrics["lt2_monte_carlo"] == pytest.approx(1.0, abs=0.10)
+    assert verify_report.metrics["lt2_quadrature"] == pytest.approx(1.0, abs=1e-4)
+    assert verify_report.metrics["lt2_monte_carlo"] == pytest.approx(1.0, abs=0.10)
 
 
-def test_criterion_07_estimator_consistency(report):
+def test_criterion_07_estimator_consistency(verify_report):
     _criterion(
-        report, 7, "estimator consistency", ["estimators_usable", "estimators_agree_10pct"]
+        verify_report, 7, "estimator consistency", ["estimators_usable", "estimators_agree_10pct"]
     )
-    assert report.metrics["consistency_attempts"] <= 5
-    assert report.metrics["consistency_worst_rel"] <= 0.10
+    assert verify_report.metrics["consistency_attempts"] <= 5
+    assert verify_report.metrics["consistency_worst_rel"] <= 0.10
 
 
-def test_criterion_08_bridge_decay(report):
+def test_criterion_08_bridge_decay(verify_report):
     _criterion(
-        report,
+        verify_report,
         8,
         "bridge decay",
         ["decay_strictly_decreasing", "decay_t8_in_band", "decay_constant_flat"],
     )
-    assert 0.5 <= report.metrics["decay_ratio_vs_half_inv_alpha"] <= 1.5
-    assert 0.8 <= report.metrics["decay_constant_ratio"] <= 1.25
+    assert 0.5 <= verify_report.metrics["decay_ratio_vs_half_inv_alpha"] <= 1.5
+    assert 0.8 <= verify_report.metrics["decay_constant_ratio"] <= 1.25
 
 
-def test_criterion_09_localtime_growth(report):
+def test_criterion_09_localtime_growth(verify_report):
     _criterion(
-        report, 9, "local-time growth", ["growth_strictly_increasing", "growth_exponent_above_0p3"]
+        verify_report, 9, "local-time growth", ["growth_strictly_increasing", "growth_exponent_above_0p3"]
     )
-    assert report.metrics["growth_exponent"] > 0.3
+    assert verify_report.metrics["growth_exponent"] > 0.3
     # the conjectured half-drift-exponent rate is reported, never asserted
-    assert report.metrics["growth_conjectured_rate"] == 1.5
+    assert verify_report.metrics["growth_conjectured_rate"] == 1.5
 
 
-def test_criterion_10_holder_in_time(report):
-    _criterion(report, 10, "Hoelder in time", ["holder_time_slope_in_band", "holder_time_c_stable"])
-    assert 0.4 <= report.metrics["holder_time_slope"] <= 0.6
-    assert 0.5 <= report.metrics["holder_time_c_ratio"] <= 2.0
+def test_criterion_10_holder_in_time(verify_report):
+    _criterion(verify_report, 10, "Hoelder in time", ["holder_time_slope_in_band", "holder_time_c_stable"])
+    assert 0.4 <= verify_report.metrics["holder_time_slope"] <= 0.6
+    assert 0.5 <= verify_report.metrics["holder_time_c_ratio"] <= 2.0
 
 
-def test_criterion_11_holder_in_space(report):
+def test_criterion_11_holder_in_space(verify_report):
     _criterion(
-        report, 11, "Hoelder in space", ["holder_space_bridge_in_band", "holder_space_bm_in_band"]
+        verify_report, 11, "Hoelder in space", ["holder_space_bridge_in_band", "holder_space_bm_in_band"]
     )
     for name in ("bridge", "bm"):
-        assert 0.35 <= report.metrics[f"holder_space_slope_{name}"] <= 0.6
+        assert 0.35 <= verify_report.metrics[f"holder_space_slope_{name}"] <= 0.6
 
 
-def test_criterion_12_figures_reproduction(report):
+def test_criterion_12_figures_reproduction(verify_report):
     _criterion(
-        report,
+        verify_report,
         12,
         "experiment presets",
         [
@@ -127,11 +119,11 @@ def test_criterion_12_figures_reproduction(report):
     )
 
 
-def test_verify_exit_contract(report):
+def test_verify_exit_contract(verify_report):
     # exit status of the CLI command is 0 exactly when all flags pass
-    assert report.all_passed
-    assert report.command == "verify"
-    assert report.wall_time < 600
+    assert verify_report.all_passed
+    assert verify_report.command == "verify"
+    assert verify_report.wall_time < 600
 
 
 def test_sabotaged_variance_flips_law_flag(monkeypatch):
