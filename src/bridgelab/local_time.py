@@ -159,11 +159,11 @@ def kernel_ensemble(spec, x, eps_list, T, h, n_paths, seed, steps=None, scheme="
     steps, nondecreasing grid steps in [0, n], defaults to the end n of the
     grid reaching T; step 0 records 0.0.  Each path's curve equals
     kernel_estimate's bit for bit, whatever the block length, _CHUNK_PATHS and
-    thread count.  Chunks run on every core.  Each block is reduced in buffers
-    allocated once per chunk; in a block with no recorded step, paths whose
-    density is exactly 0.0 at every sample of the block and at the sample
-    before it are skipped, since they add exact zeros, and the running
-    integral is summed without a cumsum.
+    thread count.  Chunks run on every core.  Each block is reduced over the
+    whole chunk in buffers allocated once per chunk; a block with no recorded
+    step is skipped when every density in it and at the sample before it is
+    exactly 0.0, since it adds exact zeros, and is otherwise summed without a
+    cumsum.
     """
     times = simulate.grid(T, h)
     steps = np.asarray([len(times) - 1] if steps is None else steps)
@@ -176,33 +176,25 @@ def kernel_ensemble(spec, x, eps_list, T, h, n_paths, seed, steps=None, scheme="
     def one_chunk(idx):
         m, ne = len(idx), len(eps)
         rows = min(simulate.BLOCK_STEPS, len(times) - 1)
-        sq, near_sq = np.empty((rows, m)), np.empty(rows * m)
-        dens, trap = np.empty(rows * m * ne), np.empty(rows * m * ne)
+        sq = np.empty((rows, m, 1))
+        dens, trap = np.empty((2, rows, m, ne))
         out = np.zeros((m, len(steps), ne))
         prev = _gaussian_density(np.square(np.zeros((m, 1)) - x), eps)
         acc = np.zeros((m, ne))
         for k0, values, _ in simulate.walk(table, seed, idx):
             nb = len(values)
-            s = np.subtract(values, x, out=sq[:nb])
+            s = np.subtract(values[..., None], x, out=sq[:nb])
             np.square(s, out=s)
             span = simulate.recorded(steps, k0, nb)
             recorded = span.start < span.stop
-            cols = slice(None)
-            if not recorded:
-                far = (s.min(axis=0) / widest < _EXP_ZERO) & ~prev.any(axis=1)
-                if far.all():
-                    continue
-                if far.any():
-                    cols = np.flatnonzero(~far)
-                    s = np.take(s, cols, axis=1, out=near_sq[: nb * len(cols)].reshape(nb, len(cols)))
-            shape = (nb, s.shape[1], ne)
-            size = math.prod(shape)
-            y = _gaussian_density(s[..., None], eps, dens[:size].reshape(shape))
-            cum = _running_trapezoid(y, h, prev[cols], acc[cols], trap[:size].reshape(shape), recorded)
+            if not recorded and s.min() / widest < _EXP_ZERO and not prev.any():
+                continue
+            y = _gaussian_density(s, eps, dens[:nb])
+            cum = _running_trapezoid(y, h, prev, acc, trap[:nb], recorded)
             if recorded:
                 simulate.record(out, steps, k0, cum)
                 cum = cum[-1]
-            prev[cols], acc[cols] = y[-1], cum
+            prev[:], acc[:] = y[-1], cum
         return out
 
     return simulate.ensemble(one_chunk, n_paths, _CHUNK_PATHS, None)
