@@ -116,11 +116,20 @@ class GrowthReport:
     worst_ratio: float
 
 
+def _domain_times(spec, t, name):
+    """t as a float array; DomainError unless every time is finite and >= 0, and within a table's range."""
+    arr = np.asarray(t, dtype=float)
+    ok = (arr >= 0) & (arr < math.inf)
+    if not ok.all():
+        raise DomainError(f"{name} is only defined for finite t >= 0, got t={arr.flat[np.argmin(ok)]}")
+    if spec.family == "tabulated" and np.any(arr > spec._times[-1]):
+        raise ExtrapolationError(f"t beyond tabulated range [0, {spec._times[-1]}]")
+    return arr
+
+
 def eval_alpha(spec, t):
     """Evaluate alpha(t); accepts scalars or arrays, t >= 0."""
-    arr = np.asarray(t, dtype=float)
-    if np.any(arr < 0):
-        raise DomainError("alpha(t) is only defined for t >= 0")
+    arr = _domain_times(spec, t, "alpha(t)")
     if spec.family == "power":
         out = spec.scale * np.power(arr, spec.beta)
     elif spec.family == "exponential":
@@ -128,12 +137,7 @@ def eval_alpha(spec, t):
     elif spec.family == "constant":
         out = np.full_like(arr, spec.scale)
     else:
-        times, values = spec._times, spec._values
-        if np.any(arr > times[-1]):
-            raise ExtrapolationError(
-                f"t beyond tabulated range [0, {times[-1]}]"
-            )
-        out = np.interp(arr, times, values)
+        out = np.interp(arr, spec._times, spec._values)
     return float(out) if np.isscalar(t) or arr.ndim == 0 else out
 
 
@@ -143,11 +147,7 @@ def eval_antiderivative(spec, t):
     The tabulated family integrates its piecewise-linear interpolant exactly
     (trapezoid on the knots plus the partial last segment).
     """
-    arr = np.asarray(t, dtype=float)
-    if np.any(arr < 0):
-        raise DomainError("A(t) is only defined for t >= 0")
-    if spec.family == "tabulated" and np.any(arr > spec._times[-1]):
-        raise ExtrapolationError(f"t beyond tabulated range [0, {spec._times[-1]}]")
+    arr = _domain_times(spec, t, "A(t)")
     out = _antiderivative(spec, arr)
     return float(out) if np.isscalar(t) or arr.ndim == 0 else out
 
@@ -180,17 +180,13 @@ def _antiderivative(spec, arr, out=None):
 
 def running_sup(spec, t):
     """alpha*(t) = sup of alpha over [0, t]."""
-    arr = np.asarray(t, dtype=float)
-    if np.any(arr < 0):
-        raise DomainError("running sup is only defined for t >= 0")
+    arr = _domain_times(spec, t, "running sup")
     if spec.family in ("power", "exponential"):
         out = eval_alpha(spec, arr)  # nondecreasing families
     elif spec.family == "constant":
         out = np.full_like(arr, spec.scale)
     else:
         times, values = spec._times, spec._values
-        if np.any(arr > times[-1]):
-            raise ExtrapolationError(f"t beyond tabulated range [0, {times[-1]}]")
         knot_max = np.maximum.accumulate(values)
         idx = np.clip(np.searchsorted(times, arr, side="right") - 1, 0, len(times) - 2)
         # piecewise-linear segments attain their sup at an endpoint or at t itself

@@ -93,6 +93,8 @@ def _uniform_spacing(checkpoints):
 def _scale_lags(scales, spacing):
     """Scales sorted decreasing, and each as a whole number of grid spacings."""
     scales = np.sort(np.asarray(scales, dtype=float))[::-1]
+    if not np.all(np.isfinite(scales)):
+        raise DomainError(f"scales must be finite, got {scales}")
     if scales[-1] < spacing * (1 - 1e-9):
         raise DomainError(f"smallest scale {scales[-1]} is below the grid spacing {spacing}")
     return scales, [int(round(s / spacing)) for s in scales]
@@ -146,8 +148,8 @@ class _LevelSweep:
     """
 
     def __init__(self, n_paths, h, x, eps):
-        if eps <= 0:
-            raise DomainError("eps must be positive")
+        if not eps > 0:
+            raise DomainError(f"eps must be positive, got {eps}")
         if not np.all(x[1:] >= x[:-1]):
             raise DomainError("levels must be nondecreasing")
         self.h, self.x, self.eps = float(h), x, eps

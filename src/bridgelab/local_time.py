@@ -110,16 +110,16 @@ def _occupation_curve(path, y, x, checkpoints, estimator, smoothing):
 
 def kernel_estimate(path, x, eps, checkpoints):
     """Heat-kernel mollified local time: int_0^t p_eps(X_r - x) dr."""
-    if eps <= 0:
-        raise DomainError("eps must be positive")
+    if not eps > 0:
+        raise DomainError(f"eps must be positive, got {eps}")
     dens = _gaussian_density(np.square(path.values - x), eps)
     return _occupation_curve(path, dens, x, checkpoints, "kernel", eps)
 
 
 def binned_estimate(path, x, delta, checkpoints):
     """Occupation-measure estimate: Leb{r <= t : |X_r - x| < delta} / (2 delta)."""
-    if delta <= 0:
-        raise DomainError("delta must be positive")
+    if not delta > 0:
+        raise DomainError(f"delta must be positive, got {delta}")
     y = (np.abs(path.values - x) < delta).astype(float) / (2.0 * delta)
     return _occupation_curve(path, y, x, checkpoints, "binned", delta)
 
@@ -170,6 +170,8 @@ def kernel_ensemble(spec, x, eps_list, T, h, n_paths, seed, steps=None, scheme="
     if np.any(steps < 0) or np.any(steps > len(times) - 1) or np.any(np.diff(steps) < 0):
         raise DomainError(f"steps must be nondecreasing grid steps in [0, {len(times) - 1}]")
     eps = np.asarray(eps_list, dtype=float)
+    if not np.all(eps > 0):
+        raise DomainError(f"eps_list must be positive, got {eps}")
     table = simulate.transition_table(spec, times, scheme)
     widest = -2.0 * eps.max()
 

@@ -90,14 +90,18 @@ class DecayStats:
 
 def grid(T, h):
     """The step grid 0, h, 2h, ... of the smallest length that reaches T."""
-    if T <= 0 or h <= 0 or h > T:
-        raise DomainError(f"need 0 < h <= T, got h={h}, T={T}")
+    if not 0 < h <= T < math.inf:
+        raise DomainError(f"need 0 < h <= T < inf, got h={h}, T={T}")
     n = int(math.ceil(T / h - 1e-9))
     return np.arange(n + 1) * float(h)
 
 
 def horizon_steps(horizons, h):
     """Grid step index of each horizon; DomainError unless every horizon lies on the grid."""
+    if not 0 < h < math.inf:
+        raise DomainError(f"need 0 < h < inf, got h={h}")
+    if not np.all(np.isfinite(horizons)):
+        raise DomainError(f"horizons must be finite, got {horizons}")
     steps = [int(round(t / h)) for t in horizons]
     if any(abs(k * h - t) > 1e-9 * max(1.0, t) for k, t in zip(steps, horizons)):
         raise DomainError("horizons must lie on the step grid")

@@ -1,0 +1,64 @@
+"""Non-finite or degenerate arguments below the law oracle are DomainErrors that name the argument."""
+
+import math
+
+import numpy as np
+import pytest
+
+from bridgelab import drift, holder_analysis, local_time, simulate
+from bridgelab.errors import DomainError
+
+NAN = math.nan
+BRIDGE = drift.DriftSpec.power(0.8)
+PATH = simulate.euler_path(BRIDGE, T=1.0, h=0.01)
+CURVE = local_time.kernel_estimate(PATH, 0.0, 0.01, PATH.times)
+
+CALLS = {
+    "grid_T": (lambda: simulate.grid(NAN, 0.1), "T=nan"),
+    "grid_h": (lambda: simulate.grid(1.0, NAN), "h=nan"),
+    "grid_infinite_T": (lambda: simulate.grid(math.inf, 0.1), "T=inf"),
+    "horizon_steps": (lambda: simulate.horizon_steps([1.0, NAN], 0.1), "horizons must be finite"),
+    "terminal_values_h": (lambda: simulate.terminal_values(BRIDGE, [1.0], NAN, 4, 0), "h=nan"),
+    "batch_terminal_stats_zero_h": (
+        lambda: simulate.batch_terminal_stats(BRIDGE, [1.0, 2.0], 100, h=0.0),
+        "h=0.0",
+    ),
+    "kernel_ensemble_T": (lambda: local_time.kernel_ensemble(BRIDGE, 0.0, [1e-3], NAN, 1e-3, 4, 0), "T=nan"),
+    "kernel_ensemble_h": (lambda: local_time.kernel_ensemble(BRIDGE, 0.0, [1e-3], 1.0, NAN, 4, 0), "h=nan"),
+    "kernel_ensemble_eps": (lambda: local_time.kernel_ensemble(BRIDGE, 0.0, [NAN], 1.0, 1e-3, 4, 0), "eps_list"),
+    "cauchy_diagnostic_t": (
+        lambda: local_time.cauchy_diagnostic(BRIDGE, 0.0, NAN, [1e-2, 1e-3], 500, 0),
+        "T=nan",
+    ),
+    "cauchy_diagnostic_h": (
+        lambda: local_time.cauchy_diagnostic(BRIDGE, 0.0, 1.0, [1e-2, 1e-3], 500, 0, h=NAN),
+        "h=nan",
+    ),
+    "growth_probe_horizons": (
+        lambda: local_time.growth_probe(BRIDGE, 0.0, [1.0, 2.0, NAN], 0.01, 4, 0),
+        "horizons must be finite",
+    ),
+    "growth_probe_h": (lambda: local_time.growth_probe(BRIDGE, 0.0, [1.0, 2.0, 3.0], NAN, 4, 0), "h=nan"),
+    "kernel_estimate_eps": (lambda: local_time.kernel_estimate(PATH, 0.0, NAN, [1.0]), "eps must be positive"),
+    "binned_estimate_delta": (lambda: local_time.binned_estimate(PATH, 0.0, NAN, [1.0]), "delta must be positive"),
+    "level_sweep_eps": (
+        lambda: holder_analysis.level_sweep(PATH.values, PATH.h, np.linspace(-1, 1, 9), NAN),
+        "eps must be positive",
+    ),
+    "space_modulus_eps": (
+        lambda: holder_analysis.space_modulus(BRIDGE, 1.0, np.linspace(-1, 1, 33), 2, 0.01, 0, NAN),
+        "eps must be positive",
+    ),
+    "time_modulus_scales": (lambda: holder_analysis.time_modulus(CURVE, [NAN, 0.1, 0.05]), "scales must be finite"),
+    "eval_alpha_t": (lambda: drift.eval_alpha(BRIDGE, NAN), r"alpha\(t\) .*t=nan"),
+    "eval_antiderivative_t": (lambda: drift.eval_antiderivative(BRIDGE, [1.0, NAN]), r"A\(t\) .*t=nan"),
+    "running_sup_t": (lambda: drift.running_sup(BRIDGE, np.array([NAN])), "running sup .*t=nan"),
+    "eval_alpha_infinite_t": (lambda: drift.eval_alpha(BRIDGE, math.inf), r"alpha\(t\) .*t=inf"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_nonfinite_argument_is_a_domain_error(name):
+    call, names_argument = CALLS[name]
+    with pytest.raises(DomainError, match=names_argument):
+        call()
