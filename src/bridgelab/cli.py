@@ -22,8 +22,7 @@ import time
 import numpy as np
 
 from . import gaussian_law, holder_analysis, local_time, simulate, verification
-from .config import ExperimentConfig, config_digest, parse_config
-from .drift import DriftSpec
+from .config import config_digest, parse_config
 from .errors import ConfigError
 from .reporting import (
     ReportSummary,
@@ -34,44 +33,9 @@ from .reporting import (
     path_to_csv,
     profile_to_csv,
 )
+from .verification import run_figures_preset
 
 _DEFAULT_CONFIG = "drift.family = power\ndrift.beta = 0.8\n"
-
-# (beta, horizon) runs per preset; horizons are chosen inside the plain-Euler
-# stability envelope h * alpha(T) <= 1 of each drift family.
-_FIGURE_PRESETS = {
-    "figure1": ("power", 0.01, ((0.8, 10.0), (2.0, 10.0))),
-    "figure2": ("exponential", 0.005, ((0.5, 6.0), (1.5, 3.0))),
-}
-
-
-def run_figures_preset(which, seed, outputs):
-    """Simulate the preset single-trajectory experiments and emit their CSVs.
-
-    figure1: power drifts beta in {0.8, 2.0}, step 0.01, started at 0.
-    figure2: exponential drifts beta in {0.5, 1.5}, step 0.005, started at 0.
-    The summary asserts that each final |X_T| sits below 3 sqrt(Var(X_T)).
-    """
-    if which not in _FIGURE_PRESETS:
-        raise ConfigError(f"unknown preset {which!r}; choose figure1 or figure2")
-    family, h, runs = _FIGURE_PRESETS[which]
-    os.makedirs(outputs, exist_ok=True)
-    start = time.monotonic()
-    cfg = ExperimentConfig(drift_family=family, drift_beta=runs[0][0], h=h, T=runs[0][1], seed=seed, outputs=outputs)
-    summary = ReportSummary(command=which, config_digest=config_digest(cfg))
-    for i, (beta, T) in enumerate(runs):
-        spec = getattr(DriftSpec, family)(beta)
-        path = simulate.euler_path(spec, T=T, h=h, seed=seed, path_index=i)
-        path_to_csv(path, os.path.join(outputs, f"{which}_beta_{beta}.csv"))
-        sigma = math.sqrt(gaussian_law.variance(spec, path.horizon))
-        final = abs(float(path.values[-1]))
-        summary.metrics[f"beta_{beta}_final_abs"] = final
-        summary.metrics[f"beta_{beta}_3sigma"] = 3.0 * sigma
-        summary.pass_flags[f"beta_{beta}_final_below_3sigma"] = final < 3.0 * sigma
-    summary.wall_time = time.monotonic() - start
-    summary.write(outputs)
-    return summary
-
 
 def _cmd_simulate(cfg, args):
     spec = cfg.drift_spec()

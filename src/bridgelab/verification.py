@@ -3,7 +3,9 @@
 Each check returns (metrics, pass_flags) as flat dicts; run_verify_suite
 aggregates them into a ReportSummary.  Checks are deterministic given the
 base seed (per-check seeds are derived by fixed offsets), so a report is
-reproducible byte-for-byte apart from its wall_time field.
+reproducible byte-for-byte apart from its wall_time field.  The figure
+presets live here too: the figures command runs them, check_figures_repro
+checks them.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ import numpy as np
 
 from . import gaussian_law, holder_analysis, local_time, simulate
 from .drift import DriftSpec, eval_alpha, laplace_asymptotic_ratio, running_sup
-from .config import config_digest
-from .errors import NumericsError
-from .reporting import ReportSummary, read_csv
+from .config import ExperimentConfig, config_digest
+from .errors import ConfigError, NumericsError
+from .reporting import ReportSummary, path_to_csv, read_csv
 
 
 # Accepted Hoelder slope bands (low, high) in time and in level; `bridgelab holder` reports them.
@@ -298,16 +300,50 @@ def check_holder_space(seed, n_paths=16):
     return metrics, flags
 
 
+# (beta, horizon) runs per preset; horizons are chosen inside the plain-Euler
+# stability envelope h * alpha(T) <= 1 of each drift family.
+_FIGURE_PRESETS = {
+    "figure1": ("power", 0.01, ((0.8, 10.0), (2.0, 10.0))),
+    "figure2": ("exponential", 0.005, ((0.5, 6.0), (1.5, 3.0))),
+}
+
+
+def run_figures_preset(which, seed, outputs):
+    """Simulate the preset single-trajectory experiments and emit their CSVs.
+
+    figure1: power drifts beta in {0.8, 2.0}, step 0.01, started at 0.
+    figure2: exponential drifts beta in {0.5, 1.5}, step 0.005, started at 0.
+    The summary asserts that each final |X_T| sits below 3 sqrt(Var(X_T)).
+    """
+    if which not in _FIGURE_PRESETS:
+        raise ConfigError(f"unknown preset {which!r}; choose figure1 or figure2")
+    family, h, runs = _FIGURE_PRESETS[which]
+    os.makedirs(outputs, exist_ok=True)
+    start = time.monotonic()
+    cfg = ExperimentConfig(drift_family=family, drift_beta=runs[0][0], h=h, T=runs[0][1], seed=seed, outputs=outputs)
+    summary = ReportSummary(command=which, config_digest=config_digest(cfg))
+    for i, (beta, T) in enumerate(runs):
+        spec = getattr(DriftSpec, family)(beta)
+        path = simulate.euler_path(spec, T=T, h=h, seed=seed, path_index=i)
+        path_to_csv(path, os.path.join(outputs, f"{which}_beta_{beta}.csv"))
+        sigma = math.sqrt(gaussian_law.variance(spec, path.horizon))
+        final = abs(float(path.values[-1]))
+        summary.metrics[f"beta_{beta}_final_abs"] = final
+        summary.metrics[f"beta_{beta}_3sigma"] = 3.0 * sigma
+        summary.pass_flags[f"beta_{beta}_final_below_3sigma"] = final < 3.0 * sigma
+    summary.wall_time = time.monotonic() - start
+    summary.write(outputs)
+    return summary
+
+
 def check_figures_repro(seed, out_dir):
     """The experiment presets emit deterministic CSVs with the documented parameters."""
-    from . import cli  # imported here: cli imports this module
-
     metrics, flags = {}, {}
     for which, betas, h in (("figure1", (0.8, 2.0), 0.01), ("figure2", (0.5, 1.5), 0.005)):
         dir_a = os.path.join(out_dir, f"{which}_a")
         dir_b = os.path.join(out_dir, f"{which}_b")
-        summary = cli.run_figures_preset(which, seed=seed, outputs=dir_a)
-        cli.run_figures_preset(which, seed=seed, outputs=dir_b)
+        summary = run_figures_preset(which, seed=seed, outputs=dir_a)
+        run_figures_preset(which, seed=seed, outputs=dir_b)
         tail_ok = all(summary.pass_flags.values())
         params_ok = True
         deterministic = True
