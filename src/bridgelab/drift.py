@@ -32,6 +32,8 @@ _WHOLE_AND_HALVES = np.stack([_GL_X, 0.5 * _GL_X, 0.5 + 0.5 * _GL_X])
 _PANEL_BUDGET = 200
 # intervals per kernel pass: bounds the (intervals x 48) node arrays
 _BATCH = 2048
+# log-spaced probe times of check_growth_conditions
+_GROWTH_PROBE_POINTS = 48
 
 
 @dataclass(frozen=True)
@@ -368,7 +370,7 @@ def laplace_asymptotic_ratio(spec, kappa, t):
     return a_t * decay_integral(spec, 0.0, t, kappa)
 
 
-def check_growth_conditions(spec, gamma, probe_horizon, n_points=48):
+def check_growth_conditions(spec, gamma, probe_horizon):
     """Probe the two sufficient conditions for the bridge to pin at infinity.
 
     Condition (i): (alpha*(t+1))**(2*gamma) / alpha(t) decays like a negative
@@ -386,7 +388,7 @@ def check_growth_conditions(spec, gamma, probe_horizon, n_points=48):
         raise DomainError("probe_horizon must be at least 16")
     if not (0 <= gamma <= 0.5):
         raise DomainError("gamma must lie in [0, 1/2]")
-    grid = np.logspace(0.0, math.log10(probe_horizon), n_points)
+    grid = np.logspace(0.0, math.log10(probe_horizon), _GROWTH_PROBE_POINTS)
 
     alpha_vals = eval_alpha(spec, grid)
     sup_vals = running_sup(spec, grid + 1.0)
@@ -422,7 +424,7 @@ def check_growth_conditions(spec, gamma, probe_horizon, n_points=48):
         if not np.all(np.isfinite(log_slope)):
             cond_ii = False
         else:
-            half = n_points // 2
+            half = _GROWTH_PROBE_POINTS // 2
             cond_ii = log_slope[half:].max() <= 1.05 * log_slope[:half].max() + 1e-9
 
     return GrowthReport(

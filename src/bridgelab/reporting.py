@@ -115,8 +115,8 @@ class ReportSummary:
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
-    def write(self, out_dir, name=None):
-        path = os.path.join(out_dir, name or f"{self.command}_report.json")
+    def write(self, out_dir):
+        path = os.path.join(out_dir, f"{self.command}_report.json")
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(self.to_json())
         return path

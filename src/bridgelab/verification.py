@@ -73,11 +73,14 @@ def check_laplace_asymptotic(seed=0):
     return metrics, flags
 
 
-def _random_grid(rng, min_gap=0.01, hi=3.0):
+_MIN_GAP = 0.01  # see check_determinants
+
+
+def _random_grid(rng):
     while True:
         p = int(rng.integers(2, 7))
-        times = np.sort(rng.uniform(min_gap, hi, p))
-        if times[0] >= min_gap and np.all(np.diff(times) >= min_gap):
+        times = np.sort(rng.uniform(_MIN_GAP, 3.0, p))
+        if times[0] >= _MIN_GAP and np.all(np.diff(times) >= _MIN_GAP):
             return times
 
 
