@@ -228,8 +228,8 @@ class TestKernelEnsemble:
 
     @pytest.mark.parametrize("x", [0.0, 0.4, 50.0])
     def test_final_step_equals_kernel_estimate(self, x):
-        # only the final step recorded: far paths are skipped block by block, and a
-        # 1-path chunk sums its single column step by step, not pairwise
+        # only the final step recorded: a block where every path is far is skipped, and
+        # a 1-path chunk sums its single column step by step, not pairwise
         args = (BM, x, [1e-4], 1.0, 1e-4, 40, 8)
         finals = kernel_ensemble(*args)[:, 0, 0]
         for p in range(40):
