@@ -148,8 +148,8 @@ class _LevelSweep:
     """
 
     def __init__(self, n_paths, h, x, eps):
-        if not eps > 0:
-            raise DomainError(f"eps must be positive, got {eps}")
+        if not 0 < eps < math.inf:
+            raise DomainError(f"eps must be positive and finite, got {eps}")
         if not np.all(x[1:] >= x[:-1]):
             raise DomainError("levels must be nondecreasing")
         self.h, self.x, self.eps = float(h), x, eps

@@ -110,16 +110,16 @@ def _occupation_curve(path, y, x, checkpoints, estimator, smoothing):
 
 def kernel_estimate(path, x, eps, checkpoints):
     """Heat-kernel mollified local time: int_0^t p_eps(X_r - x) dr."""
-    if not eps > 0:
-        raise DomainError(f"eps must be positive, got {eps}")
+    if not 0 < eps < math.inf:
+        raise DomainError(f"eps must be positive and finite, got {eps}")
     dens = _gaussian_density(np.square(path.values - x), eps)
     return _occupation_curve(path, dens, x, checkpoints, "kernel", eps)
 
 
 def binned_estimate(path, x, delta, checkpoints):
     """Occupation-measure estimate: Leb{r <= t : |X_r - x| < delta} / (2 delta)."""
-    if not delta > 0:
-        raise DomainError(f"delta must be positive, got {delta}")
+    if not 0 < delta < math.inf:
+        raise DomainError(f"delta must be positive and finite, got {delta}")
     y = (np.abs(path.values - x) < delta).astype(float) / (2.0 * delta)
     return _occupation_curve(path, y, x, checkpoints, "binned", delta)
 
@@ -170,8 +170,8 @@ def kernel_ensemble(spec, x, eps_list, T, h, n_paths, seed, steps=None, scheme="
     if np.any(steps < 0) or np.any(steps > len(times) - 1) or np.any(np.diff(steps) < 0):
         raise DomainError(f"steps must be nondecreasing grid steps in [0, {len(times) - 1}]")
     eps = np.asarray(eps_list, dtype=float)
-    if not np.all(eps > 0):
-        raise DomainError(f"eps_list must be positive, got {eps}")
+    if not np.all((eps > 0) & (eps < math.inf)):
+        raise DomainError(f"eps_list must be positive and finite, got {eps}")
     table = simulate.transition_table(spec, times, scheme)
     widest = -2.0 * eps.max()
 
@@ -210,8 +210,8 @@ def cauchy_diagnostic(spec, x, t, eps_ladder, n_paths, seed, h=None):
     bound is not asserted here.
     """
     ladder = np.asarray(eps_ladder, dtype=float)
-    if np.any(ladder <= 0) or np.any(np.diff(ladder) >= 0):
-        raise DomainError("eps_ladder must be strictly decreasing and positive")
+    if not (np.all((ladder > 0) & (ladder < math.inf)) and np.all(np.diff(ladder) < 0)):
+        raise DomainError(f"eps_ladder must be strictly decreasing, positive and finite, got {ladder}")
     if len(ladder) < 2:
         return []
     if n_paths < 500:
@@ -237,6 +237,8 @@ def growth_probe(spec, x, horizons, h, n_paths, seed, scheme="exact", eps=None):
         raise DomainError("horizons must be positive and strictly increasing")
     if eps is None:
         eps = h
+    elif not 0 < eps < math.inf:
+        raise DomainError(f"eps must be positive and finite, got {eps}")
     steps = simulate.horizon_steps(horizons, h)
     l_vals = kernel_ensemble(spec, x, [eps], horizons[-1], h, n_paths, seed, steps, scheme)
     curve = l_vals[:, :, 0].mean(axis=0)

@@ -13,12 +13,16 @@ depend on execution order or worker count.  A stream is built straight from
 its key, without reading OS entropy.
 
 One engine, walk, steps a chunk of paths through a table time-major over
-blocks of BLOCK_STEPS steps, drawing each block from the chunk's Philox
-generators, which stay alive between blocks.  Callers reduce each (steps,
+blocks of BLOCK_STEPS steps (shorter for a chunk of over 1024 paths, so that
+a block holds at most 2^20 values), drawing each block from the chunk's
+Philox generators, which stay alive between blocks.  Within a block it evaluates
+the recursion as a blocked scan over sub-blocks of _SCAN_STEPS steps aligned
+to step 0, so a numpy call covers every sub-block of the block at once and a
+narrow chunk does not pay one call per step.  Callers reduce each (steps,
 paths) block as it comes (snapshots at horizons, whole-path capture, a
-running kernel integral).  walk writes every block into the same two
-buffers, so a yielded block is valid only until the next one is requested,
-and memory is O(chunk x block) unless whole paths are kept.  ensemble runs
+running kernel integral).  walk writes every block into the same buffers,
+so a yielded block is valid only until the next one is requested, and
+memory is O(chunk x block) unless whole paths are kept.  ensemble runs
 the chunks on every core the process may use unless told otherwise, so
 memory is the thread count times one chunk's working set.  Results are
 bit-identical for any block length, chunk size and thread count.
@@ -41,7 +45,10 @@ from .errors import DomainError
 _MASK64 = (1 << 64) - 1
 _COUNTER0 = np.zeros(4, dtype=np.uint64)
 BLOCK_STEPS = 1024
+_BLOCK_SIZE = 2**20  # values in a walk block at most: a chunk of over 1024 paths takes shorter blocks
 _SLAB_PATHS = 64  # paths drawn per slab before the slab is transposed into the time-major noise
+_SCAN_STEPS = 32  # sub-block length of walk's scan; path bits depend on it, not on BLOCK_STEPS
+_FIX_SIZE = 16384  # elements of the scan's x = y + P * s temporary, or one row of a wider chunk
 
 
 @dataclass
@@ -97,9 +104,11 @@ def grid(T, h):
 
 
 def horizon_steps(horizons, h):
-    """Grid step index of each horizon; DomainError unless every horizon lies on the grid."""
+    """Grid step index of each horizon; DomainError unless there is one and every horizon lies on the grid."""
     if not 0 < h < math.inf:
         raise DomainError(f"need 0 < h < inf, got h={h}")
+    if len(horizons) == 0:
+        raise DomainError("horizons must not be empty")
     if not np.all(np.isfinite(horizons)):
         raise DomainError(f"horizons must be finite, got {horizons}")
     steps = [int(round(t / h)) for t in horizons]
@@ -167,49 +176,116 @@ def transition_table(spec, times, scheme):
     return decays, np.full(len(decays), math.sqrt(h))
 
 
+def _scan_plan(values, noise, decays, prods, fix, start, carry, k0):
+    """The views that walk's scan steps through for a block of len(values) steps from step k0.
+
+    They depend only on k0 % _SCAN_STEPS and the block's length, so walk builds them once per
+    such pair.  Returns the y steps (previous y, decays, y, noise), with no previous y where a
+    sub-block starts; the x = y + P * s steps (P, s, temporary, x), one per piece of a
+    sub-block that fits the temporary; and s at the block's end, which the next block starts from.
+    """
+    span, piece, b = _SCAN_STEPS, len(fix), len(values)
+    y_steps = []
+    for i in range(span):  # row r is step k0 + r, at offset (k0 + r) % span
+        r = (i - k0) % span
+        if r >= b:
+            continue
+        if i == 0:
+            y_steps.append((None, None, values[r::span], noise[r::span]))
+            continue
+        if r == 0:  # the first row goes on from the y that the last block cut off
+            y_steps.append((carry, decays[:1, None], values[:1], noise[:1]))
+            r = span
+        if r < b:
+            y_steps.append((values[r - 1 : b - 1 : span], decays[r::span, None], values[r::span], noise[r::span]))
+    fix_steps, s, r0 = [], start, 0
+    for r1 in (*range(-k0 % span or span, b, span), b):
+        for q0 in range(r0, r1, piece):
+            q1 = min(q0 + piece, r1)
+            fix_steps.append((prods[q0:q1, None], s, fix[: q1 - q0], values[q0:q1]))
+        if (k0 + r1) % span == 0:
+            s = values[r1 - 1]
+        r0 = r1
+    return y_steps, fix_steps, s
+
+
 def walk(table, seed, path_indices):
     """Yield (k0, values, noise) per block: X at steps k0+1, k0+2, ... as (block_steps, paths).
 
-    table is (decays, stds); noise = std * N drove those steps.  Every block is
-    written into the same two buffers, so the yielded arrays are read-only and
-    valid only until the next block is requested; copy what must outlive it.
+    table is (decays, stds); noise = std * N drove those steps.  A block has
+    BLOCK_STEPS steps, or fewer for a chunk of over 1024 paths, so that it holds
+    at most _BLOCK_SIZE values.  Every block is written into the same buffers,
+    so the yielded arrays are read-only and valid only until the next block is
+    requested; copy what must outlive it.
     Each path's normals come from its own stream, a slab of _SLAB_PATHS paths at
     a time, and are scaled into time-major noise rows.  A walk of one block
     reads each stream once, so it re-keys a single generator instead of
-    keeping one per path.  decay * x + noise is evaluated on Python floats for
-    one path and in place on numpy rows for several, so both agree bit for bit
-    with a scalar re-derivation.
+    keeping one per path.
+
+    x <- decay * x + noise is evaluated as a blocked scan over sub-blocks of
+    _SCAN_STEPS steps, counted from step 0 of the grid.  Inside a sub-block, y
+    starts from zero and follows y <- decay * y + noise, one numpy step per
+    offset for every sub-block of the block at once; then x = y + P * s, where
+    P is the running product of the decays inside the sub-block and s is x
+    where the sub-block starts.  A sub-block that the block's end cuts carries
+    its y, P and s into the next block, so every element gets the same float
+    operations for any chunk width and any BLOCK_STEPS.  No step divides, so
+    zero and negative decays are safe.
     """
     decays, stds = table
-    n, m = len(decays), len(path_indices)
-    streams = [_stream(seed, p) for p in path_indices] if n > BLOCK_STEPS else None
-    rows = min(BLOCK_STEPS, n)
-    # one allocation for both: for a wide chunk it is large enough that malloc maps it on
-    # its own and unmaps it when the walk ends, rather than keeping it in a thread's heap
-    noise, values = np.empty((2, rows, m))
+    n, m, span = len(decays), len(path_indices), _SCAN_STEPS
+    block = min(BLOCK_STEPS, max(span, _BLOCK_SIZE // m // span * span))
+    streams = [_stream(seed, p) for p in path_indices] if n > block else None
+    rows = min(block, n)
+    # one allocation for all buffers: the noise and values blocks; y and s of the sub-block that
+    # the last block cut (its P is cut_prod); the block's decays and their running products; the
+    # x = y + P * s temporary.  For a wide chunk it is large enough that malloc maps it on its
+    # own and unmaps it when the walk ends, rather than keeping it in a thread's heap.
+    piece = min(span, max(1, _FIX_SIZE // m))
+    sizes = (rows * m, rows * m, m, m, rows, rows, piece * m)
+    noise, values, carry, start, block_decays, prods, fix = np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1])
+    noise, values, carry, fix = noise.reshape(rows, m), values.reshape(rows, m), carry.reshape(1, m), fix.reshape(piece, m)
+    start[:] = 0.0
+    cut_prod, plans = 1.0, {}
     slab = np.empty((min(_SLAB_PATHS, m), rows))
-    x = np.zeros(m) if m > 1 else 0.0
-    for k0 in range(0, n, BLOCK_STEPS):
-        k1 = min(k0 + BLOCK_STEPS, n)
-        w, v = noise[: k1 - k0], values[: k1 - k0]
+    for k0 in range(0, n, block):
+        k1 = min(k0 + block, n)
+        b = k1 - k0
+        w, v, d, p = noise[:b], values[:b], block_decays[:b], prods[:b]
         source = _rekeyed(seed, path_indices) if streams is None else iter(streams)
         for lo in range(0, m, _SLAB_PATHS):
-            draws = slab[: min(_SLAB_PATHS, m - lo), : k1 - k0]
+            draws = slab[: min(_SLAB_PATHS, m - lo), :b]
             for row, stream in zip(draws, source):  # rows first: zip stops before an extra stream
                 stream.standard_normal(out=row)
             draws *= stds[k0:k1]
             w[:, lo : lo + len(draws)] = draws.T
-        if m == 1:
-            column = []
-            for c, dw in zip(decays[k0:k1].tolist(), w[:, 0].tolist()):
-                x = c * x + dw
-                column.append(x)
-            v[:, 0] = column
-        else:
-            for c, dw, row in zip(decays[k0:k1].tolist(), w, v):
-                np.multiply(x, c, out=row)
-                row += dw
-                x = row
+        np.copyto(d, decays[k0:k1])
+        key = (k0 % span, b)
+        if key not in plans:
+            plans[key] = _scan_plan(v, w, d, p, fix, start, carry, k0)
+        y_steps, fix_steps, end_start = plans[key]
+        for prev, c, y, dw in y_steps:
+            if prev is None:
+                np.copyto(y, dw)
+            else:
+                np.multiply(prev, c, out=y)
+                y += dw
+        # P: rows [0, head) end the sub-block that the last block cut, then come whole sub-blocks and a tail
+        head = min(b, -k0 % span)
+        body = head + (b - head) // span * span
+        if head:
+            np.copyto(p[:head], d[:head])
+            p[0] *= cut_prod
+            np.multiply.accumulate(p[:head], out=p[:head])
+        np.multiply.accumulate(d[head:body].reshape(-1, span), axis=1, out=p[head:body].reshape(-1, span))
+        np.multiply.accumulate(d[body:], out=p[body:])
+        if k1 % span:
+            np.copyto(carry[0], v[-1])
+            cut_prod = p[-1]
+        for c, s, t, x in fix_steps:
+            np.multiply(c, s, out=t)
+            x += t
+        np.copyto(start, end_start)
         yield k0, v, w
 
 
@@ -303,9 +379,9 @@ def terminal_values(spec, horizons, h, n_paths, seed, scheme="exact", chunk=4096
     The horizons must be nonnegative and nondecreasing.
     """
     horizons = np.asarray(horizons, dtype=float)
+    steps = np.asarray(horizon_steps(horizons, h))
     if not (horizons[0] >= 0 and np.all(np.diff(horizons) >= 0)):
         raise DomainError("horizons must be nonnegative and nondecreasing")
-    steps = np.asarray(horizon_steps(horizons, h))
     table = transition_table(spec, grid(horizons[-1], h), scheme)
 
     def one_chunk(idx):

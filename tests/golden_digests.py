@@ -10,8 +10,9 @@ difference, on any other one.
     PYTHONPATH=src python tests/golden_digests.py           # list the digests that moved
     PYTHONPATH=src python tests/golden_digests.py --write   # rewrite the manifest
 
-A change that moves bits on purpose rewrites the manifest and lists the
-moved digests in CHANGES.md.
+The manifest also keeps the repr of every verify metric, so the listing shows
+each moved metric as old -> new.  A change that moves bits on purpose rewrites
+the manifest and lists the moved digests in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -88,8 +89,13 @@ def run_verify(outputs):
     return verification.run_verify_suite(cfg)
 
 
+def verify_values(report):
+    """The repr of every verify metric, by digest name."""
+    return {f"verify.metric.{k}": repr(float(v)) for k, v in report.metrics.items()}
+
+
 def _verify_digests(report):
-    out = {f"verify.metric.{k}": _sha(repr(float(v)).encode()) for k, v in report.metrics.items()}
+    out = {k: _sha(v.encode()) for k, v in verify_values(report).items()}
     out.update({f"verify.flag.{k}": _sha(repr(bool(v)).encode()) for k, v in report.pass_flags.items()})
     return out
 
@@ -159,9 +165,15 @@ def main(argv=None):
     parser.add_argument("--write", action="store_true", help="rewrite the manifest from this tree")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
-        got = digests(run_verify(os.path.join(tmp, "verify")), tmp)
+        report = run_verify(os.path.join(tmp, "verify"))
+        got, values = digests(report, tmp), verify_values(report)
     if args.write:
-        payload = {"regenerate": REWRITE, "fingerprint": fingerprint(), "digests": dict(sorted(got.items()))}
+        payload = {
+            "regenerate": REWRITE,
+            "fingerprint": fingerprint(),
+            "digests": dict(sorted(got.items())),
+            "values": dict(sorted(values.items())),
+        }
         with open(MANIFEST, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(json.dumps(payload, indent=1) + "\n")
         print(f"wrote {len(got)} digests to {MANIFEST}")
@@ -173,8 +185,10 @@ def main(argv=None):
         return 2
     changed = moved(manifest["digests"], got)
     print(f"{len(changed)} of {len(got)} digests moved")
+    old_values = manifest.get("values", {})
     for name in changed:
-        print(f"  {name}")
+        shown = f": {old_values.get(name, '?')} -> {values[name]}" if name in values else ""
+        print(f"  {name}{shown}")
     return 1 if changed else 0
 
 

@@ -9,6 +9,7 @@ from bridgelab import drift, holder_analysis, local_time, simulate
 from bridgelab.errors import DomainError
 
 NAN = math.nan
+INF = math.inf
 BRIDGE = drift.DriftSpec.power(0.8)
 PATH = simulate.euler_path(BRIDGE, T=1.0, h=0.01)
 CURVE = local_time.kernel_estimate(PATH, 0.0, 0.01, PATH.times)
@@ -54,6 +55,42 @@ CALLS = {
     "eval_antiderivative_t": (lambda: drift.eval_antiderivative(BRIDGE, [1.0, NAN]), r"A\(t\) .*t=nan"),
     "running_sup_t": (lambda: drift.running_sup(BRIDGE, np.array([NAN])), "running sup .*t=nan"),
     "eval_alpha_infinite_t": (lambda: drift.eval_alpha(BRIDGE, math.inf), r"alpha\(t\) .*t=inf"),
+    # an infinite smoothing width would give an all-zero curve
+    "kernel_estimate_infinite_eps": (lambda: local_time.kernel_estimate(PATH, 0.0, INF, [1.0]), "eps must be positive"),
+    "binned_estimate_infinite_delta": (
+        lambda: local_time.binned_estimate(PATH, 0.0, INF, [1.0]),
+        "delta must be positive",
+    ),
+    "kernel_ensemble_infinite_eps": (
+        lambda: local_time.kernel_ensemble(BRIDGE, 0.0, [1e-3, INF], 1.0, 1e-3, 4, 0),
+        "eps_list",
+    ),
+    "level_sweep_infinite_eps": (
+        lambda: holder_analysis.level_sweep(PATH.values, PATH.h, np.linspace(-1, 1, 9), INF),
+        "eps must be positive",
+    ),
+    "space_modulus_infinite_eps": (
+        lambda: holder_analysis.space_modulus(BRIDGE, 1.0, np.linspace(-1, 1, 33), 2, 0.01, 0, INF),
+        "eps must be positive",
+    ),
+    "cauchy_diagnostic_infinite_eps": (
+        lambda: local_time.cauchy_diagnostic(BRIDGE, 0.0, 1.0, [INF, 1e-3], 500, 0),
+        "eps_ladder",
+    ),
+    "cauchy_diagnostic_nan_eps": (
+        lambda: local_time.cauchy_diagnostic(BRIDGE, 0.0, 1.0, [1e-2, NAN], 500, 0),
+        "eps_ladder",
+    ),
+    "growth_probe_infinite_eps": (
+        lambda: local_time.growth_probe(BRIDGE, 0.0, [1.0, 2.0, 3.0], 0.01, 4, 0, eps=INF),
+        "eps must be positive",
+    ),
+}
+
+EMPTY_HORIZONS = {
+    "terminal_values": lambda: simulate.terminal_values(BRIDGE, [], 0.01, 4, 0),
+    "batch_terminal_stats": lambda: simulate.batch_terminal_stats(BRIDGE, [], 100),
+    "growth_probe": lambda: local_time.growth_probe(BRIDGE, 0.0, [], 0.01, 4, 0),
 }
 
 
@@ -62,3 +99,9 @@ def test_nonfinite_argument_is_a_domain_error(name):
     call, names_argument = CALLS[name]
     with pytest.raises(DomainError, match=names_argument):
         call()
+
+
+@pytest.mark.parametrize("name", sorted(EMPTY_HORIZONS))
+def test_empty_horizons_are_a_domain_error(name):
+    with pytest.raises(DomainError, match="horizons must not be empty"):
+        EMPTY_HORIZONS[name]()

@@ -185,7 +185,7 @@ def ensembles(draw):
     st.sampled_from([1, 2]),
 )
 def test_terminal_values_equal_single_paths(ensemble, scheme, seed, n_paths, chunk, threads):
-    # chunks of several paths step numpy rows, single paths step Python floats
+    # a one-path chunk steps the same scan as a chunk of several paths
     spec, horizons, h = ensemble
     got = terminal_values(spec, horizons, h, n_paths, seed, scheme, chunk=chunk, threads=threads)
     steps = np.rint(horizons / h).astype(int)
@@ -193,6 +193,39 @@ def test_terminal_values_equal_single_paths(ensemble, scheme, seed, n_paths, chu
     for i in range(n_paths):
         single = one_path(spec, horizons[-1], h, seed=seed, path_index=i).values[steps]
         assert got[i].tobytes() == single.tobytes()
+
+
+def sequential(decays, noise):
+    """x <- decay * x + noise, one step at a time on Python floats."""
+    x, out = 0.0, []
+    for c, dw in zip(decays.tolist(), noise.tolist()):
+        x = c * x + dw
+        out.append(x)
+    return np.array(out)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(ensembles(), st.sampled_from(["euler", "exact"]), st.integers(0, 2**31), st.integers(0, 3), st.data())
+def test_scan_bits_do_not_depend_on_block_or_width(ensemble, scheme, seed, finer, data):
+    # each path's bits are the same for any BLOCK_STEPS and any chunk around it, and they are
+    # the sequential recursion's up to rounding; up to 1536 steps cross 1024 and many sub-blocks
+    spec, horizons, h = ensemble
+    table = simulate.transition_table(spec, grid(horizons[-1], h / 2**finer), scheme)
+    n_paths = data.draw(st.integers(1, 70))
+    ref_values, ref_noise = simulate.paths(table, seed, range(n_paths))
+    blocks = data.draw(st.lists(st.integers(1, 3 * simulate._SCAN_STEPS + 5), min_size=1, max_size=3)) + [1024]
+    for block in blocks:
+        width = data.draw(st.integers(1, 70))
+        lo = data.draw(st.integers(0, n_paths - 1))
+        idx = range(lo, min(lo + width, n_paths))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulate, "BLOCK_STEPS", block)
+            values, noise = simulate.paths(table, seed, idx)
+        assert values.tobytes() == ref_values[lo : lo + len(idx)].tobytes()
+        assert noise.tobytes() == ref_noise[lo : lo + len(idx)].tobytes()
+    for values, noise in zip(ref_values, ref_noise):
+        expected = sequential(table[0], noise)
+        assert np.abs(values[1:] - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 endpoints = st.floats(-10.0, 10.0)

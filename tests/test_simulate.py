@@ -26,6 +26,20 @@ BRIDGE = DriftSpec.power(0.8)
 BM = DriftSpec.constant(0.0)
 
 
+def scalar_scan(decays, noise):
+    """walk's blocked scan on Python floats: in each sub-block of _SCAN_STEPS steps, counted from
+    step 0, y starts from zero, P is the running product of the decays, and x = y + P * s."""
+    x, out = 0.0, []
+    for k, (c, dw) in enumerate(zip(decays, noise)):
+        if k % simulate._SCAN_STEPS == 0:
+            s, y, prod = x, dw, c
+        else:
+            y, prod = c * y + dw, prod * c
+        x = y + prod * s
+        out.append(x)
+    return out
+
+
 class TestGrid:
     def test_rounds_horizon_up(self):
         times = grid(1.0, 0.3)
@@ -52,13 +66,12 @@ class TestEulerPath:
         assert not np.array_equal(a.values, b.values)
 
     def test_recursion_is_bit_reproducible(self):
-        # scalar re-derivation of (1 - h * alpha) * x + dW must match bitwise
+        # scalar re-derivation of the blocked scan of (1 - h * alpha) * x + dW must match bitwise
         path = euler_path(BRIDGE, T=0.5, h=1e-3, seed=3)
         a = eval_alpha(BRIDGE, path.times[:-1])
-        x = 0.0
-        for k, dw in enumerate(path.brownian_increments):
-            x = (1.0 - path.h * a[k]) * x + dw
-            assert x == path.values[k + 1]
+        decays = [1.0 - path.h * a[k] for k in range(len(a))]
+        expected = scalar_scan(decays, path.brownian_increments)
+        assert np.array(expected).tobytes() == path.values[1:].tobytes()
 
     def test_block_rows_match_single_paths(self):
         table = transition_table(BRIDGE, grid(1.0, 0.01), "euler")
@@ -232,10 +245,8 @@ class TestStreamingEngine:
         path = exact_path(spec, T=3.0, h=1e-3, seed=3, path_index=5)
         decays, stds = exact_transition_table(spec, path.times)
         xi = Generator(Philox(key=np.array([3, 5], dtype=np.uint64))).standard_normal(len(decays))
-        x = 0.0
-        for k in range(len(decays)):
-            x = decays[k] * x + stds[k] * xi[k]
-            assert x == path.values[k + 1]
+        expected = scalar_scan(decays, [stds[k] * xi[k] for k in range(len(decays))])
+        assert np.array(expected).tobytes() == path.values[1:].tobytes()
 
     def test_euler_increments_are_scaled_stream_normals(self):
         # simulate._normals is the documented draw of a path's stream; walk must draw the same values
@@ -276,6 +287,17 @@ class TestStreamingEngine:
                 for row, p in enumerate(range(lo, min(lo + width, 130))):
                     assert values[row].tobytes() == ref[p][0][0].tobytes()
                     assert noise[row].tobytes() == ref[p][1][0].tobytes()
+
+    def test_wide_chunks_take_shorter_blocks(self, monkeypatch):
+        # a block holds at most _BLOCK_SIZE values, in whole sub-blocks of the scan, and at least one
+        table = transition_table(BRIDGE, grid(1.0, 1e-3), "euler")
+        ref = simulate.paths(table, 5, range(30))
+        monkeypatch.setattr(simulate, "_BLOCK_SIZE", 640)
+        for width, rows in ((10, 64), (30, simulate._SCAN_STEPS)):
+            blocks = [len(values) for _, values, _ in simulate.walk(table, 5, range(width))]
+            assert blocks == [rows] * (1000 // rows) + [1000 % rows]
+        for got, expected in zip(simulate.paths(table, 5, range(30)), ref):
+            assert got.tobytes() == expected.tobytes()
 
     def test_walk_reuses_its_block_buffers(self):
         # the documented contract: a yielded block is overwritten by the next one
