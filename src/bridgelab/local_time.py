@@ -160,9 +160,8 @@ def kernel_ensemble(spec, x, eps_list, T, h, n_paths, seed, steps=None, scheme="
     grid reaching T; step 0 records 0.0.  Each path's curve equals
     kernel_estimate's bit for bit, whatever the block length, _CHUNK_PATHS and
     thread count.  Chunks run on every core.  Each block is reduced over the
-    whole chunk in buffers allocated once per chunk; a block with no recorded
-    step is skipped when every density in it and at the sample before it is
-    exactly 0.0, since it adds exact zeros, and is otherwise summed without a
+    whole chunk in buffers allocated once per chunk, sized by
+    simulate.block_steps; a block with no recorded step is summed without a
     cumsum.
     """
     times = simulate.grid(T, h)
@@ -173,11 +172,10 @@ def kernel_ensemble(spec, x, eps_list, T, h, n_paths, seed, steps=None, scheme="
     if not np.all((eps > 0) & (eps < math.inf)):
         raise DomainError(f"eps_list must be positive and finite, got {eps}")
     table = simulate.transition_table(spec, times, scheme)
-    widest = -2.0 * eps.max()
 
     def one_chunk(idx):
         m, ne = len(idx), len(eps)
-        rows = min(simulate.BLOCK_STEPS, len(times) - 1)
+        rows = min(simulate.block_steps(m), len(times) - 1)
         sq = np.empty((rows, m, 1))
         dens, trap = np.empty((2, rows, m, ne))
         out = np.zeros((m, len(steps), ne))
@@ -189,8 +187,6 @@ def kernel_ensemble(spec, x, eps_list, T, h, n_paths, seed, steps=None, scheme="
             np.square(s, out=s)
             span = simulate.recorded(steps, k0, nb)
             recorded = span.start < span.stop
-            if not recorded and s.min() / widest < _EXP_ZERO and not prev.any():
-                continue
             y = _gaussian_density(s, eps, dens[:nb])
             cum = _running_trapezoid(y, h, prev, acc, trap[:nb], recorded)
             if recorded:

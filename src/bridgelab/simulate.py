@@ -13,19 +13,20 @@ depend on execution order or worker count.  A stream is built straight from
 its key, without reading OS entropy.
 
 One engine, walk, steps a chunk of paths through a table time-major over
-blocks of BLOCK_STEPS steps (shorter for a chunk of over 1024 paths, so that
-a block holds at most 2^20 values), drawing each block from the chunk's
-Philox generators, which stay alive between blocks.  Within a block it evaluates
-the recursion as a blocked scan over sub-blocks of _SCAN_STEPS steps aligned
-to step 0, so a numpy call covers every sub-block of the block at once and a
-narrow chunk does not pay one call per step.  Callers reduce each (steps,
-paths) block as it comes (snapshots at horizons, whole-path capture, a
-running kernel integral).  walk writes every block into the same buffers,
-so a yielded block is valid only until the next one is requested, and
-memory is O(chunk x block) unless whole paths are kept.  ensemble runs
-the chunks on every core the process may use unless told otherwise, so
-memory is the thread count times one chunk's working set.  Results are
-bit-identical for any block length, chunk size and thread count.
+blocks of block_steps steps (BLOCK_STEPS, or fewer for a chunk of over 1024
+paths, so that a block holds at most 2^20 values), drawing each block from the
+chunk's Philox generators, which stay alive between blocks.  Within a block it
+evaluates the recursion as a blocked scan over sub-blocks of _SCAN_STEPS steps
+aligned to step 0, and a block is a whole number of sub-blocks, so a numpy call
+covers every sub-block of the block at once and a narrow chunk does not pay one
+call per step.  Callers reduce each (steps, paths) block as it comes
+(snapshots at horizons, whole-path capture, a running kernel integral).  walk
+writes every block into the same buffers, so a yielded block is valid only
+until the next one is requested, and memory is O(chunk x block) unless whole
+paths are kept.  ensemble runs the chunks on every core the process may use
+unless told otherwise, so memory is the thread count times one chunk's working
+set.  Results are bit-identical for any BLOCK_STEPS, chunk size and thread
+count.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ _COUNTER0 = np.zeros(4, dtype=np.uint64)
 BLOCK_STEPS = 1024
 _BLOCK_SIZE = 2**20  # values in a walk block at most: a chunk of over 1024 paths takes shorter blocks
 _SLAB_PATHS = 64  # paths drawn per slab before the slab is transposed into the time-major noise
-_SCAN_STEPS = 32  # sub-block length of walk's scan; path bits depend on it, not on BLOCK_STEPS
+_SCAN_STEPS = 32  # sub-block length of walk's scan, whose blocks are whole sub-blocks; path bits depend on it
 _FIX_SIZE = 16384  # elements of the scan's x = y + P * s temporary, or one row of a wider chunk
 
 
@@ -176,47 +177,43 @@ def transition_table(spec, times, scheme):
     return decays, np.full(len(decays), math.sqrt(h))
 
 
-def _scan_plan(values, noise, decays, prods, fix, start, carry, k0):
-    """The views that walk's scan steps through for a block of len(values) steps from step k0.
+def block_steps(n_paths):
+    """Steps per walk block for a chunk of n_paths: BLOCK_STEPS, or fewer so that a block holds
+    at most _BLOCK_SIZE values, taken in whole sub-blocks of the scan and at least one."""
+    span = _SCAN_STEPS
+    return max(span, min(BLOCK_STEPS, _BLOCK_SIZE // n_paths) // span * span)
 
-    They depend only on k0 % _SCAN_STEPS and the block's length, so walk builds them once per
-    such pair.  Returns the y steps (previous y, decays, y, noise), with no previous y where a
-    sub-block starts; the x = y + P * s steps (P, s, temporary, x), one per piece of a
-    sub-block that fits the temporary; and s at the block's end, which the next block starts from.
+
+def _scan_plan(values, noise, decays, prods, fix, start):
+    """The views that walk's scan steps through for a block of len(values) steps.
+
+    A block starts where a sub-block does, so they depend only on its length, and walk
+    builds them once per length.  Returns the y steps (previous y, decays, y, noise), with
+    no previous y where a sub-block starts, and the x = y + P * s steps (P, s, temporary,
+    x), one per piece of a sub-block that fits the temporary.
     """
     span, piece, b = _SCAN_STEPS, len(fix), len(values)
-    y_steps = []
-    for i in range(span):  # row r is step k0 + r, at offset (k0 + r) % span
-        r = (i - k0) % span
-        if r >= b:
-            continue
-        if i == 0:
-            y_steps.append((None, None, values[r::span], noise[r::span]))
-            continue
-        if r == 0:  # the first row goes on from the y that the last block cut off
-            y_steps.append((carry, decays[:1, None], values[:1], noise[:1]))
-            r = span
-        if r < b:
-            y_steps.append((values[r - 1 : b - 1 : span], decays[r::span, None], values[r::span], noise[r::span]))
-    fix_steps, s, r0 = [], start, 0
-    for r1 in (*range(-k0 % span or span, b, span), b):
+    y_steps = [(None, None, values[::span], noise[::span])]
+    for r in range(1, min(span, b)):  # row r of each sub-block
+        y_steps.append((values[r - 1 : b - 1 : span], decays[r::span, None], values[r::span], noise[r::span]))
+    fix_steps, s = [], start
+    for r0 in range(0, b, span):
+        r1 = min(r0 + span, b)
         for q0 in range(r0, r1, piece):
             q1 = min(q0 + piece, r1)
             fix_steps.append((prods[q0:q1, None], s, fix[: q1 - q0], values[q0:q1]))
-        if (k0 + r1) % span == 0:
-            s = values[r1 - 1]
-        r0 = r1
-    return y_steps, fix_steps, s
+        s = values[r1 - 1]
+    return y_steps, fix_steps
 
 
 def walk(table, seed, path_indices):
     """Yield (k0, values, noise) per block: X at steps k0+1, k0+2, ... as (block_steps, paths).
 
     table is (decays, stds); noise = std * N drove those steps.  A block has
-    BLOCK_STEPS steps, or fewer for a chunk of over 1024 paths, so that it holds
-    at most _BLOCK_SIZE values.  Every block is written into the same buffers,
-    so the yielded arrays are read-only and valid only until the next block is
-    requested; copy what must outlive it.
+    block_steps(len(path_indices)) steps, a whole number of scan sub-blocks,
+    except the last, which ends with the grid.  Every block is written into the
+    same buffers, so the yielded arrays are read-only and valid only until the
+    next block is requested; copy what must outlive it.
     Each path's normals come from its own stream, a slab of _SLAB_PATHS paths at
     a time, and are scaled into time-major noise rows.  A walk of one block
     reads each stream once, so it re-keys a single generator instead of
@@ -227,26 +224,25 @@ def walk(table, seed, path_indices):
     starts from zero and follows y <- decay * y + noise, one numpy step per
     offset for every sub-block of the block at once; then x = y + P * s, where
     P is the running product of the decays inside the sub-block and s is x
-    where the sub-block starts.  A sub-block that the block's end cuts carries
-    its y, P and s into the next block, so every element gets the same float
-    operations for any chunk width and any BLOCK_STEPS.  No step divides, so
-    zero and negative decays are safe.
+    where the sub-block starts.  No block ends inside a sub-block, so every
+    element gets the same float operations for any chunk width and any
+    BLOCK_STEPS.  No step divides, so zero and negative decays are safe.
     """
     decays, stds = table
     n, m, span = len(decays), len(path_indices), _SCAN_STEPS
-    block = min(BLOCK_STEPS, max(span, _BLOCK_SIZE // m // span * span))
+    block = block_steps(m)
     streams = [_stream(seed, p) for p in path_indices] if n > block else None
     rows = min(block, n)
-    # one allocation for all buffers: the noise and values blocks; y and s of the sub-block that
-    # the last block cut (its P is cut_prod); the block's decays and their running products; the
-    # x = y + P * s temporary.  For a wide chunk it is large enough that malloc maps it on its
-    # own and unmaps it when the walk ends, rather than keeping it in a thread's heap.
+    # one allocation for all buffers: the noise and values blocks; s, x where the block starts;
+    # the block's decays and their running products; the x = y + P * s temporary.  For a wide
+    # chunk it is large enough that malloc maps it on its own and unmaps it when the walk ends,
+    # rather than keeping it in a thread's heap.
     piece = min(span, max(1, _FIX_SIZE // m))
-    sizes = (rows * m, rows * m, m, m, rows, rows, piece * m)
-    noise, values, carry, start, block_decays, prods, fix = np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1])
-    noise, values, carry, fix = noise.reshape(rows, m), values.reshape(rows, m), carry.reshape(1, m), fix.reshape(piece, m)
+    sizes = (rows * m, rows * m, m, rows, rows, piece * m)
+    noise, values, start, block_decays, prods, fix = np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1])
+    noise, values, fix = noise.reshape(rows, m), values.reshape(rows, m), fix.reshape(piece, m)
     start[:] = 0.0
-    cut_prod, plans = 1.0, {}
+    plans = {}
     slab = np.empty((min(_SLAB_PATHS, m), rows))
     for k0 in range(0, n, block):
         k1 = min(k0 + block, n)
@@ -260,32 +256,23 @@ def walk(table, seed, path_indices):
             draws *= stds[k0:k1]
             w[:, lo : lo + len(draws)] = draws.T
         np.copyto(d, decays[k0:k1])
-        key = (k0 % span, b)
-        if key not in plans:
-            plans[key] = _scan_plan(v, w, d, p, fix, start, carry, k0)
-        y_steps, fix_steps, end_start = plans[key]
+        if b not in plans:
+            plans[b] = _scan_plan(v, w, d, p, fix, start)
+        y_steps, fix_steps = plans[b]
         for prev, c, y, dw in y_steps:
             if prev is None:
                 np.copyto(y, dw)
             else:
                 np.multiply(prev, c, out=y)
                 y += dw
-        # P: rows [0, head) end the sub-block that the last block cut, then come whole sub-blocks and a tail
-        head = min(b, -k0 % span)
-        body = head + (b - head) // span * span
-        if head:
-            np.copyto(p[:head], d[:head])
-            p[0] *= cut_prod
-            np.multiply.accumulate(p[:head], out=p[:head])
-        np.multiply.accumulate(d[head:body].reshape(-1, span), axis=1, out=p[head:body].reshape(-1, span))
+        # P over the whole sub-blocks, then over the walk's last, partial one
+        body = b // span * span
+        np.multiply.accumulate(d[:body].reshape(-1, span), axis=1, out=p[:body].reshape(-1, span))
         np.multiply.accumulate(d[body:], out=p[body:])
-        if k1 % span:
-            np.copyto(carry[0], v[-1])
-            cut_prod = p[-1]
         for c, s, t, x in fix_steps:
             np.multiply(c, s, out=t)
             x += t
-        np.copyto(start, end_start)
+        np.copyto(start, v[-1])
         yield k0, v, w
 
 
@@ -327,7 +314,11 @@ def ensemble(fn, n_paths, chunk, threads=None):
 
     threads=None uses every core the process may run on.  Each running chunk
     holds its own working set, so memory grows with the thread count.
+    n_paths, chunk and threads below 1 are a DomainError.
     """
+    for name, value in (("n_paths", n_paths), ("chunk", chunk), ("threads", threads)):
+        if value is not None and value < 1:
+            raise DomainError(f"{name} must be at least 1, got {value}")
     chunks = [range(lo, min(lo + chunk, n_paths)) for lo in range(0, n_paths, chunk)]
     threads = min(_cores() if threads is None else threads, len(chunks))
     if len(chunks) == 1:

@@ -342,7 +342,7 @@ def run_figures_preset(which, seed, outputs):
 def check_figures_repro(seed, out_dir):
     """The experiment presets emit deterministic CSVs with the documented parameters."""
     metrics, flags = {}, {}
-    for which, betas, h in (("figure1", (0.8, 2.0), 0.01), ("figure2", (0.5, 1.5), 0.005)):
+    for which, (_, h, runs) in _FIGURE_PRESETS.items():
         dir_a = os.path.join(out_dir, f"{which}_a")
         dir_b = os.path.join(out_dir, f"{which}_b")
         summary = run_figures_preset(which, seed=seed, outputs=dir_a)
@@ -350,7 +350,7 @@ def check_figures_repro(seed, out_dir):
         tail_ok = all(summary.pass_flags.values())
         params_ok = True
         deterministic = True
-        for beta in betas:
+        for beta, _ in runs:
             name = f"{which}_beta_{beta}.csv"
             header, rows, _ = read_csv(os.path.join(dir_a, name))
             params_ok &= header == ["t", "x"]

@@ -228,7 +228,7 @@ class TestKernelEnsemble:
 
     @pytest.mark.parametrize("x", [0.0, 0.4, 50.0])
     def test_final_step_equals_kernel_estimate(self, x):
-        # only the final step recorded: a block where every path is far is skipped, and
+        # only the final step recorded: blocks where every path is far add exact zeros, and
         # a 1-path chunk sums its single column step by step, not pairwise
         args = (BM, x, [1e-4], 1.0, 1e-4, 40, 8)
         finals = kernel_ensemble(*args)[:, 0, 0]
@@ -247,9 +247,9 @@ class TestKernelEnsemble:
             assert finals[p].tobytes() == kernel_estimate(path, 0.0, 1e-4, [1.0]).values[0].tobytes()
 
     def test_far_rows_after_a_near_sample_keep_its_increment(self, monkeypatch):
-        # X ~ N(0, 0.05^2) at steps 1-4 and 11-12, |X| ~ 1e6 at steps 5-10: the two-step blocks
-        # of steps 5-10 are out of reach, yet half of the trapezoid step from step 4 belongs to
-        # them; skipping it and adding it back at step 11 rounds differently on some paths
+        # X ~ N(0, 0.05^2) at steps 1-4 and 11-12, |X| ~ 1e6 at steps 5-10: steps 5-10 are out
+        # of reach, yet half of the trapezoid step from step 4 belongs to them; BLOCK_STEPS = 2 is
+        # taken as one whole sub-block, so all 12 steps are one block, summed as kernel_estimate does
         stds = np.concatenate([np.full(4, 0.05), np.full(6, 1e6), np.full(2, 0.05)])
         table = (np.zeros(12), stds)
         monkeypatch.setattr(simulate, "transition_table", lambda spec, times, scheme: table)

@@ -10,6 +10,8 @@ from bridgelab import simulate
 from bridgelab.drift import DriftSpec, eval_alpha, eval_antiderivative
 from bridgelab.errors import DomainError
 from bridgelab.gaussian_law import abs_moment, variance
+from bridgelab.holder_analysis import space_modulus
+from bridgelab.local_time import kernel_ensemble
 from bridgelab.simulate import (
     SamplePath,
     batch_terminal_stats,
@@ -299,6 +301,15 @@ class TestStreamingEngine:
         for got, expected in zip(simulate.paths(table, 5, range(30)), ref):
             assert got.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("block", [1, 7, 33, 100])
+    def test_walk_blocks_are_whole_sub_blocks(self, monkeypatch, block):
+        # any BLOCK_STEPS is taken in whole sub-blocks of the scan; only the last block is cut
+        table = transition_table(BRIDGE, grid(1.0, 1e-3), "euler")
+        monkeypatch.setattr(simulate, "BLOCK_STEPS", block)
+        blocks = [len(values) for _, values, _ in simulate.walk(table, 5, range(3))]
+        assert all(b % simulate._SCAN_STEPS == 0 for b in blocks[:-1])
+        assert sum(blocks) == 1000
+
     def test_walk_reuses_its_block_buffers(self):
         # the documented contract: a yielded block is overwritten by the next one
         table = transition_table(BRIDGE, grid(3.0, 1e-3), "euler")
@@ -340,6 +351,22 @@ class TestStreamingEngine:
         simulate.record(out, np.array(steps), 3, block)
         expected = [[k, 10.0 * k - 36.0] if 4 <= k <= 11 else [0.0, 0.0] for k in steps]
         assert out.T.tolist() == expected
+
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda: terminal_values(BRIDGE, [1.0], 0.01, 0, 0), "n_paths"),
+            (lambda: kernel_ensemble(BRIDGE, 0.0, [1e-3], 1.0, 0.01, 0, 0), "n_paths"),
+            (lambda: space_modulus(BRIDGE, 1.0, np.linspace(-1, 1, 65), 0, 2.0**-8, 0, 1e-3), "n_paths"),
+            (lambda: terminal_values(BRIDGE, [1.0], 0.01, 4, 0, chunk=0), "chunk"),
+            (lambda: terminal_values(BRIDGE, [1.0], 0.01, 4, 0, threads=0), "threads"),
+            (lambda: terminal_values(BRIDGE, [1.0], 0.01, 4, 0, threads=-1), "threads"),
+        ],
+        ids=["terminal_values", "kernel_ensemble", "space_modulus", "chunk", "threads0", "threads-1"],
+    )
+    def test_fewer_than_one_path_chunk_or_thread_is_a_domain_error(self, call, name):
+        with pytest.raises(DomainError, match=name):
+            call()
 
     def test_lone_chunk_is_returned_without_a_copy(self):
         result = np.zeros((3, 2))
