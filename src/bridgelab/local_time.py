@@ -27,7 +27,6 @@ from .errors import DomainError, NumericsError, UnsupportedSchemeError
 from .holder_analysis import loglog_slope
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-_CHUNK_PATHS = 512  # paths stepped together by kernel_ensemble; results do not depend on it
 # np.exp is fast for arguments >= _EXP_FAST; below it the result is subnormal or zero and
 # costs 20-150 ns.  Below _EXP_ZERO the result is exactly 0.0.
 _EXP_FAST = -707.0
@@ -158,11 +157,11 @@ def kernel_ensemble(spec, x, eps_list, T, h, n_paths, seed, steps=None, scheme="
 
     steps, nondecreasing grid steps in [0, n], defaults to the end n of the
     grid reaching T; step 0 records 0.0.  Each path's curve equals
-    kernel_estimate's bit for bit, whatever the block length, _CHUNK_PATHS and
-    thread count.  Chunks run on every core.  Each block is reduced over the
-    whole chunk in buffers allocated once per chunk, sized by
-    simulate.block_steps; a block with no recorded step is summed without a
-    cumsum.
+    kernel_estimate's bit for bit, whatever the block length, task width and
+    thread count.  simulate.ensemble runs tasks of at most 256 paths on every
+    core.  Each walk block is reduced over the whole task in row tiles of
+    simulate.tile_rows, in buffers allocated once per task; a row tile with
+    no recorded step is summed without a cumsum.
     """
     times = simulate.grid(T, h)
     steps = np.asarray([len(times) - 1] if steps is None else steps)
@@ -175,27 +174,29 @@ def kernel_ensemble(spec, x, eps_list, T, h, n_paths, seed, steps=None, scheme="
 
     def one_chunk(idx):
         m, ne = len(idx), len(eps)
-        rows = min(simulate.block_steps(m), len(times) - 1)
+        rows = min(simulate.tile_rows(m, ne), len(times) - 1)
         sq = np.empty((rows, m, 1))
         dens, trap = np.empty((2, rows, m, ne))
         out = np.zeros((m, len(steps), ne))
         prev = _gaussian_density(np.square(np.zeros((m, 1)) - x), eps)
         acc = np.zeros((m, ne))
-        for k0, values, _ in simulate.walk(table, seed, idx):
-            nb = len(values)
-            s = np.subtract(values[..., None], x, out=sq[:nb])
-            np.square(s, out=s)
-            span = simulate.recorded(steps, k0, nb)
-            recorded = span.start < span.stop
-            y = _gaussian_density(s, eps, dens[:nb])
-            cum = _running_trapezoid(y, h, prev, acc, trap[:nb], recorded)
-            if recorded:
-                simulate.record(out, steps, k0, cum)
-                cum = cum[-1]
-            prev[:], acc[:] = y[-1], cum
+        for k0, block, _ in simulate.walk(table, seed, idx):
+            for r0 in range(0, len(block), rows):
+                values = block[r0 : r0 + rows]
+                k, nb = k0 + r0, len(values)
+                s = np.subtract(values[..., None], x, out=sq[:nb])
+                np.square(s, out=s)
+                span = simulate.recorded(steps, k, nb)
+                recorded = span.start < span.stop
+                y = _gaussian_density(s, eps, dens[:nb])
+                cum = _running_trapezoid(y, h, prev, acc, trap[:nb], recorded)
+                if recorded:
+                    simulate.record(out, steps, k, cum)
+                    cum = cum[-1]
+                prev[:], acc[:] = y[-1], cum
         return out
 
-    return simulate.ensemble(one_chunk, n_paths, _CHUNK_PATHS, None)
+    return simulate.ensemble(one_chunk, n_paths)
 
 
 def cauchy_diagnostic(spec, x, t, eps_ladder, n_paths, seed, h=None):

@@ -13,8 +13,8 @@ depend on execution order or worker count.  A stream is built straight from
 its key, without reading OS entropy.
 
 One engine, walk, steps a chunk of paths through a table time-major over
-blocks of block_steps steps (BLOCK_STEPS, or fewer for a chunk of over 1024
-paths, so that a block holds at most 2^20 values), drawing each block from the
+blocks of block_steps steps (BLOCK_STEPS, or fewer for a chunk of over 256
+paths, so that a block holds at most 2^18 values), drawing each block from the
 chunk's Philox generators, which stay alive between blocks.  Within a block it
 evaluates the recursion as a blocked scan over sub-blocks of _SCAN_STEPS steps
 aligned to step 0, and a block is a whole number of sub-blocks, so a numpy call
@@ -22,11 +22,12 @@ covers every sub-block of the block at once and a narrow chunk does not pay one
 call per step.  Callers reduce each (steps, paths) block as it comes
 (snapshots at horizons, whole-path capture, a running kernel integral).  walk
 writes every block into the same buffers, so a yielded block is valid only
-until the next one is requested, and memory is O(chunk x block) unless whole
-paths are kept.  ensemble runs the chunks on every core the process may use
-unless told otherwise, so memory is the thread count times one chunk's working
-set.  Results are bit-identical for any BLOCK_STEPS, chunk size and thread
-count.
+until the next one is requested, and memory is O(paths x block) unless whole
+paths are kept.  ensemble hands its function tasks of at most _TILE_PATHS = 256
+paths, whatever chunk the caller asks for, so a task's noise and values blocks
+are 2 MB each, and runs them on every core the process may use unless told
+otherwise, so memory is the thread count times one task's working set.  Results
+are bit-identical for any BLOCK_STEPS, chunk size, task width and thread count.
 """
 
 from __future__ import annotations
@@ -46,10 +47,11 @@ from .errors import DomainError
 _MASK64 = (1 << 64) - 1
 _COUNTER0 = np.zeros(4, dtype=np.uint64)
 BLOCK_STEPS = 1024
-_BLOCK_SIZE = 2**20  # values in a walk block at most: a chunk of over 1024 paths takes shorter blocks
+_BLOCK_SIZE = 2**18  # values in a walk block at most: a chunk of over 256 paths takes shorter blocks
+_TILE_PATHS = _BLOCK_SIZE // BLOCK_STEPS  # paths in one ensemble task at most: its blocks keep BLOCK_STEPS
 _SLAB_PATHS = 64  # paths drawn per slab before the slab is transposed into the time-major noise
 _SCAN_STEPS = 32  # sub-block length of walk's scan, whose blocks are whole sub-blocks; path bits depend on it
-_FIX_SIZE = 16384  # elements of the scan's x = y + P * s temporary, or one row of a wider chunk
+_FIX_SIZE = 2**15  # elements of the scan's x = y + P * s temporary and of a reducer's row tile
 
 
 @dataclass
@@ -179,9 +181,16 @@ def transition_table(spec, times, scheme):
 
 def block_steps(n_paths):
     """Steps per walk block for a chunk of n_paths: BLOCK_STEPS, or fewer so that a block holds
-    at most _BLOCK_SIZE values, taken in whole sub-blocks of the scan and at least one."""
+    at most _BLOCK_SIZE values, taken in whole sub-blocks of the scan and at least one.
+    An ensemble task, at most _TILE_PATHS wide, always takes BLOCK_STEPS."""
     span = _SCAN_STEPS
     return max(span, min(BLOCK_STEPS, _BLOCK_SIZE // n_paths) // span * span)
+
+
+def tile_rows(n_paths, width):
+    """Rows of a walk block that a reducer takes at a time when each path's row holds width
+    values: as many as fill _FIX_SIZE elements, at least one and at most a block."""
+    return max(1, min(block_steps(n_paths), _FIX_SIZE // (n_paths * width)))
 
 
 def _scan_plan(values, noise, decays, prods, fix, start):
@@ -234,9 +243,8 @@ def walk(table, seed, path_indices):
     streams = [_stream(seed, p) for p in path_indices] if n > block else None
     rows = min(block, n)
     # one allocation for all buffers: the noise and values blocks; s, x where the block starts;
-    # the block's decays and their running products; the x = y + P * s temporary.  For a wide
-    # chunk it is large enough that malloc maps it on its own and unmaps it when the walk ends,
-    # rather than keeping it in a thread's heap.
+    # the block's decays and their running products; the x = y + P * s temporary.  For an ensemble
+    # task it is at most about 4 MB, which malloc keeps in the thread's heap for the next task.
     piece = min(span, max(1, _FIX_SIZE // m))
     sizes = (rows * m, rows * m, m, rows, rows, piece * m)
     noise, values, start, block_decays, prods, fix = np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1])
@@ -307,20 +315,29 @@ def _cores():
         return os.cpu_count() or 1
 
 
-def ensemble(fn, n_paths, chunk, threads=None):
-    """Stack fn(path_indices) over chunks of paths 0 .. n_paths-1, run on up to `threads` threads.
+def ensemble(fn, n_paths, chunk=None, threads=None):
+    """Stack fn(path_indices) over tasks of paths 0 .. n_paths-1, run on up to `threads` threads.
 
-    A lone chunk's result is returned as is, without a copy.
+    A task holds at most chunk paths and at most _TILE_PATHS, so its walk blocks
+    stay cache-sized whatever chunk the caller asks for.  A batch of fewer than
+    two such tasks is split into one task per thread instead, as long as each
+    keeps a draw slab of _SLAB_PATHS paths.  A lone task's result is returned
+    as is, without a copy.
 
-    threads=None uses every core the process may run on.  Each running chunk
+    threads=None uses every core the process may run on.  Each running task
     holds its own working set, so memory grows with the thread count.
     n_paths, chunk and threads below 1 are a DomainError.
     """
     for name, value in (("n_paths", n_paths), ("chunk", chunk), ("threads", threads)):
         if value is not None and value < 1:
             raise DomainError(f"{name} must be at least 1, got {value}")
-    chunks = [range(lo, min(lo + chunk, n_paths)) for lo in range(0, n_paths, chunk)]
-    threads = min(_cores() if threads is None else threads, len(chunks))
+    workers = _cores() if threads is None else threads
+    width = min(_TILE_PATHS, n_paths if chunk is None else chunk)
+    if n_paths < 2 * width:  # a small batch: one task per thread, each of a draw slab or more
+        tasks = max(1, min(workers, n_paths // _SLAB_PATHS))
+        width = min(width, -(-n_paths // tasks))
+    chunks = [range(lo, min(lo + width, n_paths)) for lo in range(0, n_paths, width)]
+    threads = min(workers, len(chunks))
     if len(chunks) == 1:
         return fn(chunks[0])
     if threads <= 1:
@@ -367,7 +384,9 @@ def shift_to_ab(path, a, b, spec):
 def terminal_values(spec, horizons, h, n_paths, seed, scheme="exact", chunk=4096, threads=None):
     """X at each horizon for n_paths independent paths, shape (n_paths, len(horizons)).
 
-    The horizons must be nonnegative and nondecreasing.
+    The horizons must be nonnegative and nondecreasing.  chunk bounds the paths
+    stepped together; ensemble caps it at _TILE_PATHS.  Neither it nor threads
+    changes a bit of the result.
     """
     horizons = np.asarray(horizons, dtype=float)
     steps = np.asarray(horizon_steps(horizons, h))

@@ -69,7 +69,7 @@ class TestSimulateCommand:
         assert (out1 / "path_0000.csv").read_bytes() == (out2 / "path_0000.csv").read_bytes()
 
     def test_default_threads_write_the_csvs_of_one_thread(self, tmp_path):
-        # without --threads the batch runs on every core; 5000 paths are two chunks
+        # without --threads the batch runs on every core; 5000 paths are 20 tasks of at most 256
         cfg = tmp_path / "c.cfg"
         cfg.write_text("drift.family = power\ndrift.beta = 0.8\nT = 1\nh = 0.05\nn_paths = 5000\n")
         out1, out_default = tmp_path / "t1", tmp_path / "default"

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bridgelab import local_time, simulate
+from bridgelab import simulate
 from bridgelab.drift import DriftSpec
 from bridgelab.errors import DomainError, InsufficientDataError, UnsupportedSchemeError
 from bridgelab.local_time import (
@@ -201,7 +201,7 @@ class TestGrowthProbe:
         args = (DriftSpec.power(1.5), 0.0, np.arange(1.0, 4.0), 1e-3, 40, 2)
         ref, _ = growth_probe(*args)
         for chunk in (7, 16):
-            monkeypatch.setattr(local_time, "_CHUNK_PATHS", chunk)
+            monkeypatch.setattr(simulate, "_TILE_PATHS", chunk)
             assert growth_probe(*args)[0].tobytes() == ref.tobytes()
         monkeypatch.setattr(simulate, "BLOCK_STEPS", 100)
         assert growth_probe(*args)[0].tobytes() == ref.tobytes()
@@ -221,7 +221,7 @@ class TestKernelEnsemble:
     def test_curves_invariant_to_chunk_and_block(self, monkeypatch):
         ref = kernel_ensemble(*self.ARGS, steps=range(2049))
         for chunk in (5, 4):
-            monkeypatch.setattr(local_time, "_CHUNK_PATHS", chunk)
+            monkeypatch.setattr(simulate, "_TILE_PATHS", chunk)
             assert kernel_ensemble(*self.ARGS, steps=range(2049)).tobytes() == ref.tobytes()
         monkeypatch.setattr(simulate, "BLOCK_STEPS", 33)
         assert kernel_ensemble(*self.ARGS, steps=range(2049)).tobytes() == ref.tobytes()
@@ -240,7 +240,7 @@ class TestKernelEnsemble:
 
     def test_one_path_chunk_sums_step_by_step(self, monkeypatch):
         # a single column would be reduced pairwise; it must keep kernel_estimate's sequential sum
-        monkeypatch.setattr(local_time, "_CHUNK_PATHS", 1)
+        monkeypatch.setattr(simulate, "_TILE_PATHS", 1)
         finals = kernel_ensemble(BM, 0.0, [1e-4], 1.0, 1e-4, 4, 8)[:, 0, 0]
         for p in range(4):
             path = euler_path(BM, T=1.0, h=1e-4, seed=8, path_index=p)
@@ -262,13 +262,13 @@ class TestKernelEnsemble:
     def test_one_path_chunks_equal_wide_chunks(self, monkeypatch):
         args = (BM, 0.4, [1e-4, 1e-3], 1.0, 1e-4, 12, 9)
         ref = kernel_ensemble(*args)
-        monkeypatch.setattr(local_time, "_CHUNK_PATHS", 1)
+        monkeypatch.setattr(simulate, "_TILE_PATHS", 1)
         assert kernel_ensemble(*args).tobytes() == ref.tobytes()
 
     def test_threads_do_not_change_curves(self, monkeypatch):
         # kernel_ensemble runs on every core; pretend the process has one or three
         args = (BRIDGE, 0.2, [1e-3, 1e-2], 2.0, 1e-3, 30, 4)
-        monkeypatch.setattr(local_time, "_CHUNK_PATHS", 7)
+        monkeypatch.setattr(simulate, "_TILE_PATHS", 7)
         ref = kernel_ensemble(*args, steps=[500, 1000, 2000])
         for cores in (1, 3):
             monkeypatch.setattr(simulate, "_cores", lambda cores=cores: cores)

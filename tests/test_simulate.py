@@ -372,6 +372,70 @@ class TestStreamingEngine:
         result = np.zeros((3, 2))
         assert simulate.ensemble(lambda idx: result, 3, 5) is result
 
+    def test_ensemble_tasks_are_at_most_a_tile(self, monkeypatch):
+        # whatever chunk the caller asks for, no walk steps more than _TILE_PATHS paths at once
+        args = (BRIDGE, [0.5, 2.0], 0.01, 40, 6, "exact")
+        curve_args = (BRIDGE, 0.1, [1e-2, 1e-3], 2.0, 0.01, 40, 6, [50, 200])
+        ref = terminal_values(*args, threads=1)
+        monkeypatch.setattr(simulate, "_cores", lambda: 1)
+        ref_curves = kernel_ensemble(*curve_args)
+        monkeypatch.undo()
+        widths, walk = [], simulate.walk
+
+        def recording_walk(table, seed, path_indices):
+            widths.append(len(path_indices))
+            return walk(table, seed, path_indices)
+
+        monkeypatch.setattr(simulate, "walk", recording_walk)
+        monkeypatch.setattr(simulate, "_TILE_PATHS", 7)
+        assert terminal_values(*args, chunk=4096).tobytes() == ref.tobytes()
+        assert sorted(widths) == [5] + [7] * 5
+        widths.clear()
+        assert kernel_ensemble(*curve_args).tobytes() == ref_curves.tobytes()
+        assert sorted(widths) == [5] + [7] * 5
+
+    @pytest.mark.parametrize(
+        "n_paths, cores, threads, widths",
+        [
+            (200, 2, None, [100, 100]),
+            (200, 4, None, [67, 67, 66]),
+            (200, 8, 2, [100, 100]),
+            (200, 2, 1, [200]),
+            (127, 2, None, [127]),
+            (16, 2, None, [16]),
+            (600, 2, None, [256, 256, 88]),
+        ],
+    )
+    def test_small_batches_are_spread_over_the_cores(self, monkeypatch, n_paths, cores, threads, widths):
+        # fewer than two tiles of paths: one task per thread, each keeping a 64-path draw slab
+        monkeypatch.setattr(simulate, "_cores", lambda: cores)
+        got = simulate.ensemble(lambda idx: np.array([[len(idx)]]), n_paths, 4096, threads)
+        assert got[:, 0].tolist() == widths
+
+    def test_task_memory_does_not_grow_with_chunk_or_paths(self, monkeypatch):
+        # a task's working set is one tile's: chunk=4096 peaks where chunk=256 does, and
+        # kernel_ensemble over four tiles of paths where it does over one; its reducer's row
+        # tiles add little to the walk blocks that terminal_values holds for the same paths
+        def peak(call):
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        tile = simulate._TILE_PATHS
+        args = (BRIDGE, [2.0], 1e-3, 4 * tile, 0, "euler")
+        narrow = peak(lambda: terminal_values(*args, chunk=tile, threads=1))
+        wide = peak(lambda: terminal_values(*args, chunk=4096, threads=1))
+        assert abs(wide - narrow) < 0.05 * narrow
+        monkeypatch.setattr(simulate, "_cores", lambda: 1)
+        walk = peak(lambda: terminal_values(BRIDGE, [1.0], 1e-3, tile, 0, "euler", threads=1))
+        one = peak(lambda: kernel_ensemble(BRIDGE, 0.0, [1e-3], 1.0, 1e-3, tile, 0))
+        four = peak(lambda: kernel_ensemble(BRIDGE, 0.0, [1e-3], 1.0, 1e-3, 4 * tile, 0))
+        assert four < 1.05 * one
+        assert one < 1.25 * walk
+
     def test_long_horizon_memory_is_bounded(self):
         # 64 paths x 2e5 steps: the whole-horizon noise alone would take 102 MB
         tracemalloc.start()
