@@ -20,7 +20,6 @@ from . import simulate
 from .errors import DomainError, InsufficientDataError
 
 _SWEEP_STEPS = 256  # samples per level_sweep piece; memory is O(_SWEEP_STEPS * levels)
-_CHUNK_PATHS = 64  # paths space_modulus steps together; results do not depend on it
 
 
 @dataclass
@@ -91,13 +90,16 @@ def _uniform_spacing(checkpoints):
 
 
 def _scale_lags(scales, spacing):
-    """Scales sorted decreasing, and each as a whole number of grid spacings."""
+    """Scales sorted decreasing, and each as a whole number of grid spacings, to 1e-9 relative."""
     scales = np.sort(np.asarray(scales, dtype=float))[::-1]
     if not np.all(np.isfinite(scales)):
         raise DomainError(f"scales must be finite, got {scales}")
     if scales[-1] < spacing * (1 - 1e-9):
         raise DomainError(f"smallest scale {scales[-1]} is below the grid spacing {spacing}")
-    return scales, [int(round(s / spacing)) for s in scales]
+    lags = np.rint(scales / spacing)
+    if np.any(np.abs(lags * spacing - scales) > 1e-9 * scales):
+        raise DomainError(f"scales must be whole multiples of the grid spacing {spacing}, got {scales}")
+    return scales, [int(lag) for lag in lags]
 
 
 def _fitted_profile(scales, sups):
@@ -217,8 +219,8 @@ def space_modulus(
 ):
     """Sup-increment profile of L_t^x in the level variable, ensemble-averaged.
 
-    Paths are stepped together in chunks of _CHUNK_PATHS, and each walk block
-    is swept over the uniform x_grid as it comes, so no path is kept and
+    simulate.ensemble steps the paths in tasks of at most 256, and each walk
+    block is swept over the uniform x_grid as it comes, so no path is kept and
     memory does not grow with the horizon beyond the transition table.  Per
     path: nested sup-increments of its level sweep across dyadic level
     distances; profiles are averaged over paths (max within a path, then mean
@@ -239,4 +241,5 @@ def space_modulus(
             sweep.feed(values)
         return np.array([_nested_sup_increments(row, lags) for row in sweep.total()])
 
-    return _fitted_profile(scales, np.mean(simulate.ensemble(profiles, n_paths, _CHUNK_PATHS, threads), axis=0))
+    sups = simulate.ensemble(profiles, n_paths, len(table[0]), threads=threads)
+    return _fitted_profile(scales, np.mean(sups, axis=0))

@@ -31,6 +31,7 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # costs 20-150 ns.  Below _EXP_ZERO the result is exactly 0.0.
 _EXP_FAST = -707.0
 _EXP_ZERO = -746.0
+_TILE_SIZE = 2**15  # elements in a row tile of kernel_ensemble's reducer, per buffer
 
 
 @dataclass
@@ -47,8 +48,8 @@ class LocalTimeCurve:
 
 def _checkpoint_array(checkpoints, horizon):
     cp = np.atleast_1d(np.asarray(checkpoints, dtype=float))
-    if np.any(cp < 0) or np.any(cp > horizon * (1 + 1e-12) + 1e-12):
-        raise DomainError(f"checkpoints must lie within [0, {horizon}]")
+    if not np.all((cp >= 0) & (cp <= horizon * (1 + 1e-12) + 1e-12)):  # NaN fails both
+        raise DomainError(f"checkpoints must be finite and lie within [0, {horizon}], got {cp}")
     return cp
 
 
@@ -159,9 +160,9 @@ def kernel_ensemble(spec, x, eps_list, T, h, n_paths, seed, steps=None, scheme="
     grid reaching T; step 0 records 0.0.  Each path's curve equals
     kernel_estimate's bit for bit, whatever the block length, task width and
     thread count.  simulate.ensemble runs tasks of at most 256 paths on every
-    core.  Each walk block is reduced over the whole task in row tiles of
-    simulate.tile_rows, in buffers allocated once per task; a row tile with
-    no recorded step is summed without a cumsum.
+    core.  Each walk block is reduced over the whole task in row tiles of at
+    most _TILE_SIZE elements per buffer and at most a block, allocated once
+    per task; a row tile with no recorded step is summed without a cumsum.
     """
     times = simulate.grid(T, h)
     steps = np.asarray([len(times) - 1] if steps is None else steps)
@@ -174,7 +175,7 @@ def kernel_ensemble(spec, x, eps_list, T, h, n_paths, seed, steps=None, scheme="
 
     def one_chunk(idx):
         m, ne = len(idx), len(eps)
-        rows = min(simulate.tile_rows(m, ne), len(times) - 1)
+        rows = max(1, min(len(times) - 1, simulate.BLOCK_STEPS, _TILE_SIZE // (m * ne)))
         sq = np.empty((rows, m, 1))
         dens, trap = np.empty((2, rows, m, ne))
         out = np.zeros((m, len(steps), ne))
@@ -196,7 +197,7 @@ def kernel_ensemble(spec, x, eps_list, T, h, n_paths, seed, steps=None, scheme="
                 prev[:], acc[:] = y[-1], cum
         return out
 
-    return simulate.ensemble(one_chunk, n_paths)
+    return simulate.ensemble(one_chunk, n_paths, len(table[0]))
 
 
 def cauchy_diagnostic(spec, x, t, eps_ladder, n_paths, seed, h=None):

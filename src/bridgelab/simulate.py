@@ -12,22 +12,22 @@ sample is a pure function of (seed, path_index, step) and results never
 depend on execution order or worker count.  A stream is built straight from
 its key, without reading OS entropy.
 
-One engine, walk, steps a chunk of paths through a table time-major over
-blocks of block_steps steps (BLOCK_STEPS, or fewer for a chunk of over 256
-paths, so that a block holds at most 2^18 values), drawing each block from the
-chunk's Philox generators, which stay alive between blocks.  Within a block it
+One engine, walk, steps at most _TILE_PATHS = 256 paths through a table
+time-major over blocks of BLOCK_STEPS steps, drawing each block from the
+paths' Philox generators, which stay alive between blocks.  Within a block it
 evaluates the recursion as a blocked scan over sub-blocks of _SCAN_STEPS steps
 aligned to step 0, and a block is a whole number of sub-blocks, so a numpy call
-covers every sub-block of the block at once and a narrow chunk does not pay one
+covers every sub-block of the block at once and a narrow walk does not pay one
 call per step.  Callers reduce each (steps, paths) block as it comes
 (snapshots at horizons, whole-path capture, a running kernel integral).  walk
 writes every block into the same buffers, so a yielded block is valid only
 until the next one is requested, and memory is O(paths x block) unless whole
-paths are kept.  ensemble hands its function tasks of at most _TILE_PATHS = 256
-paths, whatever chunk the caller asks for, so a task's noise and values blocks
-are 2 MB each, and runs them on every core the process may use unless told
-otherwise, so memory is the thread count times one task's working set.  Results
-are bit-identical for any BLOCK_STEPS, chunk size, task width and thread count.
+paths are kept.  ensemble cuts a batch into tasks of at most 256 paths, so a
+task's noise and values blocks are 2 MB each, and runs them on every core the
+process may use unless told otherwise, or on one thread when the walk is too
+short to gain from more; memory is the thread count times one task's working
+set.  Results are bit-identical for any BLOCK_STEPS, chunk size, task width
+and thread count.
 """
 
 from __future__ import annotations
@@ -47,11 +47,10 @@ from .errors import DomainError
 _MASK64 = (1 << 64) - 1
 _COUNTER0 = np.zeros(4, dtype=np.uint64)
 BLOCK_STEPS = 1024
-_BLOCK_SIZE = 2**18  # values in a walk block at most: a chunk of over 256 paths takes shorter blocks
-_TILE_PATHS = _BLOCK_SIZE // BLOCK_STEPS  # paths in one ensemble task at most: its blocks keep BLOCK_STEPS
+_TILE_PATHS = 256  # paths a walk steps at most: its 1024-step noise and values blocks are 2 MB each
 _SLAB_PATHS = 64  # paths drawn per slab before the slab is transposed into the time-major noise
 _SCAN_STEPS = 32  # sub-block length of walk's scan, whose blocks are whole sub-blocks; path bits depend on it
-_FIX_SIZE = 2**15  # elements of the scan's x = y + P * s temporary and of a reducer's row tile
+_SERIAL_STEPS = BLOCK_STEPS * 5 // 8  # a walk of fewer steps runs on one thread: on two it ran slower
 
 
 @dataclass
@@ -179,50 +178,34 @@ def transition_table(spec, times, scheme):
     return decays, np.full(len(decays), math.sqrt(h))
 
 
-def block_steps(n_paths):
-    """Steps per walk block for a chunk of n_paths: BLOCK_STEPS, or fewer so that a block holds
-    at most _BLOCK_SIZE values, taken in whole sub-blocks of the scan and at least one.
-    An ensemble task, at most _TILE_PATHS wide, always takes BLOCK_STEPS."""
-    span = _SCAN_STEPS
-    return max(span, min(BLOCK_STEPS, _BLOCK_SIZE // n_paths) // span * span)
-
-
-def tile_rows(n_paths, width):
-    """Rows of a walk block that a reducer takes at a time when each path's row holds width
-    values: as many as fill _FIX_SIZE elements, at least one and at most a block."""
-    return max(1, min(block_steps(n_paths), _FIX_SIZE // (n_paths * width)))
-
-
 def _scan_plan(values, noise, decays, prods, fix, start):
     """The views that walk's scan steps through for a block of len(values) steps.
 
     A block starts where a sub-block does, so they depend only on its length, and walk
     builds them once per length.  Returns the y steps (previous y, decays, y, noise), with
     no previous y where a sub-block starts, and the x = y + P * s steps (P, s, temporary,
-    x), one per piece of a sub-block that fits the temporary.
+    x), one per sub-block.
     """
-    span, piece, b = _SCAN_STEPS, len(fix), len(values)
+    span, b = _SCAN_STEPS, len(values)
     y_steps = [(None, None, values[::span], noise[::span])]
     for r in range(1, min(span, b)):  # row r of each sub-block
         y_steps.append((values[r - 1 : b - 1 : span], decays[r::span, None], values[r::span], noise[r::span]))
     fix_steps, s = [], start
     for r0 in range(0, b, span):
         r1 = min(r0 + span, b)
-        for q0 in range(r0, r1, piece):
-            q1 = min(q0 + piece, r1)
-            fix_steps.append((prods[q0:q1, None], s, fix[: q1 - q0], values[q0:q1]))
+        fix_steps.append((prods[r0:r1, None], s, fix[: r1 - r0], values[r0:r1]))
         s = values[r1 - 1]
     return y_steps, fix_steps
 
 
 def walk(table, seed, path_indices):
-    """Yield (k0, values, noise) per block: X at steps k0+1, k0+2, ... as (block_steps, paths).
+    """Yield (k0, values, noise) per block: X at steps k0+1, k0+2, ... as (block steps, paths).
 
-    table is (decays, stds); noise = std * N drove those steps.  A block has
-    block_steps(len(path_indices)) steps, a whole number of scan sub-blocks,
-    except the last, which ends with the grid.  Every block is written into the
-    same buffers, so the yielded arrays are read-only and valid only until the
-    next block is requested; copy what must outlive it.
+    table is (decays, stds); noise = std * N drove those steps.  path_indices
+    names at most _TILE_PATHS paths.  A block has BLOCK_STEPS steps, taken in
+    whole scan sub-blocks, except the last, which ends with the grid.  Every
+    block is written into the same buffers, so the yielded arrays are read-only
+    and valid only until the next block is requested; copy what must outlive it.
     Each path's normals come from its own stream, a slab of _SLAB_PATHS paths at
     a time, and are scaled into time-major noise rows.  A walk of one block
     reads each stream once, so it re-keys a single generator instead of
@@ -239,16 +222,17 @@ def walk(table, seed, path_indices):
     """
     decays, stds = table
     n, m, span = len(decays), len(path_indices), _SCAN_STEPS
-    block = block_steps(m)
+    if m > _TILE_PATHS:
+        raise DomainError(f"path_indices must name at most {_TILE_PATHS} paths, got {m}")
+    block = max(span, BLOCK_STEPS // span * span)
     streams = [_stream(seed, p) for p in path_indices] if n > block else None
     rows = min(block, n)
     # one allocation for all buffers: the noise and values blocks; s, x where the block starts;
-    # the block's decays and their running products; the x = y + P * s temporary.  For an ensemble
-    # task it is at most about 4 MB, which malloc keeps in the thread's heap for the next task.
-    piece = min(span, max(1, _FIX_SIZE // m))
-    sizes = (rows * m, rows * m, m, rows, rows, piece * m)
+    # the block's decays and their running products; the x = y + P * s temporary of a sub-block.
+    # At a full tile it is about 4 MB, which malloc keeps in the thread's heap for the next task.
+    sizes = (rows * m, rows * m, m, rows, rows, span * m)
     noise, values, start, block_decays, prods, fix = np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1])
-    noise, values, fix = noise.reshape(rows, m), values.reshape(rows, m), fix.reshape(piece, m)
+    noise, values, fix = noise.reshape(rows, m), values.reshape(rows, m), fix.reshape(span, m)
     start[:] = 0.0
     plans = {}
     slab = np.empty((min(_SLAB_PATHS, m), rows))
@@ -315,23 +299,24 @@ def _cores():
         return os.cpu_count() or 1
 
 
-def ensemble(fn, n_paths, chunk=None, threads=None):
-    """Stack fn(path_indices) over tasks of paths 0 .. n_paths-1, run on up to `threads` threads.
+def ensemble(fn, n_paths, n_steps, chunk=None, threads=None):
+    """Stack fn(path_indices) over tasks of paths 0 .. n_paths-1, each to walk n_steps steps.
 
-    A task holds at most chunk paths and at most _TILE_PATHS, so its walk blocks
-    stay cache-sized whatever chunk the caller asks for.  A batch of fewer than
-    two such tasks is split into one task per thread instead, as long as each
-    keeps a draw slab of _SLAB_PATHS paths.  A lone task's result is returned
-    as is, without a copy.
+    A task holds at most chunk paths and at most _TILE_PATHS, the widest walk.
+    A batch of fewer than two such tasks is split into one task per thread
+    instead, as long as each keeps a draw slab of _SLAB_PATHS paths.  A lone
+    task's result is returned as is, without a copy.
 
-    threads=None uses every core the process may run on.  Each running task
-    holds its own working set, so memory grows with the thread count.
-    n_paths, chunk and threads below 1 are a DomainError.
+    Tasks run on up to `threads` threads; threads=None uses every core the
+    process may run on.  A walk of fewer than _SERIAL_STEPS steps runs on one
+    thread whatever threads says: its tasks are too short to pay for the pool.
+    Each running task holds its own working set, so memory grows with the
+    thread count.  n_paths, chunk and threads below 1 are a DomainError.
     """
     for name, value in (("n_paths", n_paths), ("chunk", chunk), ("threads", threads)):
         if value is not None and value < 1:
             raise DomainError(f"{name} must be at least 1, got {value}")
-    workers = _cores() if threads is None else threads
+    workers = 1 if n_steps < _SERIAL_STEPS else _cores() if threads is None else threads
     width = min(_TILE_PATHS, n_paths if chunk is None else chunk)
     if n_paths < 2 * width:  # a small batch: one task per thread, each of a draw slab or more
         tasks = max(1, min(workers, n_paths // _SLAB_PATHS))
@@ -400,7 +385,7 @@ def terminal_values(spec, horizons, h, n_paths, seed, scheme="exact", chunk=4096
             record(out, steps, k0, values)
         return out
 
-    return ensemble(one_chunk, n_paths, chunk, threads)
+    return ensemble(one_chunk, n_paths, len(table[0]), chunk, threads)
 
 
 def batch_terminal_stats(spec, horizons, n_paths, scheme="exact", h=0.05, seed=0, threads=None):

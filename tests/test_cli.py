@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import bridgelab
+from bridgelab import simulate
 from bridgelab.cli import main, run_figures_preset
 from bridgelab.drift import DriftSpec
 from bridgelab.holder_analysis import space_modulus, time_modulus
@@ -57,7 +58,8 @@ class TestSimulateCommand:
         assert rows[0][1] == 0.0
         assert (tmp_path / "simulate_report.json").exists()
 
-    def test_threads_do_not_change_artifacts(self, tmp_path):
+    def test_threads_do_not_change_artifacts(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(simulate, "_SERIAL_STEPS", 0)  # let the 200-step walk use the threads
         cfg = tmp_path / "c.cfg"
         cfg.write_text(
             "drift.family = power\ndrift.beta = 0.8\nT = 2\nh = 0.01\nn_paths = 150\nscheme = exact\n"
@@ -68,8 +70,9 @@ class TestSimulateCommand:
         assert (out1 / "terminal_stats.csv").read_bytes() == (out2 / "terminal_stats.csv").read_bytes()
         assert (out1 / "path_0000.csv").read_bytes() == (out2 / "path_0000.csv").read_bytes()
 
-    def test_default_threads_write_the_csvs_of_one_thread(self, tmp_path):
+    def test_default_threads_write_the_csvs_of_one_thread(self, tmp_path, monkeypatch):
         # without --threads the batch runs on every core; 5000 paths are 20 tasks of at most 256
+        monkeypatch.setattr(simulate, "_SERIAL_STEPS", 0)  # let the 20-step walk use the threads
         cfg = tmp_path / "c.cfg"
         cfg.write_text("drift.family = power\ndrift.beta = 0.8\nT = 1\nh = 0.05\nn_paths = 5000\n")
         out1, out_default = tmp_path / "t1", tmp_path / "default"

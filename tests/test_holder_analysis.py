@@ -92,6 +92,14 @@ class TestTimeModulus:
         with pytest.raises(DomainError):
             time_modulus(make_curve(np.sqrt, n=65), [2.0**-10])
 
+    def test_off_grid_scales_rejected(self):
+        # rounded, 1.5 spacings would take the lag-2 sup while the profile reports 1.5 spacings
+        curve = make_curve(np.sqrt)
+        h = curve.checkpoints[1]
+        with pytest.raises(DomainError, match="scales must be whole multiples"):
+            time_modulus(curve, [1.5 * h, 3 * h, 6 * h])
+        assert time_modulus(curve, [2 * h, 3 * h, 6 * h * (1 + 1e-12)]).scales[1] == 3 * h
+
     def test_descending_checkpoints_rejected(self):
         # a negative spacing made negative lags, and the profile read uninitialized memory
         curve = LocalTimeCurve(0.0, np.linspace(1.0, 0.0, 5), np.linspace(4.0, 0.0, 5), "kernel", 1e-3, 0)
@@ -251,13 +259,14 @@ class TestSpaceModulus:
         assert (peaks[1] - peaks[0]) / (2**16 - 2**12) < 24.0
 
     @pytest.mark.parametrize("scheme", ["euler", "exact"])
-    def test_streamed_sweeps_equal_whole_path_sweeps(self, scheme):
-        # 70 paths span two chunks; 1000 steps end in a partial sweep piece and a partial walk block
+    def test_streamed_sweeps_equal_whole_path_sweeps(self, monkeypatch, scheme):
+        # 70 paths span three tasks; 1000 steps end in a partial sweep piece and a partial walk block
         x = np.linspace(-1, 1, 65)
         h, eps = 1e-3, 1e-3
-        profile = space_modulus(BRIDGE, 1.0, x, n_paths=70, h=h, seed=3, eps=eps, scheme=scheme)
         table = simulate.transition_table(BRIDGE, simulate.grid(1.0, h), scheme)
         values, _ = simulate.paths(table, 3, range(70))
+        monkeypatch.setattr(simulate, "_TILE_PATHS", 32)
+        profile = space_modulus(BRIDGE, 1.0, x, n_paths=70, h=h, seed=3, eps=eps, scheme=scheme)
         lags = [int(round(s / (x[1] - x[0]))) for s in profile.scales]
         whole = np.mean([_nested_sup_increments(level_sweep(v, h, x, eps), lags) for v in values], axis=0)
         assert profile.sup_increments.tobytes() == whole.tobytes()
@@ -266,6 +275,11 @@ class TestSpaceModulus:
         x = np.linspace(-1, 1, 17)
         with pytest.raises(DomainError):
             space_modulus(BRIDGE, 1.0, x, n_paths=2, h=2.0**-8, seed=0, eps=1e-3, scales=[1e-3])
+
+    def test_off_grid_scales_rejected(self):
+        x = np.linspace(-1, 1, 17)
+        with pytest.raises(DomainError, match="scales must be whole multiples"):
+            space_modulus(BRIDGE, 1.0, x, n_paths=2, h=2.0**-8, seed=0, eps=1e-3, scales=[0.125, 0.25, 0.6])
 
     def test_nonuniform_grid_rejected(self):
         x = np.concatenate([np.linspace(-1, 0, 9), np.linspace(0.1, 1, 9)])

@@ -40,6 +40,19 @@ CALLS = {
         "horizons must be finite",
     ),
     "growth_probe_h": (lambda: local_time.growth_probe(BRIDGE, 0.0, [1.0, 2.0, 3.0], NAN, 4, 0), "h=nan"),
+    "kernel_estimate_checkpoints": (
+        lambda: local_time.kernel_estimate(PATH, 0.0, 0.01, [0.5, NAN, 1.0]),
+        "checkpoints must be finite",
+    ),
+    "binned_estimate_checkpoints": (
+        lambda: local_time.binned_estimate(PATH, 0.0, 0.1, [0.5, NAN, 1.0]),
+        "checkpoints must be finite",
+    ),
+    # np.rint(nan) would snap a NaN checkpoint to step 0, which reads 0.0
+    "tanaka_estimate_checkpoints": (
+        lambda: local_time.tanaka_estimate(PATH, BRIDGE, 0.0, [0.5, NAN, 1.0]),
+        "checkpoints must be finite",
+    ),
     "kernel_estimate_eps": (lambda: local_time.kernel_estimate(PATH, 0.0, NAN, [1.0]), "eps must be positive"),
     "binned_estimate_delta": (lambda: local_time.binned_estimate(PATH, 0.0, NAN, [1.0]), "delta must be positive"),
     "level_sweep_eps": (

@@ -187,7 +187,9 @@ def ensembles(draw):
 def test_terminal_values_equal_single_paths(ensemble, scheme, seed, n_paths, chunk, threads):
     # a one-path chunk steps the same scan as a chunk of several paths
     spec, horizons, h = ensemble
-    got = terminal_values(spec, horizons, h, n_paths, seed, scheme, chunk=chunk, threads=threads)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "_SERIAL_STEPS", 0)  # let these short walks use the threads
+        got = terminal_values(spec, horizons, h, n_paths, seed, scheme, chunk=chunk, threads=threads)
     steps = np.rint(horizons / h).astype(int)
     one_path = euler_path if scheme == "euler" else exact_path
     for i in range(n_paths):

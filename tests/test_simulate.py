@@ -233,7 +233,8 @@ class TestDeterminismAcrossExecution:
         b = terminal_values(BRIDGE, [2.0], h=0.1, n_paths=300, seed=9, chunk=4096)
         assert np.array_equal(a, b)
 
-    def test_threads_do_not_change_results(self):
+    def test_threads_do_not_change_results(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_SERIAL_STEPS", 0)  # let the 20-step walk use the threads
         a = terminal_values(BRIDGE, [2.0], h=0.1, n_paths=300, seed=9, chunk=32, threads=1)
         b = terminal_values(BRIDGE, [2.0], h=0.1, n_paths=300, seed=9, chunk=32, threads=4)
         assert np.array_equal(a, b)
@@ -290,16 +291,12 @@ class TestStreamingEngine:
                     assert values[row].tobytes() == ref[p][0][0].tobytes()
                     assert noise[row].tobytes() == ref[p][1][0].tobytes()
 
-    def test_wide_chunks_take_shorter_blocks(self, monkeypatch):
-        # a block holds at most _BLOCK_SIZE values, in whole sub-blocks of the scan, and at least one
-        table = transition_table(BRIDGE, grid(1.0, 1e-3), "euler")
-        ref = simulate.paths(table, 5, range(30))
-        monkeypatch.setattr(simulate, "_BLOCK_SIZE", 640)
-        for width, rows in ((10, 64), (30, simulate._SCAN_STEPS)):
-            blocks = [len(values) for _, values, _ in simulate.walk(table, 5, range(width))]
-            assert blocks == [rows] * (1000 // rows) + [1000 % rows]
-        for got, expected in zip(simulate.paths(table, 5, range(30)), ref):
-            assert got.tobytes() == expected.tobytes()
+    def test_walk_steps_at_most_a_tile(self):
+        # no walk is wider than an ensemble task: a 257-path walk is refused before it draws
+        table = transition_table(BRIDGE, grid(1.0, 0.01), "euler")
+        assert simulate.paths(table, 5, range(256))[0].shape == (256, 101)
+        with pytest.raises(DomainError, match="path_indices"):
+            simulate.paths(table, 5, range(257))
 
     @pytest.mark.parametrize("block", [1, 7, 33, 100])
     def test_walk_blocks_are_whole_sub_blocks(self, monkeypatch, block):
@@ -320,6 +317,7 @@ class TestStreamingEngine:
 
     @pytest.mark.parametrize("scheme", ["euler", "exact"])
     def test_default_threads_equal_one_and_three(self, monkeypatch, scheme):
+        monkeypatch.setattr(simulate, "_SERIAL_STEPS", 0)  # let the 200-step walk use the threads
         args = (BRIDGE, [0.5, 2.0], 0.01, 70, 13, scheme)
         ref = terminal_values(*args, chunk=16, threads=1)
         assert terminal_values(*args, chunk=16, threads=3).tobytes() == ref.tobytes()
@@ -338,8 +336,33 @@ class TestStreamingEngine:
         monkeypatch.setattr(simulate, "ThreadPoolExecutor", pool)
         monkeypatch.setattr(simulate, "_cores", lambda: 8)
         for threads in (None, 2, 1):
-            simulate.ensemble(lambda idx: np.zeros((len(idx), 1)), 30, 10, threads)
+            simulate.ensemble(lambda idx: np.zeros((len(idx), 1)), 30, simulate.BLOCK_STEPS, 10, threads)
         assert pools == [3, 2]  # None: 8 cores capped at 3 chunks; 1 runs without a pool
+
+    def test_short_walks_run_without_a_pool(self, monkeypatch):
+        # two threads lose to one on a walk shorter than _SERIAL_STEPS, whatever threads says
+        pools = []
+
+        def pool(max_workers):
+            pools.append(max_workers)
+            return ThreadPoolExecutor(max_workers)
+
+        monkeypatch.setattr(simulate, "ThreadPoolExecutor", pool)
+        monkeypatch.setattr(simulate, "_cores", lambda: 2)
+        args = (BRIDGE, [1.0], 0.01, 600, 3, "euler")
+        ref = terminal_values(*args, threads=1)
+        assert terminal_values(*args).tobytes() == ref.tobytes()
+        assert terminal_values(*args, threads=2).tobytes() == ref.tobytes()
+        assert pools == []
+
+        def widths(n_paths, n_steps):
+            return simulate.ensemble(lambda idx: np.array([len(idx)]), n_paths, n_steps)
+
+        assert widths(200, simulate._SERIAL_STEPS - 1).tolist() == [200]  # one task, not one per core
+        assert widths(600, 1).tolist() == [256, 256, 88]
+        assert pools == []
+        assert widths(200, simulate._SERIAL_STEPS).tolist() == [100, 100]
+        assert pools == [2]
 
     @pytest.mark.parametrize(
         "steps", [[4, 5, 6, 7], [4, 4, 6], [5, 9, 9, 12], [12, 13], [1, 2, 3, 12]], ids=str
@@ -370,7 +393,7 @@ class TestStreamingEngine:
 
     def test_lone_chunk_is_returned_without_a_copy(self):
         result = np.zeros((3, 2))
-        assert simulate.ensemble(lambda idx: result, 3, 5) is result
+        assert simulate.ensemble(lambda idx: result, 3, simulate.BLOCK_STEPS, 5) is result
 
     def test_ensemble_tasks_are_at_most_a_tile(self, monkeypatch):
         # whatever chunk the caller asks for, no walk steps more than _TILE_PATHS paths at once
@@ -409,7 +432,7 @@ class TestStreamingEngine:
     def test_small_batches_are_spread_over_the_cores(self, monkeypatch, n_paths, cores, threads, widths):
         # fewer than two tiles of paths: one task per thread, each keeping a 64-path draw slab
         monkeypatch.setattr(simulate, "_cores", lambda: cores)
-        got = simulate.ensemble(lambda idx: np.array([[len(idx)]]), n_paths, 4096, threads)
+        got = simulate.ensemble(lambda idx: np.array([[len(idx)]]), n_paths, simulate.BLOCK_STEPS, 4096, threads)
         assert got[:, 0].tolist() == widths
 
     def test_task_memory_does_not_grow_with_chunk_or_paths(self, monkeypatch):
