@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .drift import DriftSpec, FAMILIES
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .reporting import digest_text, fmt_float, read_csv
 
 
@@ -151,7 +151,11 @@ def _validate(cfg):
         raise ConfigError(f"{key}: {steps:.3g} steps of h per path exceed the cap of {MAX_STEPS:.0e}")
     if cfg.n_paths * math.ceil(steps) > MAX_PATH_STEPS:
         raise ConfigError(f"n_paths: {cfg.n_paths} x {math.ceil(steps)} path-steps exceed the cap of {MAX_PATH_STEPS:.0e}")
-    cfg.drift_spec()  # surfaces drift-level constraint violations early
+    try:
+        cfg.drift_spec()  # surfaces drift-level constraint violations early
+    except DomainError as exc:  # DriftSpec's message starts with the field: beta, scale or table
+        field, _, reason = str(exc).partition(": ")
+        raise ConfigError(f"drift.{field}: {reason}") from exc
 
 
 def to_text(cfg):

@@ -54,25 +54,28 @@ class DriftSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise DomainError(f"unknown drift family {self.family!r}")
+        # each message below starts with the field it is about, which config names as drift.<field>
         if self.family in ("power", "exponential"):
-            if not self.beta > 0:
-                raise DomainError(f"{self.family} drift requires beta > 0, got {self.beta}")
-            if not self.scale > 0:
-                raise DomainError(f"{self.family} drift requires scale > 0, got {self.scale}")
+            if not 0 < self.beta < math.inf:
+                raise DomainError(f"beta: {self.family} drift requires a finite beta > 0, got {self.beta}")
+            if not 0 < self.scale < math.inf:
+                raise DomainError(f"scale: {self.family} drift requires a finite scale > 0, got {self.scale}")
         elif self.family == "constant":
-            if self.scale < 0:
-                raise DomainError(f"constant drift requires scale >= 0, got {self.scale}")
+            if not 0 <= self.scale < math.inf:
+                raise DomainError(f"scale: constant drift requires a finite scale >= 0, got {self.scale}")
         else:
             pairs = tuple((float(t), float(a)) for t, a in self.table)
             if len(pairs) < 2:
-                raise DomainError("tabulated drift needs at least two (time, alpha) pairs")
+                raise DomainError("table: tabulated drift needs at least two (time, alpha) pairs")
+            if not all(math.isfinite(v) for pair in pairs for v in pair):
+                raise DomainError("table: tabulated times and alpha values must be finite")
             times = [t for t, _ in pairs]
             if times[0] != 0.0:
-                raise DomainError("tabulated times must start at 0")
+                raise DomainError("table: tabulated times must start at 0")
             if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
-                raise DomainError("tabulated times must be strictly increasing")
+                raise DomainError("table: tabulated times must be strictly increasing")
             if any(a < 0 for _, a in pairs):
-                raise DomainError("tabulated alpha values must be nonnegative")
+                raise DomainError("table: tabulated alpha values must be nonnegative")
             object.__setattr__(self, "table", pairs)
             # knot times, knot alphas and A at the knots (exact trapezoids), cached read-only
             times, values = np.array(pairs).T

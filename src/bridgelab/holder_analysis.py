@@ -205,41 +205,29 @@ def level_sweep(path_values, h, x_grid, eps):
     return sweep.total()[0]
 
 
-def space_modulus(
-    spec,
-    t,
-    x_grid,
-    n_paths,
-    h,
-    seed,
-    eps,
-    scheme="euler",
-    scales=None,
-    threads=None,
-):
+def space_modulus(spec, t, x_grid, n_paths, h, seed, eps, scheme="euler", threads=None):
     """Sup-increment profile of L_t^x in the level variable, ensemble-averaged.
 
     simulate.ensemble steps the paths in tasks of at most 256, and each walk
     block is swept over the uniform x_grid as it comes, so no path is kept and
     memory does not grow with the horizon beyond the transition table.  Per
-    path: nested sup-increments of its level sweep across dyadic level
-    distances; profiles are averaged over paths (max within a path, then mean
+    path: nested sup-increments of its level sweep across the dyadic level
+    distances dx, 2 dx, 4 dx, ... up to a quarter of the grid's span (at least
+    three); profiles are averaged over paths (max within a path, then mean
     across paths) and fitted in log-log coordinates.
     """
     x = np.asarray(x_grid, dtype=float)
     dx = _uniform_spacing(x)
-    if scales is None:
-        n_dyadic = max(3, int(math.floor(math.log2((x[-1] - x[0]) / (4 * dx)))) + 1)
-        scales = dx * 2.0 ** np.arange(n_dyadic)
-    scales, lags = _scale_lags(scales, dx)
+    n_dyadic = max(3, int(math.floor(math.log2((x[-1] - x[0]) / (4 * dx)))) + 1)
+    scales, lags = _scale_lags(dx * 2.0 ** np.arange(n_dyadic), dx)
     table = simulate.transition_table(spec, simulate.grid(t, h), scheme)
 
-    def profiles(idx):
+    def profiles(idx, blocks):
         sweep = _LevelSweep(len(idx), h, x, eps)
         sweep.feed(np.zeros((1, len(idx))))  # X_0 = 0
-        for _, values, _ in simulate.walk(table, seed, idx):
+        for _, values, _ in blocks:
             sweep.feed(values)
         return np.array([_nested_sup_increments(row, lags) for row in sweep.total()])
 
-    sups = simulate.ensemble(profiles, n_paths, len(table[0]), threads=threads)
+    sups = simulate.ensemble(table, seed, n_paths, profiles, threads=threads)
     return _fitted_profile(scales, np.mean(sups, axis=0))

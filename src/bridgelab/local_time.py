@@ -166,14 +166,16 @@ def kernel_ensemble(spec, x, eps_list, T, h, n_paths, seed, steps=None, scheme="
     """
     times = simulate.grid(T, h)
     steps = np.asarray([len(times) - 1] if steps is None else steps)
-    if np.any(steps < 0) or np.any(steps > len(times) - 1) or np.any(np.diff(steps) < 0):
-        raise DomainError(f"steps must be nondecreasing grid steps in [0, {len(times) - 1}]")
+    whole = (steps >= 0) & (steps <= len(times) - 1) & (steps == np.floor(steps))  # NaN fails all three
+    if not np.all(whole) or np.any(np.diff(steps) < 0):
+        raise DomainError(f"steps must be nondecreasing whole grid steps in [0, {len(times) - 1}], got {steps}")
+    steps = steps.astype(np.intp, copy=False)
     eps = np.asarray(eps_list, dtype=float)
     if not np.all((eps > 0) & (eps < math.inf)):
         raise DomainError(f"eps_list must be positive and finite, got {eps}")
     table = simulate.transition_table(spec, times, scheme)
 
-    def one_chunk(idx):
+    def curves(idx, blocks):
         m, ne = len(idx), len(eps)
         rows = max(1, min(len(times) - 1, simulate.BLOCK_STEPS, _TILE_SIZE // (m * ne)))
         sq = np.empty((rows, m, 1))
@@ -181,7 +183,7 @@ def kernel_ensemble(spec, x, eps_list, T, h, n_paths, seed, steps=None, scheme="
         out = np.zeros((m, len(steps), ne))
         prev = _gaussian_density(np.square(np.zeros((m, 1)) - x), eps)
         acc = np.zeros((m, ne))
-        for k0, block, _ in simulate.walk(table, seed, idx):
+        for k0, block, _ in blocks:
             for r0 in range(0, len(block), rows):
                 values = block[r0 : r0 + rows]
                 k, nb = k0 + r0, len(values)
@@ -197,15 +199,15 @@ def kernel_ensemble(spec, x, eps_list, T, h, n_paths, seed, steps=None, scheme="
                 prev[:], acc[:] = y[-1], cum
         return out
 
-    return simulate.ensemble(one_chunk, n_paths, len(table[0]))
+    return simulate.ensemble(table, seed, n_paths, curves)
 
 
-def cauchy_diagnostic(spec, x, t, eps_ladder, n_paths, seed, h=None):
+def cauchy_diagnostic(spec, x, t, eps_ladder, n_paths, seed):
     """Monte Carlo E |L_{t, eps_i} - L_{t, eps_{i+1}}|^2 along a decreasing ladder.
 
     The mollified family is L^2-Cauchy as eps -> 0, so the sequence should
     trend to zero; only that empirical trend is contracted, the quadrature
-    bound is not asserted here.
+    bound is not asserted here.  Paths are stepped at h = min(smallest eps, 1e-3).
     """
     ladder = np.asarray(eps_ladder, dtype=float)
     if not (np.all((ladder > 0) & (ladder < math.inf)) and np.all(np.diff(ladder) < 0)):
@@ -214,15 +216,14 @@ def cauchy_diagnostic(spec, x, t, eps_ladder, n_paths, seed, h=None):
         return []
     if n_paths < 500:
         raise DomainError("need at least 500 paths")
-    if h is None:
-        h = min(float(ladder.min()), 1e-3)
+    h = min(float(ladder.min()), 1e-3)
     l_vals = kernel_ensemble(spec, x, ladder, t, h, n_paths, seed)[:, 0, :]
     diffs = l_vals[:, :-1] - l_vals[:, 1:]
     return list((diffs**2).mean(axis=0))
 
 
-def growth_probe(spec, x, horizons, h, n_paths, seed, scheme="exact", eps=None):
-    """Ensemble-mean kernel local time at integer horizons plus its growth exponent.
+def growth_probe(spec, x, horizons, h, n_paths, seed, scheme="exact"):
+    """Ensemble-mean kernel local time, of kernel variance h, at integer horizons plus its growth exponent.
 
     Returns (mean curve, fitted exponent from log L vs log n regression).
     Raises if the mean curve fails to increase strictly or the exponent is
@@ -233,12 +234,8 @@ def growth_probe(spec, x, horizons, h, n_paths, seed, scheme="exact", eps=None):
     horizons = np.asarray(horizons, dtype=float)
     if np.any(np.diff(horizons) <= 0) or np.any(horizons <= 0):
         raise DomainError("horizons must be positive and strictly increasing")
-    if eps is None:
-        eps = h
-    elif not 0 < eps < math.inf:
-        raise DomainError(f"eps must be positive and finite, got {eps}")
     steps = simulate.horizon_steps(horizons, h)
-    l_vals = kernel_ensemble(spec, x, [eps], horizons[-1], h, n_paths, seed, steps, scheme)
+    l_vals = kernel_ensemble(spec, x, [h], horizons[-1], h, n_paths, seed, steps, scheme)
     curve = l_vals[:, :, 0].mean(axis=0)
     if np.any(np.diff(curve) <= 0):
         raise NumericsError("ensemble local-time curve failed to increase strictly")

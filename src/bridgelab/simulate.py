@@ -18,16 +18,16 @@ paths' Philox generators, which stay alive between blocks.  Within a block it
 evaluates the recursion as a blocked scan over sub-blocks of _SCAN_STEPS steps
 aligned to step 0, and a block is a whole number of sub-blocks, so a numpy call
 covers every sub-block of the block at once and a narrow walk does not pay one
-call per step.  Callers reduce each (steps, paths) block as it comes
-(snapshots at horizons, whole-path capture, a running kernel integral).  walk
-writes every block into the same buffers, so a yielded block is valid only
-until the next one is requested, and memory is O(paths x block) unless whole
-paths are kept.  ensemble cuts a batch into tasks of at most 256 paths, so a
-task's noise and values blocks are 2 MB each, and runs them on every core the
-process may use unless told otherwise, or on one thread when the walk is too
-short to gain from more; memory is the thread count times one task's working
-set.  Results are bit-identical for any BLOCK_STEPS, chunk size, task width
-and thread count.
+call per step.  walk writes every block into the same buffers, so a yielded
+block is valid only until the next one is requested, and memory is
+O(paths x block) unless whole paths are kept.  ensemble cuts a batch into
+tasks of at most 256 paths, so a task's noise and values blocks are 2 MB each,
+walks each task and hands its blocks to the caller's reducer (snapshots at
+horizons, a running kernel integral, a level sweep) as they come.  It runs the
+tasks on every core the process may use unless told otherwise, or on one
+thread when the table is too short to gain from more; memory is the thread
+count times one task's working set.  Results are bit-identical for any
+BLOCK_STEPS, chunk size, task width and thread count.
 """
 
 from __future__ import annotations
@@ -299,36 +299,41 @@ def _cores():
         return os.cpu_count() or 1
 
 
-def ensemble(fn, n_paths, n_steps, chunk=None, threads=None):
-    """Stack fn(path_indices) over tasks of paths 0 .. n_paths-1, each to walk n_steps steps.
+def ensemble(table, seed, n_paths, reduce, chunk=None, threads=None):
+    """Stack reduce(path_indices, walk(table, seed, path_indices)) over tasks of paths 0 .. n_paths-1.
 
-    A task holds at most chunk paths and at most _TILE_PATHS, the widest walk.
-    A batch of fewer than two such tasks is split into one task per thread
-    instead, as long as each keeps a draw slab of _SLAB_PATHS paths.  A lone
-    task's result is returned as is, without a copy.
+    reduce takes a task's paths and the blocks of their walk, and returns one
+    row per path.  A task holds at most chunk paths and at most _TILE_PATHS,
+    the widest walk.  A batch of fewer than two such tasks is split into one
+    task per thread instead, as long as each keeps a draw slab of _SLAB_PATHS
+    paths.  A lone task's result is returned as is, without a copy.
 
     Tasks run on up to `threads` threads; threads=None uses every core the
-    process may run on.  A walk of fewer than _SERIAL_STEPS steps runs on one
-    thread whatever threads says: its tasks are too short to pay for the pool.
-    Each running task holds its own working set, so memory grows with the
-    thread count.  n_paths, chunk and threads below 1 are a DomainError.
+    process may run on.  A table of fewer than _SERIAL_STEPS steps is walked
+    on one thread whatever threads says: its tasks are too short to pay for
+    the pool.  Each running task holds its own working set, so memory grows
+    with the thread count.  n_paths, chunk and threads below 1 are a DomainError.
     """
     for name, value in (("n_paths", n_paths), ("chunk", chunk), ("threads", threads)):
         if value is not None and value < 1:
             raise DomainError(f"{name} must be at least 1, got {value}")
-    workers = 1 if n_steps < _SERIAL_STEPS else _cores() if threads is None else threads
+    workers = 1 if len(table[0]) < _SERIAL_STEPS else _cores() if threads is None else threads
     width = min(_TILE_PATHS, n_paths if chunk is None else chunk)
     if n_paths < 2 * width:  # a small batch: one task per thread, each of a draw slab or more
         tasks = max(1, min(workers, n_paths // _SLAB_PATHS))
         width = min(width, -(-n_paths // tasks))
     chunks = [range(lo, min(lo + width, n_paths)) for lo in range(0, n_paths, width)]
     threads = min(workers, len(chunks))
+
+    def task(idx):
+        return reduce(idx, walk(table, seed, idx))
+
     if len(chunks) == 1:
-        return fn(chunks[0])
+        return task(chunks[0])
     if threads <= 1:
-        return np.concatenate([fn(c) for c in chunks], axis=0)
+        return np.concatenate([task(c) for c in chunks], axis=0)
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return np.concatenate(list(pool.map(fn, chunks)), axis=0)
+        return np.concatenate(list(pool.map(task, chunks)), axis=0)
 
 
 def _single_path(scheme, spec, T, h, seed, path_index):
@@ -379,13 +384,13 @@ def terminal_values(spec, horizons, h, n_paths, seed, scheme="exact", chunk=4096
         raise DomainError("horizons must be nonnegative and nondecreasing")
     table = transition_table(spec, grid(horizons[-1], h), scheme)
 
-    def one_chunk(idx):
+    def snapshots(idx, blocks):
         out = np.zeros((len(idx), len(steps)))
-        for k0, values, _ in walk(table, seed, idx):
+        for k0, values, _ in blocks:
             record(out, steps, k0, values)
         return out
 
-    return ensemble(one_chunk, n_paths, len(table[0]), chunk, threads)
+    return ensemble(table, seed, n_paths, snapshots, chunk, threads)
 
 
 def batch_terminal_stats(spec, horizons, n_paths, scheme="exact", h=0.05, seed=0, threads=None):

@@ -34,17 +34,17 @@ def _rel_diff(a, b):
     return abs(a - b) / scale if scale > 0 else abs(a - b)
 
 
-def check_law_agreement(seed, n_paths=20000):
-    """Exact-scheme sample variance and 4th moment vs the quadrature law at T=5."""
+def check_law_agreement(seed):
+    """Exact-scheme sample variance and 4th moment of 20000 paths vs the quadrature law at T=5."""
     spec = DriftSpec.power(2.0)
-    vals = simulate.terminal_values(spec, [5.0], h=0.05, n_paths=n_paths, seed=seed)[:, 0]
+    vals = simulate.terminal_values(spec, [5.0], h=0.05, n_paths=20000, seed=seed)[:, 0]
     v_oracle = gaussian_law.variance(spec, 5.0)
     m4_oracle = gaussian_law.abs_moment(v_oracle, 4)
 
     sample_var = float(vals.var(ddof=1))
-    se_var = v_oracle * math.sqrt(2.0 / (n_paths - 1))
+    se_var = v_oracle * math.sqrt(2.0 / (len(vals) - 1))
     sample_m4 = float((vals**4).mean())
-    se_m4 = float((vals**4).std(ddof=1)) / math.sqrt(n_paths)
+    se_m4 = float((vals**4).std(ddof=1)) / math.sqrt(len(vals))
 
     metrics = {
         "law_sample_var": sample_var,
@@ -61,7 +61,7 @@ def check_law_agreement(seed, n_paths=20000):
     return metrics, flags
 
 
-def check_laplace_asymptotic(seed=0):
+def check_laplace_asymptotic(seed):
     """kappa * ratio -> 1 for explosive power drifts at moderate horizons."""
     r1 = laplace_asymptotic_ratio(DriftSpec.power(2.0), 2.0, 10.0)
     r2 = laplace_asymptotic_ratio(DriftSpec.power(1.0), 1.0, 20.0)
@@ -139,11 +139,11 @@ def check_conditional_variance_sandwich(seed, n_pairs=1000):
     return metrics, flags
 
 
-def check_localtime_second_moment(seed, n_paths=5000):
-    """Quadrature value of E(L_1^0)^2 for Brownian motion, and its Monte Carlo twin."""
+def check_localtime_second_moment(seed):
+    """Quadrature value of E(L_1^0)^2 for Brownian motion, and its Monte Carlo twin on 5000 paths."""
     bm = DriftSpec.constant(0.0)
     quad_val = gaussian_law.localtime_second_moment(bm, 1.0, 0.0, 0.0)
-    l_vals = local_time.kernel_ensemble(bm, 0.0, [1e-4], 1.0, 1e-4, n_paths, seed)[:, 0, 0]
+    l_vals = local_time.kernel_ensemble(bm, 0.0, [1e-4], 1.0, 1e-4, 5000, seed)[:, 0, 0]
     mc_val = float((l_vals**2).mean())
     metrics = {"lt2_quadrature": quad_val, "lt2_monte_carlo": mc_val}
     flags = {
@@ -156,21 +156,21 @@ def check_localtime_second_moment(seed, n_paths=5000):
 _CONSISTENCY_SEED = 6
 
 
-def check_estimator_consistency(seed=None, max_attempts=5):
+def check_estimator_consistency(seed):
     """Kernel, binned and pathwise estimators agree on one seeded bridge path.
 
     The path seed is a pinned constant, not the config seed: the check is a
     pathwise regression against a documented fixed trajectory.  The discrete
     pathwise estimator fluctuates around the occupation estimators at the
     h**(1/4) scale, so agreement at the 10% level is a property of the fixed
-    path, not of every path.  Attempts advance the seed deterministically
-    only while the common value stays below 0.1.
+    path, not of every path.  At most five attempts advance the seed
+    deterministically, only while the common value stays below 0.1.
     """
     spec = DriftSpec.power(0.8)
     base = _CONSISTENCY_SEED
     attempts = 0
     vals = (0.0, 0.0, 0.0)
-    for j in range(max_attempts):
+    for j in range(5):
         attempts = j + 1
         path = simulate.euler_path(spec, T=1.0, h=1e-4, seed=base + j)
         k = local_time.kernel_estimate(path, 0.0, 1e-3, [1.0]).values[0]
@@ -196,15 +196,15 @@ def check_estimator_consistency(seed=None, max_attempts=5):
     return metrics, flags
 
 
-def check_bridge_decay(seed, n_paths=1000):
-    """Mean X_T^2 decays like 1/(2 alpha(T)) for explosive drift; constant drift does not decay."""
+def check_bridge_decay(seed):
+    """Mean X_T^2 of 1000 paths decays like 1/(2 alpha(T)) for explosive drift; constant drift does not decay."""
     spec = DriftSpec.power(2.0)
-    stats = simulate.batch_terminal_stats(spec, [2.0, 4.0, 8.0], n_paths, "exact", h=0.125, seed=seed)
+    stats = simulate.batch_terminal_stats(spec, [2.0, 4.0, 8.0], 1000, "exact", h=0.125, seed=seed)
     target = 1.0 / (2.0 * eval_alpha(spec, 8.0))
     ratio8 = stats.mean_sq[-1] / target
 
     ou = DriftSpec.constant(1.0)
-    flat = simulate.batch_terminal_stats(ou, [5.0, 50.0], n_paths, "exact", h=0.5, seed=seed + 1)
+    flat = simulate.batch_terminal_stats(ou, [5.0, 50.0], 1000, "exact", h=0.5, seed=seed + 1)
     flat_ratio = flat.mean_sq[0] / flat.mean_sq[1]
 
     metrics = {
@@ -222,13 +222,13 @@ def check_bridge_decay(seed, n_paths=1000):
     return metrics, flags
 
 
-def check_localtime_growth(seed, n_paths=200):
-    """Ensemble-mean local time grows along integer horizons for an explosive drift."""
+def check_localtime_growth(seed):
+    """Ensemble-mean local time of 200 paths grows along integer horizons for an explosive drift."""
     spec = DriftSpec.power(3.0)
     horizons = np.arange(2, 21, dtype=float)
     try:
         curve, exponent = local_time.growth_probe(
-            spec, 0.0, horizons, h=5e-4, n_paths=n_paths, seed=seed, scheme="exact"
+            spec, 0.0, horizons, h=5e-4, n_paths=200, seed=seed, scheme="exact"
         )
         increasing = True
     except NumericsError:
@@ -246,8 +246,8 @@ def check_localtime_growth(seed, n_paths=200):
     return metrics, flags
 
 
-def check_holder_time(seed, n_paths=16):
-    """Time-modulus slope of the kernel local-time curve, and T-uniformity of its constant.
+def check_holder_time(seed):
+    """Time-modulus slope of the kernel local-time curve, and T-uniformity of its constant, on 16 paths.
 
     The sup-increment profile is taken of the seed-averaged curve: averaging
     a moderate ensemble suppresses single-path saturation events (windows
@@ -260,7 +260,7 @@ def check_holder_time(seed, n_paths=16):
     h = 2.0**-16
     scales = np.sort(2.0 ** -np.arange(6, 15))[::-1]
     times = simulate.grid(1.0, h)
-    curves = local_time.kernel_ensemble(spec, 0.0, [h], 1.0, h, n_paths, seed, steps=range(len(times)))
+    curves = local_time.kernel_ensemble(spec, 0.0, [h], 1.0, h, 16, seed, steps=range(len(times)))
     mean_curve = local_time.LocalTimeCurve(0.0, times, curves[:, :, 0].mean(axis=0), "kernel", h, seed)
     slope = holder_analysis.time_modulus(mean_curve, scales).fitted_slope
     del curves, times, mean_curve  # freed before the T=8 ensemble below
@@ -268,7 +268,7 @@ def check_holder_time(seed, n_paths=16):
     # the T=2 curves are the first steps of the T=8 curves: same paths, same grid
     h13 = 2.0**-13
     t_grid = simulate.grid(8.0, h13)
-    cvs = local_time.kernel_ensemble(spec, 0.0, [h13], 8.0, h13, n_paths, seed + 17, steps=range(len(t_grid)))
+    cvs = local_time.kernel_ensemble(spec, 0.0, [h13], 8.0, h13, 16, seed + 17, steps=range(len(t_grid)))
     fitted = {}
     for T in (2.0, 8.0):
         n = len(simulate.grid(T, h13))
@@ -290,13 +290,13 @@ def check_holder_time(seed, n_paths=16):
     return metrics, flags
 
 
-def check_holder_space(seed, n_paths=16):
-    """Level-modulus slope of L_1^x over [-1, 1] for the bridge and for Brownian motion."""
+def check_holder_space(seed):
+    """Level-modulus slope of L_1^x over [-1, 1], on 16 paths, for the bridge and for Brownian motion."""
     x_grid = np.linspace(-1.0, 1.0, 257)
     metrics, flags = {}, {}
     for name, spec in (("bridge", DriftSpec.power(0.8)), ("bm", DriftSpec.constant(0.0))):
         profile = holder_analysis.space_modulus(
-            spec, 1.0, x_grid, n_paths=n_paths, h=2.0**-15, seed=seed, eps=4e-5
+            spec, 1.0, x_grid, n_paths=16, h=2.0**-15, seed=seed, eps=4e-5
         )
         metrics[f"holder_space_slope_{name}"] = profile.fitted_slope
         flags[f"holder_space_{name}_in_band"] = HOLDER_SPACE_BAND[0] <= profile.fitted_slope <= HOLDER_SPACE_BAND[1]
@@ -316,13 +316,13 @@ def run_figures_preset(which, seed, outputs):
 
     figure1: power drifts beta in {0.8, 2.0}, step 0.01, started at 0.
     figure2: exponential drifts beta in {0.5, 1.5}, step 0.005, started at 0.
-    The summary asserts that each final |X_T| sits below 3 sqrt(Var(X_T)).
+    The summary, returned unwritten, asserts that each final |X_T| sits
+    below 3 sqrt(Var(X_T)).
     """
     if which not in _FIGURE_PRESETS:
         raise ConfigError(f"unknown preset {which!r}; choose figure1 or figure2")
     family, h, runs = _FIGURE_PRESETS[which]
     os.makedirs(outputs, exist_ok=True)
-    start = time.monotonic()
     cfg = ExperimentConfig(drift_family=family, drift_beta=runs[0][0], h=h, T=runs[0][1], seed=seed, outputs=outputs)
     summary = ReportSummary(command=which, config_digest=config_digest(cfg))
     for i, (beta, T) in enumerate(runs):
@@ -334,8 +334,6 @@ def run_figures_preset(which, seed, outputs):
         summary.metrics[f"beta_{beta}_final_abs"] = final
         summary.metrics[f"beta_{beta}_3sigma"] = 3.0 * sigma
         summary.pass_flags[f"beta_{beta}_final_below_3sigma"] = final < 3.0 * sigma
-    summary.wall_time = time.monotonic() - start
-    summary.write(outputs)
     return summary
 
 

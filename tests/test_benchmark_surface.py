@@ -130,13 +130,30 @@ def test_benchmarks_pass_only_arguments_the_library_takes():
     assert not wrong, wrong
 
 
-def test_benchmark_check_arguments_bind_to_the_checks(monkeypatch):
-    # the check items pass each Sizes.check_kwargs entry, with the suite's seed, to a verify check
+def load_workloads(monkeypatch):
+    """benchmarks/workloads.py as a module, loaded from its file."""
     spec = importlib.util.spec_from_file_location("benchmark_workloads", BENCHMARKS / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look their module up
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def test_benchmark_check_arguments_bind_to_the_checks(monkeypatch):
+    # the check items pass each Sizes.check_kwargs entry, with the suite's seed, to a verify check
+    workloads = load_workloads(monkeypatch)
     checks = dict(importlib.import_module("bridgelab.verification").CHECKS)
     for sizes in (workloads.FULL, workloads.SMOKE):
         for name, kwargs in sizes.check_kwargs.items():
             inspect.signature(checks[name]).bind(seed=0, **kwargs)
+
+
+def test_checks_take_the_seed_and_only_the_sizes_the_benchmark_sets(monkeypatch):
+    # a check's sample size is written at its call, next to its gate; a parameter that the
+    # suite never sets and the benchmark's SMOKE sizes do not shrink has no caller
+    smoke = load_workloads(monkeypatch).SMOKE.check_kwargs
+    for name, check in importlib.import_module("bridgelab.verification").CHECKS:
+        params = inspect.signature(check).parameters
+        required = [p for p, v in params.items() if v.default is inspect.Parameter.empty]
+        assert required == ["seed"], (name, required)
+        assert set(params) - {"seed"} == set(smoke.get(name, {})), (name, list(params))

@@ -161,6 +161,24 @@ class TestVerifyCommand:
         cfg.write_text("h = 0\n")
         assert run(["verify", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("drift.family = power\ndrift.beta = 1\ndrift.scale = -1\n", "drift.scale"),
+            ("drift.family = constant\ndrift.scale = -1\n", "drift.scale"),
+            ("drift.family = tabulated\ndrift.table = {table}\n", "drift.table"),
+        ],
+        ids=["power_scale", "constant_scale", "nan_table"],
+    )
+    def test_bad_drift_exits_two_naming_the_key(self, tmp_path, capsys, text, key):
+        # these ended in a DomainError traceback, or (the NaN table row) in a NumericsError after 200 bisections
+        table = tmp_path / "table.csv"
+        table.write_text("time,alpha\n0.0,1.0\n1.0,nan\n")
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text.format(table=table))
+        assert run(["law", "--config", cfg, "--out", tmp_path]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {key}: ")
+
 
 class TestThreadsFlag:
     @pytest.mark.parametrize("command", ["law", "localtime", "figures", "verify"])

@@ -271,15 +271,12 @@ class TestSpaceModulus:
         whole = np.mean([_nested_sup_increments(level_sweep(v, h, x, eps), lags) for v in values], axis=0)
         assert profile.sup_increments.tobytes() == whole.tobytes()
 
-    def test_grid_coarser_than_scale_rejected(self):
-        x = np.linspace(-1, 1, 17)
-        with pytest.raises(DomainError):
-            space_modulus(BRIDGE, 1.0, x, n_paths=2, h=2.0**-8, seed=0, eps=1e-3, scales=[1e-3])
-
-    def test_off_grid_scales_rejected(self):
-        x = np.linspace(-1, 1, 17)
-        with pytest.raises(DomainError, match="scales must be whole multiples"):
-            space_modulus(BRIDGE, 1.0, x, n_paths=2, h=2.0**-8, seed=0, eps=1e-3, scales=[0.125, 0.25, 0.6])
+    def test_scales_are_the_dyadic_ladder(self):
+        # dx, 2 dx, 4 dx, ... up to a quarter of the span, and at least three
+        for n_levels, n_scales in ((257, 7), (17, 3)):
+            x = np.linspace(-1, 1, n_levels)
+            profile = space_modulus(BRIDGE, 1.0, x, n_paths=2, h=2.0**-8, seed=0, eps=1e-3)
+            assert profile.scales.tolist() == [(x[1] - x[0]) * 2.0**k for k in range(n_scales)][::-1]
 
     def test_nonuniform_grid_rejected(self):
         x = np.concatenate([np.linspace(-1, 0, 9), np.linspace(0.1, 1, 9)])

@@ -164,7 +164,7 @@ class TestCauchyDiagnostic:
     def test_huge_smoothing_flattens_everything(self):
         # both estimates sit near t / sqrt(2 pi eps) ~ 5e-4, so the squared
         # difference is bounded by ~3e-8
-        diffs = cauchy_diagnostic(BM, 0.0, 1.0, [1e6, 5e5], 500, seed=0, h=1e-2)
+        diffs = cauchy_diagnostic(BM, 0.0, 1.0, [1e6, 5e5], 500, seed=0)
         assert diffs[0] < 1e-7
 
     def test_validation(self):

@@ -31,15 +31,24 @@ CALLS = {
         lambda: local_time.cauchy_diagnostic(BRIDGE, 0.0, NAN, [1e-2, 1e-3], 500, 0),
         "T=nan",
     ),
-    "cauchy_diagnostic_h": (
-        lambda: local_time.cauchy_diagnostic(BRIDGE, 0.0, 1.0, [1e-2, 1e-3], 500, 0, h=NAN),
-        "h=nan",
-    ),
     "growth_probe_horizons": (
         lambda: local_time.growth_probe(BRIDGE, 0.0, [1.0, 2.0, NAN], 0.01, 4, 0),
         "horizons must be finite",
     ),
     "growth_probe_h": (lambda: local_time.growth_probe(BRIDGE, 0.0, [1.0, 2.0, 3.0], NAN, 4, 0), "h=nan"),
+    # a NaN step matched no block and read 0.0; a fractional one was a bare IndexError
+    "kernel_ensemble_nan_steps": (
+        lambda: local_time.kernel_ensemble(BRIDGE, 0.0, [1e-2], 1.0, 0.01, 2, 0, steps=[NAN]),
+        "steps must be nondecreasing whole grid steps",
+    ),
+    "kernel_ensemble_infinite_steps": (
+        lambda: local_time.kernel_ensemble(BRIDGE, 0.0, [1e-2], 1.0, 0.01, 2, 0, steps=[50, INF]),
+        "steps must be nondecreasing whole grid steps",
+    ),
+    "kernel_ensemble_fractional_steps": (
+        lambda: local_time.kernel_ensemble(BRIDGE, 0.0, [1e-2], 1.0, 0.01, 2, 0, steps=[2.5]),
+        "steps must be nondecreasing whole grid steps",
+    ),
     "kernel_estimate_checkpoints": (
         lambda: local_time.kernel_estimate(PATH, 0.0, 0.01, [0.5, NAN, 1.0]),
         "checkpoints must be finite",
@@ -94,9 +103,18 @@ CALLS = {
         lambda: local_time.cauchy_diagnostic(BRIDGE, 0.0, 1.0, [1e-2, NAN], 500, 0),
         "eps_ladder",
     ),
-    "growth_probe_infinite_eps": (
-        lambda: local_time.growth_probe(BRIDGE, 0.0, [1.0, 2.0, 3.0], 0.01, 4, 0, eps=INF),
-        "eps must be positive",
+    # a non-finite drift parameter built a drift whose law calls returned NaN or never converged
+    "drift_constant_nan_scale": (lambda: drift.DriftSpec.constant(NAN), "^scale: "),
+    "drift_constant_infinite_scale": (lambda: drift.DriftSpec.constant(INF), "^scale: "),
+    "drift_power_infinite_beta": (lambda: drift.DriftSpec.power(INF), "^beta: "),
+    "drift_power_infinite_scale": (lambda: drift.DriftSpec.power(1.0, scale=INF), "^scale: "),
+    "drift_exponential_infinite_scale": (lambda: drift.DriftSpec.exponential(1.0, scale=INF), "^scale: "),
+    "drift_exponential_nan_beta": (lambda: drift.DriftSpec.exponential(NAN), "^beta: "),
+    "drift_tabulated_nan_alpha": (lambda: drift.DriftSpec.tabulated([0.0, 1.0], [1.0, NAN]), "^table: .*finite"),
+    "drift_tabulated_infinite_alpha": (lambda: drift.DriftSpec.tabulated([0.0, 1.0], [INF, 1.0]), "^table: .*finite"),
+    "drift_tabulated_infinite_time": (
+        lambda: drift.DriftSpec.tabulated([0.0, 1.0, INF], [1.0, 1.0, 1.0]),
+        "^table: .*finite",
     ),
 }
 

@@ -28,6 +28,11 @@ BRIDGE = DriftSpec.power(0.8)
 BM = DriftSpec.constant(0.0)
 
 
+def flat_table(n_steps):
+    """A (decays, stds) table of n_steps steps, for ensemble calls whose reducer never walks it."""
+    return np.ones(n_steps), np.ones(n_steps)
+
+
 def scalar_scan(decays, noise):
     """walk's blocked scan on Python floats: in each sub-block of _SCAN_STEPS steps, counted from
     step 0, y starts from zero, P is the running product of the decays, and x = y + P * s."""
@@ -335,8 +340,9 @@ class TestStreamingEngine:
 
         monkeypatch.setattr(simulate, "ThreadPoolExecutor", pool)
         monkeypatch.setattr(simulate, "_cores", lambda: 8)
+        table = flat_table(simulate.BLOCK_STEPS)
         for threads in (None, 2, 1):
-            simulate.ensemble(lambda idx: np.zeros((len(idx), 1)), 30, simulate.BLOCK_STEPS, 10, threads)
+            simulate.ensemble(table, 0, 30, lambda idx, _: np.zeros((len(idx), 1)), 10, threads)
         assert pools == [3, 2]  # None: 8 cores capped at 3 chunks; 1 runs without a pool
 
     def test_short_walks_run_without_a_pool(self, monkeypatch):
@@ -356,7 +362,7 @@ class TestStreamingEngine:
         assert pools == []
 
         def widths(n_paths, n_steps):
-            return simulate.ensemble(lambda idx: np.array([len(idx)]), n_paths, n_steps)
+            return simulate.ensemble(flat_table(n_steps), 0, n_paths, lambda idx, _: np.array([len(idx)]))
 
         assert widths(200, simulate._SERIAL_STEPS - 1).tolist() == [200]  # one task, not one per core
         assert widths(600, 1).tolist() == [256, 256, 88]
@@ -393,7 +399,22 @@ class TestStreamingEngine:
 
     def test_lone_chunk_is_returned_without_a_copy(self):
         result = np.zeros((3, 2))
-        assert simulate.ensemble(lambda idx: result, 3, simulate.BLOCK_STEPS, 5) is result
+        assert simulate.ensemble(flat_table(simulate.BLOCK_STEPS), 0, 3, lambda idx, _: result, 5) is result
+
+    def test_ensemble_hands_each_task_its_walk(self):
+        # 200 paths in four tasks: each reducer reads its own paths' blocks, in grid order
+        table = transition_table(BRIDGE, grid(2.5, 1e-3), "euler")
+        values, _ = simulate.paths(table, 4, range(200))
+
+        def finals(idx, blocks):
+            ends = []
+            for k0, v, _ in blocks:
+                ends.append(k0 + len(v))
+                last = v[-1].copy()
+            assert ends == sorted(ends) and ends[-1] == len(table[0])
+            return last
+
+        assert simulate.ensemble(table, 4, 200, finals, chunk=64).tobytes() == values[:, -1].tobytes()
 
     def test_ensemble_tasks_are_at_most_a_tile(self, monkeypatch):
         # whatever chunk the caller asks for, no walk steps more than _TILE_PATHS paths at once
@@ -432,7 +453,8 @@ class TestStreamingEngine:
     def test_small_batches_are_spread_over_the_cores(self, monkeypatch, n_paths, cores, threads, widths):
         # fewer than two tiles of paths: one task per thread, each keeping a 64-path draw slab
         monkeypatch.setattr(simulate, "_cores", lambda: cores)
-        got = simulate.ensemble(lambda idx: np.array([[len(idx)]]), n_paths, simulate.BLOCK_STEPS, 4096, threads)
+        table = flat_table(simulate.BLOCK_STEPS)
+        got = simulate.ensemble(table, 0, n_paths, lambda idx, _: np.array([[len(idx)]]), 4096, threads)
         assert got[:, 0].tolist() == widths
 
     def test_task_memory_does_not_grow_with_chunk_or_paths(self, monkeypatch):
