@@ -9,7 +9,7 @@ independent methods, and measures Hoelder moduli of the local time in both
 time and level.
 """
 
-from .drift import DriftSpec, GrowthReport, check_growth_conditions, eval_alpha, eval_antiderivative, laplace_asymptotic_ratio, running_sup
+from .drift import DriftSpec, GrowthReport, check_growth_conditions, eval_alpha, eval_antiderivative, laplace_asymptotic_ratio, loglog_slope, running_sup
 from .gaussian_law import (
     CovarianceMatrix,
     DetBounds,
@@ -24,7 +24,7 @@ from .gaussian_law import (
     lu_det,
     variance,
 )
-from .holder_analysis import ModulusProfile, level_sweep, loglog_slope, space_modulus, time_modulus, time_modulus_bound_fit
+from .holder_analysis import ModulusProfile, level_sweep, space_modulus, time_modulus, time_modulus_bound_fit, time_profile
 from .local_time import LocalTimeCurve, binned_estimate, cauchy_diagnostic, growth_probe, kernel_estimate, tanaka_estimate
 from .simulate import DecayStats, SamplePath, batch_terminal_stats, euler_path, exact_path, shift_to_ab
 

@@ -106,13 +106,8 @@ def _cmd_localtime(cfg, args):
 def _cmd_holder(cfg, args):
     spec = cfg.drift_spec()
     summary = ReportSummary(command="holder", config_digest=config_digest(cfg))
-    times = simulate.grid(cfg.T, cfg.h)
-    values = local_time.kernel_ensemble(
-        spec, 0.0, [cfg.h], cfg.T, cfg.h, 1, cfg.seed, steps=np.arange(len(times)), scheme=cfg.scheme
-    )
-    curve = local_time.LocalTimeCurve(0.0, times, values[0, :, 0], "kernel", cfg.h, cfg.seed)
     scales = cfg.holder_scales or tuple(cfg.h * 2.0 ** np.arange(2, 8))
-    profile = holder_analysis.time_modulus(curve, scales)
+    profile = holder_analysis.time_profile(spec, cfg.T, cfg.h, 1, cfg.seed, scales, cfg.scheme)
     profile_to_csv(profile, os.path.join(cfg.outputs, "holder_time_profile.csv"))
     summary.metrics["time_slope"] = profile.fitted_slope
     summary.metrics["time_intercept"] = profile.fitted_intercept

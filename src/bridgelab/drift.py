@@ -9,11 +9,12 @@ and never overflow, no matter how explosive the drift is.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ExtrapolationError, NumericsError
+from .errors import DomainError, ExtrapolationError, InsufficientDataError, NumericsError
 
 FAMILIES = ("power", "exponential", "constant", "tabulated")
 
@@ -22,12 +23,11 @@ FAMILIES = ("power", "exponential", "constant", "tabulated")
 _EXP_CUTOFF = 60.0
 _EPSABS, _EPSREL = 1e-12, 1e-10
 
+# The 16-point Gauss-Legendre panel rule of decay_integrals, which gaussian_law's cubature shares, on
+# (0, 1): its weights, and its nodes on the whole panel, on the panel's left half and on its right half
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-# mapped to (0, 1)
-_GL_X = 0.5 * (_GL_NODES + 1.0)
-_GL_W = 0.5 * _GL_WEIGHTS
-# node groups of a panel in its own (0, 1) coordinate: the whole panel, its left and its right half
-_WHOLE_AND_HALVES = np.stack([_GL_X, 0.5 * _GL_X, 0.5 + 0.5 * _GL_X])
+_GL_X, PANEL_WEIGHTS = 0.5 * (_GL_NODES + 1.0), 0.5 * _GL_WEIGHTS
+PANEL_NODES = np.stack([_GL_X, 0.5 * _GL_X, 0.5 + 0.5 * _GL_X])
 # the most panels bisection may add to one interval before NumericsError
 _PANEL_BUDGET = 200
 # intervals per kernel pass: bounds the (intervals x 48) node arrays
@@ -302,13 +302,13 @@ def _decay_batch(spec, lo, hi, rate):
     while True:
         first = whole is None
         # the weighted integrand w * exp(rate * (A(u) - A(hi))) at every node, in one array
-        f = width[:, None, None] * (_WHOLE_AND_HALVES if first else _WHOLE_AND_HALVES[1:])
+        f = width[:, None, None] * (PANEL_NODES if first else PANEL_NODES[1:])
         f += left[:, None, None]
         _antiderivative(spec, f, out=f)
         f -= a_hi[owner, None, None]
         f *= rate
         np.exp(f, out=f)
-        f *= _GL_W
+        f *= PANEL_WEIGHTS
         sums = width[:, None] * f.sum(-1)
         if first:
             whole, sums = sums[:, 0], sums[:, 1:]
@@ -358,10 +358,9 @@ def laplace_asymptotic_ratio(spec, kappa, t):
     quotient of exponentials of A would overflow long before the asymptotic
     regime is reached.
     """
-    if t <= 0:
-        raise DomainError("t must be positive")
-    if kappa <= 0:
-        raise DomainError("kappa must be positive")
+    for name, value in (("kappa", kappa), ("t", t)):
+        if not 0 < value < math.inf:
+            raise DomainError(f"{name} must be positive and finite, got {value}")
     a_t = eval_alpha(spec, t)
     if a_t <= 0 or spec.is_zero:
         raise DomainError("ratio requires alpha strictly positive on (0, t]")
@@ -371,6 +370,31 @@ def laplace_asymptotic_ratio(spec, kappa, t):
         if np.any(values[inside] <= 0):
             raise DomainError("ratio requires alpha strictly positive on (0, t]")
     return a_t * decay_integral(spec, 0.0, t, kappa)
+
+
+def loglog_slope(points):
+    """Ordinary least squares of log(value) on log(scale).
+
+    Points with a value that is not positive and finite are dropped, with a
+    warning that counts each kind; fewer than three usable points raise
+    InsufficientDataError.  Scales must be positive and finite.
+    """
+    pts = np.asarray(list(points), dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 3:
+        raise InsufficientDataError("need at least 3 (scale, value) points")
+    if not np.all((pts[:, 0] > 0) & (pts[:, 0] < math.inf)):
+        raise DomainError(f"scales must be positive and finite, got {pts[:, 0]}")
+    values = pts[:, 1]
+    usable = (values > 0) & (values < math.inf)
+    if not np.all(usable):
+        kinds = {"nonpositive": values <= 0, "NaN": np.isnan(values), "infinite": values == math.inf}
+        dropped = " and ".join(f"{m.sum()} {kind}" for kind, m in kinds.items() if m.any())
+        warnings.warn(f"dropping {dropped} values from log-log fit")
+    pts = pts[usable]
+    if len(pts) < 3:
+        raise InsufficientDataError("fewer than 3 usable points after dropping values that are not positive and finite")
+    slope, intercept = np.polyfit(np.log(pts[:, 0]), np.log(pts[:, 1]), 1)
+    return float(slope), float(intercept)
 
 
 def check_growth_conditions(spec, gamma, probe_horizon):
@@ -404,8 +428,6 @@ def check_growth_conditions(spec, gamma, probe_horizon):
         fitted = float("nan")
         worst = float("inf")
     else:
-        from .holder_analysis import loglog_slope  # imported here: holder_analysis imports this module
-
         slope, _ = loglog_slope(zip(grid, ratio))
         fitted = -slope
         cond_i = fitted > 0.05

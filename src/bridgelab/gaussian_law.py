@@ -53,8 +53,8 @@ def _one_or_stack(values):
 
 def variance(spec, t):
     """Var(X_t) = int_0^t exp(-2 (A(t) - A(s))) ds."""
-    if t < 0:
-        raise DomainError("t must be nonnegative")
+    if not 0 <= t < math.inf:
+        raise DomainError(f"t must be nonnegative and finite, got {t}")
     if t == 0:
         return 0.0
     return drift.decay_integral(spec, 0.0, t, 2.0)
@@ -187,8 +187,8 @@ def abs_moment(sigma_sq, m):
     moment, which is 0 (a centered Gaussian has no odd signed moments;
     absolute odd moments are deliberately not provided).
     """
-    if sigma_sq < 0:
-        raise DomainError("sigma_sq must be nonnegative")
+    if not 0 <= sigma_sq < math.inf:
+        raise DomainError(f"sigma_sq must be nonnegative and finite, got {sigma_sq}")
     m = int(m)
     if m < 1:
         raise DomainError("moment order must be >= 1")
@@ -207,7 +207,7 @@ def _lt2_rules(spec, s0, ds, p0, dp, eps, theta, whole):
     from one kernel call; Var(X_s) does not depend on phi, so each s node is
     integrated once and shared by every phi node and rule that uses it.
     """
-    groups = drift._WHOLE_AND_HALVES
+    groups = drift.PANEL_NODES
     s = s0[:, None, None] + ds[:, None, None] * groups  # (panels, 3 node groups, n)
     phi = p0[:, None, None] + dp[:, None, None] * groups
     pairs = ([(0, 0)] if whole else []) + [(1, 0), (2, 0), (0, 1), (0, 2)]
@@ -227,7 +227,7 @@ def _lt2_rules(spec, s0, ds, p0, dp, eps, theta, whole):
         g = (v_r / r) * (cvar / (ss - r)) + (theta * v_r + eps * v_s + eps * theta) / (r * s_minus_r)
         f = np.where(np.isfinite(g) & (g > 0.0), 2.0 / np.sqrt(g), 0.0)
     area = np.array([1.0 if pair == (0, 0) else 0.5 for pair in pairs])
-    return (ds * dp)[:, None] * area * (f * drift._GL_W[:, None] * drift._GL_W).sum((-2, -1))
+    return (ds * dp)[:, None] * area * (f * drift.PANEL_WEIGHTS[:, None] * drift.PANEL_WEIGHTS).sum((-2, -1))
 
 
 def localtime_second_moment(spec, t, eps, theta):

@@ -10,13 +10,12 @@ time are analyzed this way.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import drift as drift_mod
-from . import simulate
+from . import local_time, simulate
+from .drift import loglog_slope, running_sup
 from .errors import DomainError, InsufficientDataError
 
 _SWEEP_STEPS = 256  # samples per level_sweep piece; memory is O(_SWEEP_STEPS * levels)
@@ -30,30 +29,6 @@ class ModulusProfile:
     sup_increments: np.ndarray
     fitted_slope: float
     fitted_intercept: float
-
-
-def loglog_slope(points):
-    """Ordinary least squares of log(value) on log(scale).
-
-    Points with value <= 0 or NaN are dropped (with a warning that counts
-    each kind); fewer than three usable points raise InsufficientDataError.
-    Scales must be positive.
-    """
-    pts = np.asarray(list(points), dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 3:
-        raise InsufficientDataError("need at least 3 (scale, value) points")
-    if np.any(pts[:, 0] <= 0):
-        raise DomainError("scales must be strictly positive")
-    usable = pts[:, 1] > 0
-    if not np.all(usable):
-        counts = {"nonpositive": int((pts[:, 1] <= 0).sum()), "NaN": int(np.isnan(pts[:, 1]).sum())}
-        dropped = " and ".join(f"{n} {kind}" for kind, n in counts.items() if n)
-        warnings.warn(f"dropping {dropped} values from log-log fit")
-    pts = pts[usable]
-    if len(pts) < 3:
-        raise InsufficientDataError("fewer than 3 usable points after dropping nonpositive or NaN values")
-    slope, intercept = np.polyfit(np.log(pts[:, 0]), np.log(pts[:, 1]), 1)
-    return float(slope), float(intercept)
 
 
 def _nested_sup_increments(values, lags):
@@ -92,6 +67,8 @@ def _uniform_spacing(checkpoints):
 def _scale_lags(scales, spacing):
     """Scales sorted decreasing, and each as a whole number of grid spacings, to 1e-9 relative."""
     scales = np.sort(np.asarray(scales, dtype=float))[::-1]
+    if len(scales) == 0:
+        raise DomainError("scales must not be empty")
     if not np.all(np.isfinite(scales)):
         raise DomainError(f"scales must be finite, got {scales}")
     if scales[-1] < spacing * (1 - 1e-9):
@@ -119,6 +96,26 @@ def time_modulus(curve, scales):
     return _fitted_profile(scales, _nested_sup_increments(curve.values, lags))
 
 
+def time_profile(spec, T, h, n_paths, seed, scales, scheme="euler"):
+    """Sup-increment profile in time of the kernel local time at level 0, with eps = h, averaged over paths.
+
+    The curves of paths 0 .. n_paths-1 at every grid step are averaged before
+    the sups are taken: averaging a moderate ensemble suppresses single-path
+    saturation events (windows where the path sits at the level and the
+    mollified curve climbs at its maximal rate, which bend the smallest scales
+    toward slope 1) while keeping the pathwise roughness that a large-ensemble
+    mean would smooth away entirely.  Bit for bit time_modulus of the averaged
+    curve, but no grid or path is built: the curves, 8 B per path-step, and
+    the transition table are what grow with T.
+    """
+    n = simulate.grid_steps(T, h)
+    scales, lags = _scale_lags(scales, h)
+    curves = local_time.kernel_ensemble(spec, 0.0, [h], T, h, n_paths, seed, np.arange(n + 1), scheme)
+    mean = curves[:, :, 0].mean(axis=0)
+    del curves  # the averaged curve is all that outlives the ensemble
+    return _fitted_profile(scales, _nested_sup_increments(mean, lags))
+
+
 def time_modulus_bound_fit(curve, T, spec):
     """Smallest constant making the two-term square-root bracket dominate the curve.
 
@@ -128,7 +125,7 @@ def time_modulus_bound_fit(curve, T, spec):
     |increment| / bracket; 0 for a constant curve, NaN if the curve has a NaN.
     """
     dt = _uniform_spacing(curve.checkpoints)
-    growth = math.sqrt((T + 1.0) * drift_mod.running_sup(spec, T + 1.0))
+    growth = math.sqrt((T + 1.0) * running_sup(spec, T + 1.0))
     fitted = 0.0
     lag = 1
     while lag * dt < 1.0 and lag < len(curve.values):
@@ -150,6 +147,8 @@ class _LevelSweep:
     """
 
     def __init__(self, n_paths, h, x, eps):
+        if not 0 < h < math.inf:
+            raise DomainError(f"h must be positive and finite, got {h}")
         if not 0 < eps < math.inf:
             raise DomainError(f"eps must be positive and finite, got {eps}")
         if not np.all(x[1:] >= x[:-1]):

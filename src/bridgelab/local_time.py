@@ -24,7 +24,6 @@ import numpy as np
 from . import drift as drift_mod
 from . import simulate
 from .errors import DomainError, NumericsError, UnsupportedSchemeError
-from .holder_analysis import loglog_slope
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # np.exp is fast for arguments >= _EXP_FAST; below it the result is subnormal or zero and
@@ -164,20 +163,20 @@ def kernel_ensemble(spec, x, eps_list, T, h, n_paths, seed, steps=None, scheme="
     most _TILE_SIZE elements per buffer and at most a block, allocated once
     per task; a row tile with no recorded step is summed without a cumsum.
     """
-    times = simulate.grid(T, h)
-    steps = np.asarray([len(times) - 1] if steps is None else steps)
-    whole = (steps >= 0) & (steps <= len(times) - 1) & (steps == np.floor(steps))  # NaN fails all three
+    n = simulate.grid_steps(T, h)
+    steps = np.asarray([n] if steps is None else steps)
+    whole = (steps >= 0) & (steps <= n) & (steps == np.floor(steps))  # NaN fails all three
     if not np.all(whole) or np.any(np.diff(steps) < 0):
-        raise DomainError(f"steps must be nondecreasing whole grid steps in [0, {len(times) - 1}], got {steps}")
+        raise DomainError(f"steps must be nondecreasing whole grid steps in [0, {n}], got {steps}")
     steps = steps.astype(np.intp, copy=False)
     eps = np.asarray(eps_list, dtype=float)
     if not np.all((eps > 0) & (eps < math.inf)):
         raise DomainError(f"eps_list must be positive and finite, got {eps}")
-    table = simulate.transition_table(spec, times, scheme)
+    table = simulate.transition_table(spec, simulate.grid(T, h), scheme)
 
     def curves(idx, blocks):
         m, ne = len(idx), len(eps)
-        rows = max(1, min(len(times) - 1, simulate.BLOCK_STEPS, _TILE_SIZE // (m * ne)))
+        rows = max(1, min(n, simulate.BLOCK_STEPS, _TILE_SIZE // (m * ne)))
         sq = np.empty((rows, m, 1))
         dens, trap = np.empty((2, rows, m, ne))
         out = np.zeros((m, len(steps), ne))
@@ -239,7 +238,7 @@ def growth_probe(spec, x, horizons, h, n_paths, seed, scheme="exact"):
     curve = l_vals[:, :, 0].mean(axis=0)
     if np.any(np.diff(curve) <= 0):
         raise NumericsError("ensemble local-time curve failed to increase strictly")
-    slope, _ = loglog_slope(zip(horizons, curve))
+    slope, _ = drift_mod.loglog_slope(zip(horizons, curve))
     if slope <= 0:
         raise NumericsError("fitted growth exponent is not positive")
     return curve, float(slope)

@@ -97,12 +97,16 @@ class DecayStats:
     std_err_sq: np.ndarray
 
 
-def grid(T, h):
-    """The step grid 0, h, 2h, ... of the smallest length that reaches T."""
+def grid_steps(T, h):
+    """The step count n of the shortest grid 0, h, 2h, ..., n h that reaches T."""
     if not 0 < h <= T < math.inf:
         raise DomainError(f"need 0 < h <= T < inf, got h={h}, T={T}")
-    n = int(math.ceil(T / h - 1e-9))
-    return np.arange(n + 1) * float(h)
+    return int(math.ceil(T / h - 1e-9))
+
+
+def grid(T, h):
+    """The step grid 0, h, 2h, ... of the smallest length that reaches T."""
+    return np.arange(grid_steps(T, h) + 1) * float(h)
 
 
 def horizon_steps(horizons, h):

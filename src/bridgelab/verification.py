@@ -247,35 +247,19 @@ def check_localtime_growth(seed):
 
 
 def check_holder_time(seed):
-    """Time-modulus slope of the kernel local-time curve, and T-uniformity of its constant, on 16 paths.
-
-    The sup-increment profile is taken of the seed-averaged curve: averaging
-    a moderate ensemble suppresses single-path saturation events (windows
-    where the path sits at the level and the mollified curve climbs at its
-    maximal rate, which bend the smallest scales toward slope 1) while
-    keeping the pathwise roughness that a large-ensemble mean would smooth
-    away entirely.
-    """
+    """Time-modulus slope of the path-averaged kernel local time, and T-uniformity of its constant, on 16 paths."""
     spec = DriftSpec.power(0.8)
-    h = 2.0**-16
-    scales = np.sort(2.0 ** -np.arange(6, 15))[::-1]
-    times = simulate.grid(1.0, h)
-    curves = local_time.kernel_ensemble(spec, 0.0, [h], 1.0, h, 16, seed, steps=range(len(times)))
-    mean_curve = local_time.LocalTimeCurve(0.0, times, curves[:, :, 0].mean(axis=0), "kernel", h, seed)
-    slope = holder_analysis.time_modulus(mean_curve, scales).fitted_slope
-    del curves, times, mean_curve  # freed before the T=8 ensemble below
+    slope = holder_analysis.time_profile(spec, 1.0, 2.0**-16, 16, seed, 2.0 ** -np.arange(6, 15)).fitted_slope
 
     # the T=2 curves are the first steps of the T=8 curves: same paths, same grid
     h13 = 2.0**-13
     t_grid = simulate.grid(8.0, h13)
-    cvs = local_time.kernel_ensemble(spec, 0.0, [h13], 8.0, h13, 16, seed + 17, steps=range(len(t_grid)))
+    cvs = local_time.kernel_ensemble(spec, 0.0, [h13], 8.0, h13, 16, seed + 17, steps=np.arange(len(t_grid)))
     fitted = {}
     for T in (2.0, 8.0):
-        n = len(simulate.grid(T, h13))
+        n = simulate.grid_steps(T, h13) + 1
         cs = [local_time.LocalTimeCurve(0.0, t_grid[:n], row[:n], "kernel", h13, seed + 17) for row in cvs[:, :, 0]]
-        fitted[T] = float(
-            np.mean([holder_analysis.time_modulus_bound_fit(c, T, spec) for c in cs])
-        )
+        fitted[T] = float(np.mean([holder_analysis.time_modulus_bound_fit(c, T, spec) for c in cs]))
     c_ratio = fitted[2.0] / fitted[8.0]
     metrics = {
         "holder_time_slope": slope,

@@ -14,8 +14,9 @@ from bridgelab.holder_analysis import (
     space_modulus,
     time_modulus,
     time_modulus_bound_fit,
+    time_profile,
 )
-from bridgelab.local_time import LocalTimeCurve
+from bridgelab.local_time import LocalTimeCurve, kernel_ensemble
 
 BRIDGE = DriftSpec.power(0.8)
 BM = DriftSpec.constant(0.0)
@@ -148,6 +149,34 @@ class TestTimeModulus:
         sups = profile.sup_increments  # decreasing scale order
         for j in range(len(scales) - 1):
             assert sups[j] <= 2.0 * sups[j + 1] + 1e-12
+
+
+class TestTimeProfile:
+    @pytest.mark.parametrize("scheme", ["euler", "exact"])
+    @pytest.mark.parametrize("T, h", [(1.0, 2.0**-10), (1.0, 0.3)], ids=["on_grid", "overshooting_grid"])
+    def test_equals_time_modulus_of_the_averaged_curve(self, scheme, T, h):
+        # the hand-built recipe it replaces: whole grid, every-step ensemble, averaged LocalTimeCurve
+        scales = h * 2.0 ** np.arange(3)
+        times = simulate.grid(T, h)
+        curves = kernel_ensemble(BRIDGE, 0.0, [h], T, h, 3, 7, steps=np.arange(len(times)), scheme=scheme)
+        curve = LocalTimeCurve(0.0, times, curves[:, :, 0].mean(axis=0), "kernel", h, 7)
+        want = time_modulus(curve, scales)
+        got = time_profile(BRIDGE, T, h, 3, 7, scales, scheme)
+        assert got.scales.tobytes() == want.scales.tobytes()
+        assert got.sup_increments.tobytes() == want.sup_increments.tobytes()
+        assert (got.fitted_slope, got.fitted_intercept) == (want.fitted_slope, want.fitted_intercept)
+
+    def test_one_path_peaks_below_36_bytes_per_step(self):
+        # the curve (8 B), its steps (8 B) and the (decays, stds) table (16 B) while the path is walked;
+        # the recipe it replaces also held the grid twice and peaked at 49.6 B per step
+        h = 2.0**-18
+        tracemalloc.start()
+        try:
+            time_profile(BRIDGE, 1.0, h, 1, 0, h * 2.0 ** np.arange(2, 8))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / 2**18 <= 36.0
 
 
 class TestTimeModulusBoundFit:

@@ -1,11 +1,11 @@
-"""Non-finite or degenerate arguments below the law oracle are DomainErrors that name the argument."""
+"""Non-finite or degenerate arguments are DomainErrors that name the argument."""
 
 import math
 
 import numpy as np
 import pytest
 
-from bridgelab import drift, holder_analysis, local_time, simulate
+from bridgelab import drift, gaussian_law, holder_analysis, local_time, simulate
 from bridgelab.errors import DomainError
 
 NAN = math.nan
@@ -73,6 +73,47 @@ CALLS = {
         "eps must be positive",
     ),
     "time_modulus_scales": (lambda: holder_analysis.time_modulus(CURVE, [NAN, 0.1, 0.05]), "scales must be finite"),
+    "time_profile_scales": (
+        lambda: holder_analysis.time_profile(BRIDGE, 1.0, 0.01, 1, 0, [0.02, INF, 0.04]),
+        "scales must be finite",
+    ),
+    "time_profile_h": (lambda: holder_analysis.time_profile(BRIDGE, 1.0, NAN, 1, 0, [0.02, 0.04, 0.08]), "h=nan"),
+    # polyfit printed LAPACK's DLASCL complaint six times, then raised LinAlgError
+    "loglog_slope_nan_scale": (
+        lambda: drift.loglog_slope([(0.5, 1.0), (NAN, 1.0), (0.125, 1.0)]),
+        "scales must be positive and finite",
+    ),
+    # an infinite scale returned (nan, nan)
+    "loglog_slope_infinite_scale": (
+        lambda: drift.loglog_slope([(0.5, 1.0), (INF, 1.0), (0.125, 1.0)]),
+        "scales must be positive and finite",
+    ),
+    # a NaN step returned NaN local times, and a negative one negative local times
+    "level_sweep_nan_h": (lambda: holder_analysis.level_sweep(np.zeros(10), NAN, [0.0, 1.0], 1e-2), "h must be positive"),
+    "level_sweep_negative_h": (
+        lambda: holder_analysis.level_sweep(np.zeros(10), -1.0, [0.0, 1.0], 1e-2),
+        "h must be positive",
+    ),
+    "level_sweep_infinite_h": (
+        lambda: holder_analysis.level_sweep(np.zeros(10), INF, [0.0, 1.0], 1e-2),
+        "h must be positive",
+    ),
+    # the law oracle reported the kernel's lo and hi, or its rate, or returned NaN
+    "variance_nan_t": (lambda: gaussian_law.variance(BRIDGE, NAN), "^t must be nonnegative and finite, got nan"),
+    "variance_infinite_t": (lambda: gaussian_law.variance(BRIDGE, INF), "^t must be nonnegative and finite, got inf"),
+    "laplace_asymptotic_ratio_kappa": (
+        lambda: drift.laplace_asymptotic_ratio(BRIDGE, NAN, 2.0),
+        "^kappa must be positive and finite, got nan",
+    ),
+    "laplace_asymptotic_ratio_t": (
+        lambda: drift.laplace_asymptotic_ratio(BRIDGE, 2.0, INF),
+        "^t must be positive and finite, got inf",
+    ),
+    "abs_moment_sigma_sq": (lambda: gaussian_law.abs_moment(NAN, 2), "^sigma_sq must be nonnegative and finite"),
+    "abs_moment_infinite_sigma_sq": (
+        lambda: gaussian_law.abs_moment(INF, 4),
+        "^sigma_sq must be nonnegative and finite",
+    ),
     "eval_alpha_t": (lambda: drift.eval_alpha(BRIDGE, NAN), r"alpha\(t\) .*t=nan"),
     "eval_antiderivative_t": (lambda: drift.eval_antiderivative(BRIDGE, [1.0, NAN]), r"A\(t\) .*t=nan"),
     "running_sup_t": (lambda: drift.running_sup(BRIDGE, np.array([NAN])), "running sup .*t=nan"),
@@ -136,3 +177,24 @@ def test_nonfinite_argument_is_a_domain_error(name):
 def test_empty_horizons_are_a_domain_error(name):
     with pytest.raises(DomainError, match="horizons must not be empty"):
         EMPTY_HORIZONS[name]()
+
+
+EMPTY_SCALES = {
+    "time_modulus": lambda: holder_analysis.time_modulus(CURVE, []),
+    "time_profile": lambda: holder_analysis.time_profile(BRIDGE, 1.0, 0.01, 1, 0, []),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EMPTY_SCALES))
+def test_empty_scales_are_a_domain_error(name):
+    # scales[-1] of an empty array was a bare IndexError
+    with pytest.raises(DomainError, match="scales must not be empty"):
+        EMPTY_SCALES[name]()
+
+
+def test_infinite_fit_values_are_dropped_and_counted():
+    # an infinite value made the fit return (nan, nan) without a warning
+    h = 2.0 ** -np.arange(3, 10)
+    with pytest.warns(UserWarning, match="dropping 1 nonpositive and 1 NaN and 2 infinite values"):
+        slope, _ = drift.loglog_slope(zip(h, [h[0], INF, 0.0, h[3], NAN, INF, h[6]]))
+    assert slope == pytest.approx(1.0, abs=1e-12)

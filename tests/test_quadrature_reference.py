@@ -55,10 +55,10 @@ def reference_decay_batch(spec, lo, hi, rate):
     rounds = 0
     while True:
         rounds += 1
-        nodes = drift._WHOLE_AND_HALVES if whole is None else drift._WHOLE_AND_HALVES[1:]
+        nodes = drift.PANEL_NODES if whole is None else drift.PANEL_NODES[1:]
         u = left[:, None, None] + width[:, None, None] * nodes
         f = np.exp(-rate * (a_hi[owner, None, None] - reference_antiderivative(spec, u)))
-        sums = width[:, None] * (f * drift._GL_W).sum(-1)
+        sums = width[:, None] * (f * drift.PANEL_WEIGHTS).sum(-1)
         if whole is None:
             whole, sums = sums[:, 0], sums[:, 1:]
         halves = 0.5 * sums
@@ -83,7 +83,7 @@ def reference_decay_batch(spec, lo, hi, rate):
 
 def reference_lt2_rules(spec, s0, ds, p0, dp, eps, theta, whole):
     """The tensor rules with Var(X_s) integrated once per (s, phi) node pair."""
-    groups = drift._WHOLE_AND_HALVES
+    groups = drift.PANEL_NODES
     s = s0[:, None, None] + ds[:, None, None] * groups
     phi = p0[:, None, None] + dp[:, None, None] * groups
     pairs = ([(0, 0)] if whole else []) + [(1, 0), (2, 0), (0, 1), (0, 2)]
@@ -98,7 +98,7 @@ def reference_lt2_rules(spec, s0, ds, p0, dp, eps, theta, whole):
         g = (v_r / r) * (cvar / (ss - r)) + (theta * v_r + eps * v_s + eps * theta) / (r * s_minus_r)
         f = np.where(np.isfinite(g) & (g > 0.0), 2.0 / np.sqrt(g), 0.0)
     area = np.array([1.0 if pair == (0, 0) else 0.5 for pair in pairs])
-    return (ds * dp)[:, None] * area * (f * drift._GL_W[:, None] * drift._GL_W).sum((-2, -1))
+    return (ds * dp)[:, None] * area * (f * drift.PANEL_WEIGHTS[:, None] * drift.PANEL_WEIGHTS).sum((-2, -1))
 
 
 def intervals(tmax, kind, n=60):
