@@ -411,8 +411,8 @@ def check_growth_conditions(spec, gamma, probe_horizon):
     finite differences with step 1e-4 * max(1, t); pass iff the ratio does
     not grow between the first and second half of the grid.
     """
-    if probe_horizon < 16:
-        raise DomainError("probe_horizon must be at least 16")
+    if not 16 <= probe_horizon < math.inf:
+        raise DomainError(f"probe_horizon must be finite and at least 16, got {probe_horizon}")
     if not (0 <= gamma <= 0.5):
         raise DomainError("gamma must lie in [0, 1/2]")
     grid = np.logspace(0.0, math.log10(probe_horizon), _GROWTH_PROBE_POINTS)

@@ -124,6 +124,8 @@ def _validate_grid(times):
     arr = np.asarray(times, dtype=float)
     if arr.ndim < 1 or arr.shape[-1] < 1:
         raise DomainError("times must be a nonempty 1-d sequence")
+    if not np.isfinite(arr).all():
+        raise DomainError(f"times must be finite, got {arr}")
     if (arr[..., 0] <= 0).any():
         raise DomainError("all times must be strictly positive (Var(X_0) = 0 is singular)")
     if (arr[..., 1:] <= arr[..., :-1]).any():
@@ -263,8 +265,9 @@ def localtime_second_moment(spec, t, eps, theta):
             raise DomainError(f"{name} must be finite, got {value}")
     if t <= 0:
         raise DomainError("t must be positive")
-    if eps < 0 or theta < 0:
-        raise DomainError("smoothing parameters must be nonnegative")
+    for name, value in (("eps", eps), ("theta", theta)):
+        if value < 0:
+            raise DomainError(f"{name} must be nonnegative, got {value}")
 
     full_area = t * (math.pi / 2.0)
     s0, ds = np.zeros(1), np.full(1, float(t))

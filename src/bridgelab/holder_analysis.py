@@ -19,6 +19,7 @@ from .drift import loglog_slope, running_sup
 from .errors import DomainError, InsufficientDataError
 
 _SWEEP_STEPS = 256  # samples per level_sweep piece; memory is O(_SWEEP_STEPS * levels)
+_MEAN_PATHS = 64  # paths per task of time_profile, whose average is summed task by task
 
 
 @dataclass
@@ -104,16 +105,50 @@ def time_profile(spec, T, h, n_paths, seed, scales, scheme="euler"):
     saturation events (windows where the path sits at the level and the
     mollified curve climbs at its maximal rate, which bend the smallest scales
     toward slope 1) while keeping the pathwise roughness that a large-ensemble
-    mean would smooth away entirely.  Bit for bit time_modulus of the averaged
-    curve, but no grid or path is built: the curves, 8 B per path-step, and
-    the transition table are what grow with T.
+    mean would smooth away entirely.  Each task of _MEAN_PATHS paths adds its
+    curves, tile by tile and in path order, into one row; the task rows are
+    added in order and divided by n_paths, the same on any core count.  Up to
+    _MEAN_PATHS paths that is time_modulus of the curves' mean(axis=0), bit for
+    bit.  Only the mean curve and the transition table, 8 B per step each, grow with T.
     """
     n = simulate.grid_steps(T, h)
     scales, lags = _scale_lags(scales, h)
-    curves = local_time.kernel_ensemble(spec, 0.0, [h], T, h, n_paths, seed, np.arange(n + 1), scheme)
-    mean = curves[:, :, 0].mean(axis=0)
-    del curves  # the averaged curve is all that outlives the ensemble
+
+    def summed(idx, blocks):
+        total = np.zeros((1, n + 1))
+        for k, cum in local_time.kernel_tiles(blocks, 0.0, np.array([h]), h):
+            rows = total[0, k + 1 : k + 1 + len(cum)]
+            np.copyto(rows, cum[:, 0, 0])
+            for j in range(1, cum.shape[1]):
+                rows += cum[:, j, 0]
+        return total
+
+    table = simulate.transition_table(spec, simulate.grid(T, h), scheme)
+    sums = simulate.ensemble(table, seed, n_paths, summed, chunk=_MEAN_PATHS)
+    del table  # the mean curve is all that outlives the walk
+    mean = sums[0]
+    for row in sums[1:]:
+        mean += row
+    mean /= n_paths
     return _fitted_profile(scales, _nested_sup_increments(mean, lags))
+
+
+def _bound_lags(dt, n_samples):
+    """time_modulus_bound_fit's lags 1, 2, 4, ...: below time 1 and below n_samples."""
+    lags, lag = [], 1
+    while lag * dt < 1.0 and lag < n_samples:
+        lags.append(lag)
+        lag *= 2
+    return lags
+
+
+def _bound_fit(sups, lags, dt, T, spec):
+    """The max, from 0, of sups[..., i] over the bracket at distance lags[i] * dt; NaN propagates."""
+    if not 0 < T < math.inf:
+        raise DomainError(f"T must be positive and finite, got {T}")
+    growth = math.sqrt((T + 1.0) * running_sup(spec, T + 1.0))
+    brackets = [math.sqrt(lag * dt) * (growth + math.sqrt(math.log(1.0 / (lag * dt)))) for lag in lags]
+    return np.max(sups / np.array(brackets), axis=-1, initial=0.0)
 
 
 def time_modulus_bound_fit(curve, T, spec):
@@ -123,17 +158,80 @@ def time_modulus_bound_fit(curve, T, spec):
         sqrt(eta) * sqrt((T+1) * alpha*(T+1)) + sqrt(eta) * sqrt(log(1/eta)).
     Returns the max over all grid pairs at dyadic distances below 1 of
     |increment| / bracket; 0 for a constant curve, NaN if the curve has a NaN.
+    T must be positive and finite.
     """
     dt = _uniform_spacing(curve.checkpoints)
-    growth = math.sqrt((T + 1.0) * running_sup(spec, T + 1.0))
-    fitted = 0.0
-    lag = 1
-    while lag * dt < 1.0 and lag < len(curve.values):
-        eta = lag * dt
-        bracket = math.sqrt(eta) * (growth + math.sqrt(math.log(1.0 / eta)))
-        fitted = float(np.maximum(fitted, _lag_sup(curve.values, lag) / bracket))
-        lag *= 2
-    return fitted
+    lags = _bound_lags(dt, len(curve.values))
+    return float(_bound_fit(np.array([_lag_sup(curve.values, lag) for lag in lags]), lags, dt, T, spec))
+
+
+class _LagSups:
+    """Running max |f(s) - f(s - lag)| of several curves at each lag, fed their samples in step order.
+
+    Pairs reaching before step 0 do not count, so the sups after step k are
+    _lag_sup's on the curves' samples 0 .. k, bit for bit.  A window holds the
+    last max(lags) samples differenced, then up to max(lags) pending ones,
+    which are differenced at every lag at once; memory does not grow with k.
+    """
+
+    def __init__(self, first, lags):
+        r = max(lags, default=1)
+        self.lags, self.window, self.diff = lags, np.empty((len(first), 2 * r)), np.empty((len(first), r))
+        self.window[:, r - 1] = first  # row r - 1 holds step k, the last differenced; pending rows follow
+        self.k = self.pending = 0
+        self.sups = np.zeros((len(first), len(lags)))
+
+    def feed(self, samples):
+        """Take the samples at the next steps, shape (samples, curves)."""
+        r = self.diff.shape[1]
+        while len(samples):
+            take = min(len(samples), r - self.pending)
+            self.window[:, r + self.pending : r + self.pending + take] = samples[:take].T
+            self.pending += take
+            samples = samples[take:]
+            if self.pending == r:
+                self.taken()
+
+    def taken(self):
+        """Difference the pending samples; return the sups over every sample fed, shape (curves, lags)."""
+        w, r, nb = self.window, self.diff.shape[1], self.pending
+        for j, lag in enumerate(self.lags):
+            i = max(0, lag - self.k - 1)  # the first pending sample whose partner is at step 0 or later
+            if i < nb:
+                d = np.subtract(w[:, r + i : r + nb], w[:, r + i - lag : r + nb - lag], out=self.diff[:, : nb - i])
+                np.maximum(self.sups[:, j], np.abs(d, out=d).max(axis=1), out=self.sups[:, j])
+        w[:, :r] = w[:, nb : nb + r]
+        self.k, self.pending = self.k + nb, 0
+        return self.sups.copy()
+
+
+def time_bound_fits(spec, horizons, h, n_paths, seed):
+    """time_modulus_bound_fit of each path's kernel local time at level 0, eps = h, up to each horizon.
+
+    Shape (n_paths, len(horizons)); paths 0 .. n_paths-1 walk one Euler grid to
+    the last horizon.  No curve is kept: each task streams its paths' lag sups
+    from local_time.kernel_tiles and takes them at each horizon's step, so
+    only the table, 8 B per step, grows with the horizon.
+    """
+    steps = np.asarray(simulate.horizon_steps(horizons, h))
+    if steps[0] < 1 or np.any(np.diff(steps) < 0):
+        raise DomainError(f"horizons must be positive and nondecreasing, got {horizons}")
+    lags = _bound_lags(h, steps[-1] + 1)
+
+    def snapshots(idx, blocks):
+        sups, snaps = _LagSups(np.zeros(len(idx)), lags), []
+        for k, cum in local_time.kernel_tiles(blocks, 0.0, np.array([h]), h):
+            r0 = 0
+            for step in steps[simulate.recorded(steps, k, len(cum))]:
+                sups.feed(cum[r0 : step - k, :, 0])
+                snaps.append(sups.taken())
+                r0 = step - k
+            sups.feed(cum[r0:, :, 0])
+        return np.stack(snaps, axis=1)
+
+    table = simulate.transition_table(spec, simulate.grid(horizons[-1], h), "euler")
+    sups = simulate.ensemble(table, seed, n_paths, snapshots)
+    return np.stack([_bound_fit(sups[:, j], lags, h, T, spec) for j, T in enumerate(horizons)], axis=1)
 
 
 class _LevelSweep:

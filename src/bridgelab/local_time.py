@@ -152,16 +152,43 @@ def tanaka_estimate(path, spec, x, checkpoints):
     )
 
 
+def kernel_tiles(blocks, x, eps, h, steps=None):
+    """Yield (k, cum) per row tile of a task's walk: its paths' kernel local times at grid steps k+1 .. k+len(cum).
+
+    cum has shape (len(cum), paths, len(eps)), eps being an array, and each
+    path's curve is kernel_estimate's bit for bit, whatever the block length,
+    task width and thread count.  A tile holds at most _TILE_SIZE elements and
+    a walk block, and is valid only until the next is asked for.  Given the
+    nondecreasing steps the caller records, a tile holding none of them is
+    summed without a cumsum and yields its last row only.
+    """
+    for k0, block, _ in blocks:
+        if k0 == 0:
+            m, ne = block.shape[1], len(eps)
+            rows = max(1, min(len(block), _TILE_SIZE // (m * ne)))
+            sq = np.empty((rows, m, 1))
+            dens, trap = np.empty((2, rows, m, ne))
+            prev = _gaussian_density(np.square(np.zeros((m, 1)) - x), eps)
+            acc = np.zeros((m, ne))
+        for r0 in range(0, len(block), rows):
+            values = block[r0 : r0 + rows]
+            k, nb = k0 + r0, len(values)
+            s = np.subtract(values[..., None], x, out=sq[:nb])
+            np.square(s, out=s)
+            span = None if steps is None else simulate.recorded(steps, k, nb)
+            cumulative = span is None or span.start < span.stop
+            y = _gaussian_density(s, eps, dens[:nb])
+            cum = _running_trapezoid(y, h, prev, acc, trap[:nb], cumulative)
+            prev[:], acc[:] = y[-1], cum[-1] if cumulative else cum
+            yield (k, cum) if cumulative else (k + nb - 1, cum[None])
+
+
 def kernel_ensemble(spec, x, eps_list, T, h, n_paths, seed, steps=None, scheme="euler"):
     """Kernel local time of paths 0 .. n_paths-1 at grid steps, shape (n_paths, len(steps), len(eps_list)).
 
     steps, nondecreasing grid steps in [0, n], defaults to the end n of the
-    grid reaching T; step 0 records 0.0.  Each path's curve equals
-    kernel_estimate's bit for bit, whatever the block length, task width and
-    thread count.  simulate.ensemble runs tasks of at most 256 paths on every
-    core.  Each walk block is reduced over the whole task in row tiles of at
-    most _TILE_SIZE elements per buffer and at most a block, allocated once
-    per task; a row tile with no recorded step is summed without a cumsum.
+    grid reaching T; step 0 records 0.0.  simulate.ensemble runs tasks of at
+    most 256 paths on every core, and each records its steps from kernel_tiles.
     """
     n = simulate.grid_steps(T, h)
     steps = np.asarray([n] if steps is None else steps)
@@ -175,27 +202,9 @@ def kernel_ensemble(spec, x, eps_list, T, h, n_paths, seed, steps=None, scheme="
     table = simulate.transition_table(spec, simulate.grid(T, h), scheme)
 
     def curves(idx, blocks):
-        m, ne = len(idx), len(eps)
-        rows = max(1, min(n, simulate.BLOCK_STEPS, _TILE_SIZE // (m * ne)))
-        sq = np.empty((rows, m, 1))
-        dens, trap = np.empty((2, rows, m, ne))
-        out = np.zeros((m, len(steps), ne))
-        prev = _gaussian_density(np.square(np.zeros((m, 1)) - x), eps)
-        acc = np.zeros((m, ne))
-        for k0, block, _ in blocks:
-            for r0 in range(0, len(block), rows):
-                values = block[r0 : r0 + rows]
-                k, nb = k0 + r0, len(values)
-                s = np.subtract(values[..., None], x, out=sq[:nb])
-                np.square(s, out=s)
-                span = simulate.recorded(steps, k, nb)
-                recorded = span.start < span.stop
-                y = _gaussian_density(s, eps, dens[:nb])
-                cum = _running_trapezoid(y, h, prev, acc, trap[:nb], recorded)
-                if recorded:
-                    simulate.record(out, steps, k, cum)
-                    cum = cum[-1]
-                prev[:], acc[:] = y[-1], cum
+        out = np.zeros((len(idx), len(steps), len(eps)))
+        for k, cum in kernel_tiles(blocks, x, eps, h, steps):
+            simulate.record(out, steps, k, cum)
         return out
 
     return simulate.ensemble(table, seed, n_paths, curves)

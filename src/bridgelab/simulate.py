@@ -171,15 +171,18 @@ def transition_table(spec, times, scheme):
     """The (decays, stds) table that walk steps for a scheme on a uniform grid.
 
     exact: exact_transition_table.  euler: its first-order form (1 - h * alpha(t_k), sqrt(h)),
-    whose decay is negative exactly where h * alpha(t_k) > 1.
+    whose decay is negative exactly where h * alpha(t_k) > 1.  The Euler stds are one
+    read-only value broadcast over the grid, so the table holds 8 B per step.
     """
     if scheme == "exact":
         return exact_transition_table(spec, times)
     if scheme != "euler":
         raise DomainError(f"scheme must be euler or exact, got {scheme!r}")
     h = float(times[1] - times[0])
-    decays = 1.0 - h * np.asarray(drift_mod.eval_alpha(spec, times[:-1]), dtype=float)
-    return decays, np.full(len(decays), math.sqrt(h))
+    decays = np.asarray(drift_mod.eval_alpha(spec, times[:-1]), dtype=float)
+    decays *= -h
+    decays += 1.0  # in place, bit for bit 1.0 - h * alpha
+    return decays, np.broadcast_to(math.sqrt(h), len(decays))
 
 
 def _scan_plan(values, noise, decays, prods, fix, start):
@@ -306,11 +309,11 @@ def _cores():
 def ensemble(table, seed, n_paths, reduce, chunk=None, threads=None):
     """Stack reduce(path_indices, walk(table, seed, path_indices)) over tasks of paths 0 .. n_paths-1.
 
-    reduce takes a task's paths and the blocks of their walk, and returns one
-    row per path.  A task holds at most chunk paths and at most _TILE_PATHS,
-    the widest walk.  A batch of fewer than two such tasks is split into one
-    task per thread instead, as long as each keeps a draw slab of _SLAB_PATHS
-    paths.  A lone task's result is returned as is, without a copy.
+    reduce takes a task's paths and the blocks of their walk, and returns its
+    rows, one per path unless it sums them.  A task holds at most chunk paths
+    and at most _TILE_PATHS, the widest walk.  A batch of fewer than two such
+    tasks is split into one task per thread instead, as long as each keeps a
+    draw slab of _SLAB_PATHS paths.  A lone task's result is returned as is, without a copy.
 
     Tasks run on up to `threads` threads; threads=None uses every core the
     process may run on.  A table of fewer than _SERIAL_STEPS steps is walked

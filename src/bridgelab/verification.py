@@ -252,14 +252,8 @@ def check_holder_time(seed):
     slope = holder_analysis.time_profile(spec, 1.0, 2.0**-16, 16, seed, 2.0 ** -np.arange(6, 15)).fitted_slope
 
     # the T=2 curves are the first steps of the T=8 curves: same paths, same grid
-    h13 = 2.0**-13
-    t_grid = simulate.grid(8.0, h13)
-    cvs = local_time.kernel_ensemble(spec, 0.0, [h13], 8.0, h13, 16, seed + 17, steps=np.arange(len(t_grid)))
-    fitted = {}
-    for T in (2.0, 8.0):
-        n = simulate.grid_steps(T, h13) + 1
-        cs = [local_time.LocalTimeCurve(0.0, t_grid[:n], row[:n], "kernel", h13, seed + 17) for row in cvs[:, :, 0]]
-        fitted[T] = float(np.mean([holder_analysis.time_modulus_bound_fit(c, T, spec) for c in cs]))
+    fits = holder_analysis.time_bound_fits(spec, [2.0, 8.0], 2.0**-13, 16, seed + 17)
+    fitted = {T: float(np.mean(fits[:, j])) for j, T in enumerate((2.0, 8.0))}
     c_ratio = fitted[2.0] / fitted[8.0]
     metrics = {
         "holder_time_slope": slope,

@@ -4,10 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bridgelab import holder_analysis, simulate
+from bridgelab import holder_analysis, simulate, verification
 from bridgelab.drift import DriftSpec
 from bridgelab.errors import DomainError, InsufficientDataError
 from bridgelab.holder_analysis import (
+    _lag_sup,
     _nested_sup_increments,
     level_sweep,
     loglog_slope,
@@ -166,9 +167,10 @@ class TestTimeProfile:
         assert got.sup_increments.tobytes() == want.sup_increments.tobytes()
         assert (got.fitted_slope, got.fitted_intercept) == (want.fitted_slope, want.fitted_intercept)
 
-    def test_one_path_peaks_below_36_bytes_per_step(self):
-        # the curve (8 B), its steps (8 B) and the (decays, stds) table (16 B) while the path is walked;
-        # the recipe it replaces also held the grid twice and peaked at 49.6 B per step
+    def test_one_path_peaks_below_28_bytes_per_step(self):
+        # the averaged curve (8 B) and the Euler table (8 B) while the path is walked, then the curve and
+        # the lag differences and their absolute values (8 B each); it peaked at 33.6 B per step when it
+        # also held every path's curve, its steps and a stds column, and at 49.6 B per step before that
         h = 2.0**-18
         tracemalloc.start()
         try:
@@ -176,7 +178,79 @@ class TestTimeProfile:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / 2**18 <= 36.0
+        assert peak / 2**18 <= 28.0
+
+
+def whole_curves(scheme, T, h, n_paths, seed):
+    """The grid, and every path's kernel local time at level 0, eps = h, at every step: what the streams replace."""
+    times = simulate.grid(T, h)
+    curves = kernel_ensemble(BRIDGE, 0.0, [h], T, h, n_paths, seed, steps=np.arange(len(times)), scheme=scheme)
+    return times, curves[:, :, 0]
+
+
+class TestStreamedTimeStatistics:
+    H = 2.0**-10  # 1024 steps, past simulate._SERIAL_STEPS, so the patched core count reaches ensemble
+    SCALES = H * 2.0 ** np.arange(0, 9, 2)
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    @pytest.mark.parametrize("n_paths", [1, 16, 64])
+    @pytest.mark.parametrize("scheme", ["euler", "exact"])
+    def test_profile_equals_the_mean_curve(self, monkeypatch, scheme, n_paths, cores):
+        monkeypatch.setattr(simulate, "_cores", lambda: cores)
+        times, curves = whole_curves(scheme, 1.0, self.H, n_paths, 5)
+        want = time_modulus(LocalTimeCurve(0.0, times, curves.mean(axis=0), "kernel", self.H, 5), self.SCALES)
+        got = time_profile(BRIDGE, 1.0, self.H, n_paths, 5, self.SCALES, scheme)
+        assert got.sup_increments.tobytes() == want.sup_increments.tobytes()
+        assert (got.fitted_slope, got.fitted_intercept) == (want.fitted_slope, want.fitted_intercept)
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_profile_of_100_paths_sums_by_64_path_task(self, monkeypatch, cores):
+        monkeypatch.setattr(simulate, "_cores", lambda: cores)
+        times, curves = whole_curves("euler", 1.0, self.H, 100, 5)
+        mean = curves[:64].sum(axis=0)
+        mean += curves[64:].sum(axis=0)
+        mean /= 100
+        want = time_modulus(LocalTimeCurve(0.0, times, mean, "kernel", self.H, 5), self.SCALES)
+        got = time_profile(BRIDGE, 1.0, self.H, 100, 5, self.SCALES)
+        assert got.sup_increments.tobytes() == want.sup_increments.tobytes()
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    @pytest.mark.parametrize("n_paths", [1, 16, 64])
+    def test_bound_fits_equal_the_curve_fits(self, monkeypatch, n_paths, cores):
+        monkeypatch.setattr(simulate, "_cores", lambda: cores)
+        horizons = [0.25, 0.75, 1.0]
+        times, curves = whole_curves("euler", 1.0, self.H, n_paths, 5)
+        got = holder_analysis.time_bound_fits(BRIDGE, horizons, self.H, n_paths, 5)
+        assert got.shape == (n_paths, 3)
+        for j, T in enumerate(horizons):
+            n = simulate.grid_steps(T, self.H) + 1
+            cut = [LocalTimeCurve(0.0, times[:n], row[:n], "kernel", self.H, 5) for row in curves]
+            want = np.array([time_modulus_bound_fit(c, T, BRIDGE) for c in cut])
+            assert got[:, j].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("piece", [1, 5, 64, 1000])
+    def test_lag_sups_equal_lag_sup_at_any_step(self, piece):
+        rng = np.random.default_rng(piece)
+        curves = np.cumsum(rng.standard_normal((3, 700)), axis=1)
+        curves[2, 300] = math.nan
+        lags = [1, 2, 4, 8, 16, 32, 64]
+        sups = holder_analysis._LagSups(curves[:, 0], lags)
+        for lo in range(1, 700, piece):
+            sups.feed(curves[:, lo : lo + piece].T)
+            k = min(lo + piece, 700) - 1
+            if k == 699 or rng.random() < 0.1:
+                want = [[_lag_sup(c[: k + 1], lag) for lag in lags] for c in curves]
+                np.testing.assert_array_equal(sups.taken(), want)
+
+    def test_check_holder_time_peaks_below_5_mb(self):
+        # with every path's curve at every step it held two (16, 65537) arrays and peaked at 11.6 MB
+        tracemalloc.start()
+        try:
+            verification.check_holder_time(0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5e6
 
 
 class TestTimeModulusBoundFit:

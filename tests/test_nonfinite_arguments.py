@@ -153,6 +153,55 @@ CALLS = {
     "drift_exponential_nan_beta": (lambda: drift.DriftSpec.exponential(NAN), "^beta: "),
     "drift_tabulated_nan_alpha": (lambda: drift.DriftSpec.tabulated([0.0, 1.0], [1.0, NAN]), "^table: .*finite"),
     "drift_tabulated_infinite_alpha": (lambda: drift.DriftSpec.tabulated([0.0, 1.0], [INF, 1.0]), "^table: .*finite"),
+    # a negative T took sqrt(0) as its growth term and returned a number; NaN and inf named running_sup's t
+    "time_modulus_bound_fit_negative_T": (
+        lambda: holder_analysis.time_modulus_bound_fit(CURVE, -1.0, BRIDGE),
+        "^T must be positive and finite, got -1.0",
+    ),
+    "time_modulus_bound_fit_nan_T": (
+        lambda: holder_analysis.time_modulus_bound_fit(CURVE, NAN, BRIDGE),
+        "^T must be positive and finite, got nan",
+    ),
+    "time_modulus_bound_fit_infinite_T": (
+        lambda: holder_analysis.time_modulus_bound_fit(CURVE, INF, BRIDGE),
+        "^T must be positive and finite, got inf",
+    ),
+    "time_bound_fits_nan_horizon": (
+        lambda: holder_analysis.time_bound_fits(BRIDGE, [NAN, 1.0], 0.01, 2, 0),
+        "horizons must be finite",
+    ),
+    "time_bound_fits_zero_horizon": (
+        lambda: holder_analysis.time_bound_fits(BRIDGE, [0.0, 1.0], 0.01, 2, 0),
+        "horizons must be positive and nondecreasing",
+    ),
+    # a non-finite time reached the quadrature kernel, which named its own lo and hi
+    "build_cov_matrix_nan_time": (
+        lambda: gaussian_law.build_cov_matrix(BRIDGE, [1.0, NAN]),
+        r"^times must be finite, got \[ 1. nan\]",
+    ),
+    "build_cov_matrix_infinite_time": (
+        lambda: gaussian_law.build_cov_matrix(BRIDGE, [1.0, INF]),
+        "^times must be finite",
+    ),
+    "det_bounds_nan_time": (lambda: gaussian_law.det_bounds(BRIDGE, [1.0, NAN, 3.0]), "^times must be finite"),
+    # NaN and inf reached eval_alpha, and inf printed a RuntimeWarning first
+    "check_growth_conditions_nan_probe_horizon": (
+        lambda: drift.check_growth_conditions(BRIDGE, 0.25, NAN),
+        "^probe_horizon must be finite and at least 16, got nan",
+    ),
+    "check_growth_conditions_infinite_probe_horizon": (
+        lambda: drift.check_growth_conditions(BRIDGE, 0.25, INF),
+        "^probe_horizon must be finite and at least 16, got inf",
+    ),
+    # both said "smoothing parameters must be nonnegative"
+    "localtime_second_moment_negative_eps": (
+        lambda: gaussian_law.localtime_second_moment(BRIDGE, 1.0, -1.0, 0.0),
+        "^eps must be nonnegative, got -1.0",
+    ),
+    "localtime_second_moment_negative_theta": (
+        lambda: gaussian_law.localtime_second_moment(BRIDGE, 1.0, 0.0, -1.0),
+        "^theta must be nonnegative, got -1.0",
+    ),
     "drift_tabulated_infinite_time": (
         lambda: drift.DriftSpec.tabulated([0.0, 1.0, INF], [1.0, 1.0, 1.0]),
         "^table: .*finite",

@@ -80,6 +80,19 @@ class TestEulerPath:
         expected = scalar_scan(decays, path.brownian_increments)
         assert np.array(expected).tobytes() == path.values[1:].tobytes()
 
+    @pytest.mark.parametrize(
+        "spec",
+        [BRIDGE, BM, DriftSpec.exponential(1.5), DriftSpec.tabulated([0.0, 1.0, 5.0], [0.5, 2.0, 1.0])],
+        ids=["power", "constant", "exponential", "tabulated"],
+    )
+    def test_euler_table_holds_one_column(self, spec):
+        # stds is one read-only value seen through a zero stride; decays is built in place
+        times = grid(4.0, 0.005)
+        decays, stds = transition_table(spec, times, "euler")
+        assert stds.strides == (0,) and not stds.flags.writeable and stds.shape == decays.shape
+        assert stds[0] == math.sqrt(0.005)
+        assert decays.tobytes() == (1.0 - 0.005 * eval_alpha(spec, times[:-1])).tobytes()
+
     def test_block_rows_match_single_paths(self):
         table = transition_table(BRIDGE, grid(1.0, 0.01), "euler")
         block, dws = simulate.paths(table, 42, [0, 1, 2])
