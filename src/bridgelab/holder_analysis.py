@@ -20,6 +20,7 @@ from .errors import DomainError, InsufficientDataError
 
 _SWEEP_STEPS = 256  # samples per level_sweep piece; memory is O(_SWEEP_STEPS * levels)
 _MEAN_PATHS = 64  # paths per task of time_profile, whose average is summed task by task
+_LAG_PIECE = 2**14  # pairs _lag_sup differences at once
 
 
 @dataclass
@@ -52,10 +53,16 @@ def _nested_sup_increments(values, lags):
 
 
 def _lag_sup(values, lag):
-    """Max |values[i+lag] - values[i]|, or 0.0 when no pair is lag apart; NaN propagates."""
+    """Max |values[i+lag] - values[i]|, piece by piece in one buffer, or 0.0 if no pair is lag apart; NaN propagates."""
     if not 0 < lag < len(values):
         return 0.0
-    return float(np.abs(values[lag:] - values[:-lag]).max())
+    n = len(values) - lag
+    buf, sups = np.empty(min(n, _LAG_PIECE), dtype=values.dtype), []
+    for lo in range(0, n, len(buf)):
+        hi = min(lo + len(buf), n)
+        d = np.subtract(values[lo + lag : hi + lag], values[lo:hi], out=buf[: hi - lo])
+        sups.append(np.abs(d, out=d).max())
+    return float(np.max(sups))
 
 
 def _uniform_spacing(checkpoints):
@@ -322,7 +329,7 @@ def space_modulus(spec, t, x_grid, n_paths, h, seed, eps, scheme="euler", thread
     def profiles(idx, blocks):
         sweep = _LevelSweep(len(idx), h, x, eps)
         sweep.feed(np.zeros((1, len(idx))))  # X_0 = 0
-        for _, values, _ in blocks:
+        for _, values in blocks:
             sweep.feed(values)
         return np.array([_nested_sup_increments(row, lags) for row in sweep.total()])
 

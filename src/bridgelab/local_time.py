@@ -162,7 +162,7 @@ def kernel_tiles(blocks, x, eps, h, steps=None):
     nondecreasing steps the caller records, a tile holding none of them is
     summed without a cumsum and yields its last row only.
     """
-    for k0, block, _ in blocks:
+    for k0, block in blocks:
         if k0 == 0:
             m, ne = block.shape[1], len(eps)
             rows = max(1, min(len(block), _TILE_SIZE // (m * ne)))

@@ -21,18 +21,20 @@ covers every sub-block of the block at once and a narrow walk does not pay one
 call per step.  walk writes every block into the same buffers, so a yielded
 block is valid only until the next one is requested, and memory is
 O(paths x block) unless whole paths are kept.  ensemble cuts a batch into
-tasks of at most 256 paths, so a task's noise and values blocks are 2 MB each,
-walks each task and hands its blocks to the caller's reducer (snapshots at
-horizons, a running kernel integral, a level sweep) as they come.  It runs the
-tasks on every core the process may use unless told otherwise, or on one
-thread when the table is too short to gain from more; memory is the thread
-count times one task's working set.  Results are bit-identical for any
-BLOCK_STEPS, chunk size, task width and thread count.
+tasks of at most 256 paths, so a task's one values block (the scan runs in
+place on the noise) is 2 MB, walks each task and hands its blocks to the
+caller's reducer (snapshots at horizons, a running kernel integral, a level
+sweep) as they come.  The calling thread and a pool share the tasks, by
+default on every core, or on one thread when the table is too short to gain
+from more.  Memory is the thread count times one task's working set; results
+are bit-identical for any BLOCK_STEPS, chunk size, task width and thread count.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -47,7 +49,7 @@ from .errors import DomainError
 _MASK64 = (1 << 64) - 1
 _COUNTER0 = np.zeros(4, dtype=np.uint64)
 BLOCK_STEPS = 1024
-_TILE_PATHS = 256  # paths a walk steps at most: its 1024-step noise and values blocks are 2 MB each
+_TILE_PATHS = 256  # paths a walk steps at most: its 1024-step values block is 2 MB
 _SLAB_PATHS = 64  # paths drawn per slab before the slab is transposed into the time-major noise
 _SCAN_STEPS = 32  # sub-block length of walk's scan, whose blocks are whole sub-blocks; path bits depend on it
 _SERIAL_STEPS = BLOCK_STEPS * 5 // 8  # a walk of fewer steps runs on one thread: on two it ran slower
@@ -136,7 +138,9 @@ class _Key(ISeedSequence):
 
 
 def _stream(seed, path_index):
-    """The Philox stream of a path: Generator(Philox(key=[seed, path_index] mod 2^64)), bit for bit."""
+    """The Philox stream of a path, Generator(Philox(key=[seed, path_index] mod 2^64)); seed must be an integer."""
+    if not isinstance(seed, numbers.Integral):
+        raise DomainError(f"seed must be an integer, got {seed!r}")
     key = np.array([seed & _MASK64, path_index & _MASK64], dtype=np.uint64)
     return Generator(Philox(_Key(key), counter=_COUNTER0))
 
@@ -161,10 +165,10 @@ def exact_transition_table(spec, times):
 
     X_{t_{k+1}} = exp(-(A(t_{k+1}) - A(t_k))) X_{t_k} + N(0, Var(X_{t_{k+1}} | X_{t_k})).
     """
-    a_vals = drift_mod.eval_antiderivative(spec, np.asarray(times, dtype=float))
-    decays = np.exp(-np.diff(a_vals))
-    stds = np.sqrt(drift_mod.decay_integral_steps(spec, times, 2.0))
-    return decays, stds
+    a = drift_mod.eval_antiderivative(spec, np.asarray(times, dtype=float))
+    decays = np.subtract(a[:-1], a[1:], out=a[:-1])  # bit for bit -np.diff(a); both columns are built in place
+    stds = drift_mod.decay_integral_steps(spec, times, 2.0)
+    return np.exp(decays, out=decays), np.sqrt(stds, out=stds)
 
 
 def transition_table(spec, times, scheme):
@@ -185,47 +189,48 @@ def transition_table(spec, times, scheme):
     return decays, np.broadcast_to(math.sqrt(h), len(decays))
 
 
-def _scan_plan(values, noise, decays, prods, fix, start):
+def _scan_plan(values, decays, prods, temp, start):
     """The views that walk's scan steps through for a block of len(values) steps.
 
     A block starts where a sub-block does, so they depend only on its length, and walk
-    builds them once per length.  Returns the y steps (previous y, decays, y, noise), with
-    no previous y where a sub-block starts, and the x = y + P * s steps (P, s, temporary,
-    x), one per sub-block.
+    builds them once per length.  Returns the y steps (previous y, decays, temporary, y),
+    one per row r >= 1 of the sub-blocks, whose row 0 is its noise already, and the
+    x = y + P * s steps (P, s, temporary, x), one per sub-block.
     """
     span, b = _SCAN_STEPS, len(values)
-    y_steps = [(None, None, values[::span], noise[::span])]
+    y_steps = []
     for r in range(1, min(span, b)):  # row r of each sub-block
-        y_steps.append((values[r - 1 : b - 1 : span], decays[r::span, None], values[r::span], noise[r::span]))
+        y = values[r::span]
+        y_steps.append((values[r - 1 : b - 1 : span], decays[r::span, None], temp[: len(y)], y))
     fix_steps, s = [], start
     for r0 in range(0, b, span):
         r1 = min(r0 + span, b)
-        fix_steps.append((prods[r0:r1, None], s, fix[: r1 - r0], values[r0:r1]))
+        fix_steps.append((prods[r0:r1, None], s, temp[: r1 - r0], values[r0:r1]))
         s = values[r1 - 1]
     return y_steps, fix_steps
 
 
 def walk(table, seed, path_indices):
-    """Yield (k0, values, noise) per block: X at steps k0+1, k0+2, ... as (block steps, paths).
+    """Yield (k0, values) per block: X at steps k0+1, k0+2, ... as (block steps, paths).
 
-    table is (decays, stds); noise = std * N drove those steps.  path_indices
-    names at most _TILE_PATHS paths.  A block has BLOCK_STEPS steps, taken in
-    whole scan sub-blocks, except the last, which ends with the grid.  Every
-    block is written into the same buffers, so the yielded arrays are read-only
-    and valid only until the next block is requested; copy what must outlive it.
-    Each path's normals come from its own stream, a slab of _SLAB_PATHS paths at
-    a time, and are scaled into time-major noise rows.  A walk of one block
-    reads each stream once, so it re-keys a single generator instead of
-    keeping one per path.
+    table is (decays, stds).  path_indices names at most _TILE_PATHS paths.  A
+    block has BLOCK_STEPS steps, taken in whole scan sub-blocks, except the
+    last, which ends with the grid.  Every block is written into the same
+    buffer, so the yielded array is read-only and valid only until the next
+    block is requested; copy what must outlive it.  Each path's normals come
+    from its own stream, a slab of _SLAB_PATHS paths at a time, and are scaled
+    into time-major rows of that buffer, where the scan turns them into X; no
+    noise is kept (paths redraws it).  A walk of one block reads each stream
+    once, so it re-keys a single generator instead of keeping one per path.
 
     x <- decay * x + noise is evaluated as a blocked scan over sub-blocks of
     _SCAN_STEPS steps, counted from step 0 of the grid.  Inside a sub-block, y
-    starts from zero and follows y <- decay * y + noise, one numpy step per
-    offset for every sub-block of the block at once; then x = y + P * s, where
-    P is the running product of the decays inside the sub-block and s is x
-    where the sub-block starts.  No block ends inside a sub-block, so every
-    element gets the same float operations for any chunk width and any
-    BLOCK_STEPS.  No step divides, so zero and negative decays are safe.
+    starts from zero and follows y <- decay * y + noise, in place on the noise,
+    one numpy step per offset for every sub-block of the block at once; then
+    x = y + P * s, where P is the running product of the decays inside the
+    sub-block and s is x where the sub-block starts.  No block ends inside a
+    sub-block, so every element gets the same float operations for any chunk
+    width and any BLOCK_STEPS.  No step divides, so zero and negative decays are safe.
     """
     decays, stds = table
     n, m, span = len(decays), len(path_indices), _SCAN_STEPS
@@ -234,36 +239,32 @@ def walk(table, seed, path_indices):
     block = max(span, BLOCK_STEPS // span * span)
     streams = [_stream(seed, p) for p in path_indices] if n > block else None
     rows = min(block, n)
-    # one allocation for all buffers: the noise and values blocks; s, x where the block starts;
-    # the block's decays and their running products; the x = y + P * s temporary of a sub-block.
-    # At a full tile it is about 4 MB, which malloc keeps in the thread's heap for the next task.
-    sizes = (rows * m, rows * m, m, rows, rows, span * m)
-    noise, values, start, block_decays, prods, fix = np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1])
-    noise, values, fix = noise.reshape(rows, m), values.reshape(rows, m), fix.reshape(span, m)
+    # one allocation: the values block; s, x where the block starts; the block's decays and their running products;
+    # a scan step's temporary, a row per sub-block or one sub-block.  At a full tile ~2 MB, kept in the thread's heap.
+    sizes = (rows * m, m, rows, rows, max(span, -(-rows // span)) * m)
+    values, start, block_decays, prods, temp = np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1])
+    values, temp = values.reshape(rows, m), temp.reshape(-1, m)
     start[:] = 0.0
     plans = {}
     slab = np.empty((min(_SLAB_PATHS, m), rows))
     for k0 in range(0, n, block):
         k1 = min(k0 + block, n)
         b = k1 - k0
-        w, v, d, p = noise[:b], values[:b], block_decays[:b], prods[:b]
+        v, d, p = values[:b], block_decays[:b], prods[:b]
         source = _rekeyed(seed, path_indices) if streams is None else iter(streams)
         for lo in range(0, m, _SLAB_PATHS):
             draws = slab[: min(_SLAB_PATHS, m - lo), :b]
             for row, stream in zip(draws, source):  # rows first: zip stops before an extra stream
                 stream.standard_normal(out=row)
             draws *= stds[k0:k1]
-            w[:, lo : lo + len(draws)] = draws.T
+            v[:, lo : lo + len(draws)] = draws.T
         np.copyto(d, decays[k0:k1])
         if b not in plans:
-            plans[b] = _scan_plan(v, w, d, p, fix, start)
+            plans[b] = _scan_plan(v, d, p, temp, start)
         y_steps, fix_steps = plans[b]
-        for prev, c, y, dw in y_steps:
-            if prev is None:
-                np.copyto(y, dw)
-            else:
-                np.multiply(prev, c, out=y)
-                y += dw
+        for prev, c, t, y in y_steps:
+            np.multiply(prev, c, out=t)
+            y += t  # noise + fl(prev * decay): bit for bit fl(prev * decay) + noise
         # P over the whole sub-blocks, then over the walk's last, partial one
         body = b // span * span
         np.multiply.accumulate(d[:body].reshape(-1, span), axis=1, out=p[:body].reshape(-1, span))
@@ -272,7 +273,7 @@ def walk(table, seed, path_indices):
             np.multiply(c, s, out=t)
             x += t
         np.copyto(start, v[-1])
-        yield k0, v, w
+        yield k0, v
 
 
 def recorded(steps, k0, n_rows):
@@ -287,15 +288,18 @@ def record(out, steps, k0, block):
     out[:, j] = np.moveaxis(block[steps[j] - k0 - 1], 0, 1)
 
 
-def paths(table, seed, path_indices):
-    """Whole trajectories and the noise that drove them, as (values, noise), one row per path."""
-    n = len(table[0])
-    values = np.zeros((len(path_indices), n + 1))
-    noise = np.empty((len(path_indices), n))
-    for k0, v, w in walk(table, seed, path_indices):
+def _trajectories(table, seed, path_indices):
+    """Whole trajectories from X_0 = 0, one row per path."""
+    values = np.zeros((len(path_indices), len(table[0]) + 1))
+    for k0, v in walk(table, seed, path_indices):
         values[:, k0 + 1 : k0 + 1 + len(v)] = v.T
-        noise[:, k0 : k0 + len(v)] = w.T
-    return values, noise
+    return values
+
+
+def paths(table, seed, path_indices):
+    """Whole trajectories and the noise std * N that drove them, redrawn from each path's stream, one row per path."""
+    noise = np.array([_normals(seed, p, len(table[0])) for p in path_indices]) * table[1]
+    return _trajectories(table, seed, path_indices), noise
 
 
 def _cores():
@@ -315,15 +319,15 @@ def ensemble(table, seed, n_paths, reduce, chunk=None, threads=None):
     tasks is split into one task per thread instead, as long as each keeps a
     draw slab of _SLAB_PATHS paths.  A lone task's result is returned as is, without a copy.
 
-    Tasks run on up to `threads` threads; threads=None uses every core the
-    process may run on.  A table of fewer than _SERIAL_STEPS steps is walked
-    on one thread whatever threads says: its tasks are too short to pay for
-    the pool.  Each running task holds its own working set, so memory grows
-    with the thread count.  n_paths, chunk and threads below 1 are a DomainError.
+    Up to `threads` threads (None: every core the process may run on), the caller
+    and a pool of the rest, take tasks in turn from one count; results stack in
+    task order, and a task's exception propagates.  A table of fewer than
+    _SERIAL_STEPS steps runs on one thread, too short to pay for the pool.  Memory
+    is threads times one task's working set.  n_paths, chunk, threads: integers >= 1.
     """
     for name, value in (("n_paths", n_paths), ("chunk", chunk), ("threads", threads)):
-        if value is not None and value < 1:
-            raise DomainError(f"{name} must be at least 1, got {value}")
+        if value is not None and not (isinstance(value, numbers.Integral) and value >= 1):
+            raise DomainError(f"{name} must be an integer of at least 1, got {value!r}")
     workers = 1 if len(table[0]) < _SERIAL_STEPS else _cores() if threads is None else threads
     width = min(_TILE_PATHS, n_paths if chunk is None else chunk)
     if n_paths < 2 * width:  # a small batch: one task per thread, each of a draw slab or more
@@ -337,20 +341,34 @@ def ensemble(table, seed, n_paths, reduce, chunk=None, threads=None):
 
     if len(chunks) == 1:
         return task(chunks[0])
+    results, order = [None] * len(chunks), itertools.count()
+
+    def drain():
+        for i in itertools.takewhile(len(chunks).__gt__, order):  # next() on a count is atomic under the GIL
+            results[i] = task(chunks[i])
+
     if threads <= 1:
-        return np.concatenate([task(c) for c in chunks], axis=0)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return np.concatenate(list(pool.map(task, chunks)), axis=0)
+        drain()
+    else:
+        with ThreadPoolExecutor(max_workers=threads - 1) as pool:
+            helpers = [pool.submit(drain) for _ in range(threads - 1)]
+            drain()
+            for helper in helpers:
+                helper.result()
+    return np.concatenate(results, axis=0)
 
 
 def _single_path(scheme, spec, T, h, seed, path_index):
     times = grid(T, h)
     table = transition_table(spec, times, scheme)
-    values, noise = paths(table, seed, [path_index])
+    if scheme == "euler":
+        values, noise = paths(table, seed, [path_index])
+    else:  # the exact scheme does not expose its noise, so it draws none
+        values, noise = _trajectories(table, seed, [path_index]), [None]
     return SamplePath(
         times=times,
         values=values[0],
-        brownian_increments=noise[0] if scheme == "euler" else None,
+        brownian_increments=noise[0],
         scheme=scheme,
         seed=seed,
         path_index=path_index,
@@ -393,7 +411,7 @@ def terminal_values(spec, horizons, h, n_paths, seed, scheme="exact", chunk=4096
 
     def snapshots(idx, blocks):
         out = np.zeros((len(idx), len(steps)))
-        for k0, values, _ in blocks:
+        for k0, values in blocks:
             record(out, steps, k0, values)
         return out
 

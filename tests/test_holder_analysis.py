@@ -167,10 +167,11 @@ class TestTimeProfile:
         assert got.sup_increments.tobytes() == want.sup_increments.tobytes()
         assert (got.fitted_slope, got.fitted_intercept) == (want.fitted_slope, want.fitted_intercept)
 
-    def test_one_path_peaks_below_28_bytes_per_step(self):
+    def test_one_path_peaks_below_18_bytes_per_step(self):
         # the averaged curve (8 B) and the Euler table (8 B) while the path is walked, then the curve and
-        # the lag differences and their absolute values (8 B each); it peaked at 33.6 B per step when it
-        # also held every path's curve, its steps and a stds column, and at 49.6 B per step before that
+        # one fixed buffer of lag differences; it peaked at 24.1 B per step with full-length differences,
+        # at 33.6 B per step when it also held every path's curve, its steps and a stds column, and at
+        # 49.6 B per step before that
         h = 2.0**-18
         tracemalloc.start()
         try:
@@ -178,7 +179,7 @@ class TestTimeProfile:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / 2**18 <= 28.0
+        assert peak / 2**18 <= 18.0
 
 
 def whole_curves(scheme, T, h, n_paths, seed):

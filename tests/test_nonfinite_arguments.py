@@ -206,6 +206,29 @@ CALLS = {
         lambda: drift.DriftSpec.tabulated([0.0, 1.0, INF], [1.0, 1.0, 1.0]),
         "^table: .*finite",
     ),
+    # a fractional seed was a bare TypeError from the stream key's mask; a fractional n_paths or
+    # chunk one from range, and a fractional thread count ran
+    "terminal_values_fractional_seed": (
+        lambda: simulate.terminal_values(BRIDGE, [1.0], 0.01, 4, 1.5),
+        "^seed must be an integer, got 1.5",
+    ),
+    "euler_path_fractional_seed": (lambda: simulate.euler_path(BRIDGE, 1.0, 0.01, seed=1.5), "^seed must be an integer"),
+    "terminal_values_fractional_n_paths": (
+        lambda: simulate.terminal_values(BRIDGE, [1.0], 0.01, 2.5, 0),
+        "^n_paths must be an integer of at least 1, got 2.5",
+    ),
+    "kernel_ensemble_fractional_n_paths": (
+        lambda: local_time.kernel_ensemble(BRIDGE, 0.0, [1e-2], 1.0, 0.01, 2.5, 0),
+        "^n_paths must be an integer",
+    ),
+    "terminal_values_fractional_chunk": (
+        lambda: simulate.terminal_values(BRIDGE, [1.0], 0.01, 4, 0, chunk=2.5),
+        "^chunk must be an integer of at least 1, got 2.5",
+    ),
+    "terminal_values_fractional_threads": (
+        lambda: simulate.terminal_values(BRIDGE, [10.0], 0.01, 200, 0, threads=2.5),
+        "^threads must be an integer of at least 1, got 2.5",
+    ),
 }
 
 EMPTY_HORIZONS = {

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -6,8 +8,8 @@ import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 
-from bridgelab import simulate
-from bridgelab.drift import DriftSpec, eval_alpha, eval_antiderivative
+from bridgelab import local_time, simulate
+from bridgelab.drift import DriftSpec, decay_integral_steps, eval_alpha, eval_antiderivative
 from bridgelab.errors import DomainError
 from bridgelab.gaussian_law import abs_moment, variance
 from bridgelab.holder_analysis import space_modulus
@@ -131,6 +133,42 @@ class TestExactPath:
         path = exact_path(BRIDGE, T=1.0, h=0.1, seed=0)
         assert path.brownian_increments is None
         assert path.scheme == "exact"
+
+    def test_only_euler_paths_redraw_their_increments(self, monkeypatch):
+        # walk keeps no noise: an Euler path redraws its increments once, an exact path not at all
+        draws, normals = [], simulate._normals
+        monkeypatch.setattr(simulate, "_normals", lambda *args: draws.append(args) or normals(*args))
+        exact_path(BRIDGE, T=1.0, h=0.01, seed=3, path_index=2)
+        assert draws == []
+        euler_path(BRIDGE, T=1.0, h=0.01, seed=3, path_index=2)
+        assert draws == [(3, 2, 100)]
+
+    def test_table_is_built_in_place_bit_for_bit(self):
+        spec, times = DriftSpec.power(0.8), grid(2.0, 1e-3)
+        decays, stds = exact_transition_table(spec, times)
+        assert decays.tobytes() == np.exp(-np.diff(eval_antiderivative(spec, times))).tobytes()
+        assert stds.tobytes() == np.sqrt(decay_integral_steps(spec, times, 2.0)).tobytes()
+
+    @pytest.mark.parametrize(
+        "spec, bound",
+        [
+            (DriftSpec.power(0.8), 20.0),
+            (DriftSpec.exponential(0.5), 20.0),
+            (DriftSpec.tabulated([0.0, 0.5, 1.0], [0.0, 2.0, 1.0]), 48.01),
+        ],
+        ids=["power", "exponential", "tabulated"],
+    )
+    def test_table_peaks_near_the_16_bytes_per_step_it_holds(self, spec, bound):
+        # 2^20 steps, grid excluded.  With columns built out of place the power and exponential tables
+        # peaked at 32.0 B per step; a tabulated A's index and interpolation temporaries keep it at 48.0
+        times = np.arange(2**20 + 1) / 2**20
+        tracemalloc.start()
+        try:
+            exact_transition_table(spec, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / 2**20 <= bound
 
     def test_marginal_variance_every_checkpoint(self):
         # exact scheme matches the quadrature law at all grid nodes (4 SE)
@@ -321,17 +359,17 @@ class TestStreamingEngine:
         # any BLOCK_STEPS is taken in whole sub-blocks of the scan; only the last block is cut
         table = transition_table(BRIDGE, grid(1.0, 1e-3), "euler")
         monkeypatch.setattr(simulate, "BLOCK_STEPS", block)
-        blocks = [len(values) for _, values, _ in simulate.walk(table, 5, range(3))]
+        blocks = [len(values) for _, values in simulate.walk(table, 5, range(3))]
         assert all(b % simulate._SCAN_STEPS == 0 for b in blocks[:-1])
         assert sum(blocks) == 1000
 
     def test_walk_reuses_its_block_buffers(self):
         # the documented contract: a yielded block is overwritten by the next one
         table = transition_table(BRIDGE, grid(3.0, 1e-3), "euler")
-        blocks = [(values, noise) for _, values, noise in simulate.walk(table, 2, range(3))]
+        blocks = [values for _, values in simulate.walk(table, 2, range(3))]
         assert len(blocks) == 3
-        assert np.shares_memory(blocks[0][0], blocks[1][0])
-        assert np.shares_memory(blocks[0][1], blocks[2][1])
+        assert np.shares_memory(blocks[0], blocks[1])
+        assert np.shares_memory(blocks[0], blocks[2])
 
     @pytest.mark.parametrize("scheme", ["euler", "exact"])
     def test_default_threads_equal_one_and_three(self, monkeypatch, scheme):
@@ -345,10 +383,10 @@ class TestStreamingEngine:
             assert terminal_values(*args, chunk=16).tobytes() == ref.tobytes()
 
     def test_default_threads_use_every_core_up_to_the_chunks(self, monkeypatch):
-        pools = []
+        pools = []  # threads each pool run used: its workers and the calling thread
 
         def pool(max_workers):
-            pools.append(max_workers)
+            pools.append(max_workers + 1)
             return ThreadPoolExecutor(max_workers)
 
         monkeypatch.setattr(simulate, "ThreadPoolExecutor", pool)
@@ -360,10 +398,10 @@ class TestStreamingEngine:
 
     def test_short_walks_run_without_a_pool(self, monkeypatch):
         # two threads lose to one on a walk shorter than _SERIAL_STEPS, whatever threads says
-        pools = []
+        pools = []  # threads each pool run used: its workers and the calling thread
 
         def pool(max_workers):
-            pools.append(max_workers)
+            pools.append(max_workers + 1)
             return ThreadPoolExecutor(max_workers)
 
         monkeypatch.setattr(simulate, "ThreadPoolExecutor", pool)
@@ -421,7 +459,7 @@ class TestStreamingEngine:
 
         def finals(idx, blocks):
             ends = []
-            for k0, v, _ in blocks:
+            for k0, v in blocks:
                 ends.append(k0 + len(v))
                 last = v[-1].copy()
             assert ends == sorted(ends) and ends[-1] == len(table[0])
@@ -492,7 +530,68 @@ class TestStreamingEngine:
         one = peak(lambda: kernel_ensemble(BRIDGE, 0.0, [1e-3], 1.0, 1e-3, tile, 0))
         four = peak(lambda: kernel_ensemble(BRIDGE, 0.0, [1e-3], 1.0, 1e-3, 4 * tile, 0))
         assert four < 1.05 * one
-        assert one < 1.25 * walk
+        assert one - walk <= 1.05 * 3 * local_time._TILE_SIZE * 8  # three row-tile buffers
+
+    def test_one_thread_walk_holds_one_block(self):
+        # 256 paths x 20 000 Euler steps: the values block, the draw slab and the scan's state;
+        # a separate 2 MB noise block read 5.41 MB
+        tracemalloc.start()
+        try:
+            terminal_values(BRIDGE, [20.0], 1e-3, simulate._TILE_PATHS, 0, "euler", threads=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.6e6
+
+    def test_calling_thread_runs_tasks(self):
+        # a worker's task waits until the calling thread has run one of its own
+        main, ran, ident = threading.get_ident(), threading.Event(), []
+
+        def reduce(idx, _):
+            ident.append(threading.get_ident())
+            if ident[-1] == main:
+                ran.set()
+            elif not ran.wait(10):
+                raise TimeoutError("the calling thread ran no task")
+            return np.array([[idx[0]]])
+
+        got = simulate.ensemble(flat_table(simulate.BLOCK_STEPS), 0, 6, reduce, chunk=1, threads=2)
+        assert got[:, 0].tolist() == list(range(6))
+        assert main in ident and len(set(ident)) == 2
+
+    @pytest.mark.parametrize("raising", ["calling thread", "worker"])
+    def test_task_exception_propagates_from_either_thread(self, raising):
+        # two tasks on two threads: each holds until the other thread has started one
+        main, started = threading.get_ident(), {True: threading.Event(), False: threading.Event()}
+
+        def reduce(idx, _):
+            on_main = threading.get_ident() == main
+            started[on_main].set()
+            if not started[not on_main].wait(10):
+                raise TimeoutError("the other thread ran no task")
+            if on_main == (raising == "calling thread"):
+                raise ValueError(f"task {idx[0]} failed")
+            return np.zeros((1, 1))
+
+        with pytest.raises(ValueError, match="task . failed"):
+            simulate.ensemble(flat_table(simulate.BLOCK_STEPS), 0, 2, reduce, chunk=1, threads=2)
+
+    def test_threads_take_each_task_once(self):
+        # eight threads on 200 one-path tasks, switching every microsecond: an index handed to
+        # two threads would run twice, and one lost would leave its row unset
+        runs, interval = [], sys.getswitchinterval()
+
+        def reduce(idx, _):
+            runs.append(idx[0])
+            return np.array([[idx[0]]])
+
+        sys.setswitchinterval(1e-6)
+        try:
+            got = simulate.ensemble(flat_table(simulate.BLOCK_STEPS), 0, 200, reduce, chunk=1, threads=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(runs) == list(range(200))
+        assert got[:, 0].tolist() == list(range(200))
 
     def test_long_horizon_memory_is_bounded(self):
         # 64 paths x 2e5 steps: the whole-horizon noise alone would take 102 MB
