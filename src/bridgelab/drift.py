@@ -32,6 +32,8 @@ PANEL_NODES = np.stack([_GL_X, 0.5 * _GL_X, 0.5 + 0.5 * _GL_X])
 _PANEL_BUDGET = 200
 # intervals per kernel pass: bounds the (intervals x 48) node arrays
 _BATCH = 2048
+# times per pass of a tabulated A: bounds its index and interpolation temporaries
+_A_PIECE = 2**14
 # log-spaced probe times of check_growth_conditions
 _GROWTH_PROBE_POINTS = 48
 
@@ -160,9 +162,9 @@ def eval_antiderivative(spec, t):
 def _antiderivative(spec, arr, out=None):
     """A on an array of times already known to lie in the drift's domain.
 
-    The closed forms are evaluated into out (which may be arr itself), or
-    into a new array when out is None; an array passed only as arr is never
-    written.
+    The closed forms are evaluated into out (which may be arr itself, and is
+    contiguous), or into a new array when out is None; an array passed only as
+    arr is never written.  A tabulated A is evaluated _A_PIECE times at a time.
     """
     if spec.family == "power":
         p = spec.beta + 1.0
@@ -178,9 +180,14 @@ def _antiderivative(spec, arr, out=None):
     if spec.family == "constant":
         return np.multiply(arr, spec.scale, out=out)
     times, values = spec._times, spec._values
-    idx = np.clip(np.searchsorted(times, arr, side="right") - 1, 0, len(times) - 2)
-    a_t = np.interp(arr, times, values)
-    return np.add(spec._knot_cum[idx], 0.5 * (values[idx] + a_t) * (arr - times[idx]), out=out)
+    out = np.empty(np.shape(arr)) if out is None else out
+    flat_arr, flat_out = np.ravel(arr), out.reshape(-1)
+    for lo in range(0, flat_arr.size, _A_PIECE):
+        t = flat_arr[lo : lo + _A_PIECE]
+        idx = np.clip(np.searchsorted(times, t, side="right") - 1, 0, len(times) - 2)
+        a_t = np.interp(t, times, values)
+        np.add(spec._knot_cum[idx], 0.5 * (values[idx] + a_t) * (t - times[idx]), out=flat_out[lo : lo + _A_PIECE])
+    return out
 
 
 def running_sup(spec, t):

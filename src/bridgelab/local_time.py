@@ -199,7 +199,6 @@ def kernel_ensemble(spec, x, eps_list, T, h, n_paths, seed, steps=None, scheme="
     eps = np.asarray(eps_list, dtype=float)
     if not np.all((eps > 0) & (eps < math.inf)):
         raise DomainError(f"eps_list must be positive and finite, got {eps}")
-    table = simulate.transition_table(spec, simulate.grid(T, h), scheme)
 
     def curves(idx, blocks):
         out = np.zeros((len(idx), len(steps), len(eps)))
@@ -207,7 +206,7 @@ def kernel_ensemble(spec, x, eps_list, T, h, n_paths, seed, steps=None, scheme="
             simulate.record(out, steps, k, cum)
         return out
 
-    return simulate.ensemble(table, seed, n_paths, curves)
+    return simulate.ensemble(spec, T, h, scheme, seed, n_paths, curves)
 
 
 def cauchy_diagnostic(spec, x, t, eps_ladder, n_paths, seed):
@@ -240,9 +239,9 @@ def growth_probe(spec, x, horizons, h, n_paths, seed, scheme="exact"):
     three horizons.
     """
     horizons = np.asarray(horizons, dtype=float)
-    if np.any(np.diff(horizons) <= 0) or np.any(horizons <= 0):
-        raise DomainError("horizons must be positive and strictly increasing")
     steps = simulate.horizon_steps(horizons, h)
+    if horizons[0] == 0 or np.any(np.diff(horizons) == 0):  # horizon_steps checks >= 0 and nondecreasing
+        raise DomainError("horizons must be positive and strictly increasing")
     l_vals = kernel_ensemble(spec, x, [h], horizons[-1], h, n_paths, seed, steps, scheme)
     curve = l_vals[:, :, 0].mean(axis=0)
     if np.any(np.diff(curve) <= 0):

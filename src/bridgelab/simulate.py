@@ -20,14 +20,16 @@ aligned to step 0, and a block is a whole number of sub-blocks, so a numpy call
 covers every sub-block of the block at once and a narrow walk does not pay one
 call per step.  walk writes every block into the same buffers, so a yielded
 block is valid only until the next one is requested, and memory is
-O(paths x block) unless whole paths are kept.  ensemble cuts a batch into
-tasks of at most 256 paths, so a task's one values block (the scan runs in
-place on the noise) is 2 MB, walks each task and hands its blocks to the
-caller's reducer (snapshots at horizons, a running kernel integral, a level
-sweep) as they come.  The calling thread and a pool share the tasks, by
-default on every core, or on one thread when the table is too short to gain
-from more.  Memory is the thread count times one task's working set; results
-are bit-identical for any BLOCK_STEPS, chunk size, task width and thread count.
+O(paths x block) unless whole paths are kept.  ensemble(spec, T, h, scheme,
+seed, n_paths, reduce, ...) checks its integer arguments, builds the table on
+grid(T, h), cuts the batch into tasks of at most 256 paths, so a task's one
+values block (the scan runs in place on the noise) is 2 MB, walks each task
+and hands its blocks to the caller's reducer (snapshots at horizons, a running
+kernel integral, a level sweep) as they come.  The calling thread and a pool
+share the tasks, by default on every core, or on one thread when the table is
+too short to gain from more.  Memory is the thread count times one task's
+working set; results are bit-identical for any BLOCK_STEPS, chunk size, task
+width and thread count.  An Euler single path redraws its increments.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import math
 import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -112,13 +114,17 @@ def grid(T, h):
 
 
 def horizon_steps(horizons, h):
-    """Grid step index of each horizon; DomainError unless there is one and every horizon lies on the grid."""
+    """Grid step index of each horizon; DomainError unless there is one and the horizons are finite,
+    nonnegative, nondecreasing and on the grid."""
     if not 0 < h < math.inf:
         raise DomainError(f"need 0 < h < inf, got h={h}")
+    horizons = np.asarray(horizons, dtype=float)
     if len(horizons) == 0:
         raise DomainError("horizons must not be empty")
     if not np.all(np.isfinite(horizons)):
         raise DomainError(f"horizons must be finite, got {horizons}")
+    if not (horizons[0] >= 0 and np.all(np.diff(horizons) >= 0)):
+        raise DomainError("horizons must be nonnegative and nondecreasing")
     steps = [int(round(t / h)) for t in horizons]
     if any(abs(k * h - t) > 1e-9 * max(1.0, t) for k, t in zip(steps, horizons)):
         raise DomainError("horizons must lie on the step grid")
@@ -137,10 +143,15 @@ class _Key(ISeedSequence):
         return self.key
 
 
-def _stream(seed, path_index):
-    """The Philox stream of a path, Generator(Philox(key=[seed, path_index] mod 2^64)); seed must be an integer."""
+def _check_seed(seed):
+    """DomainError unless seed is an integer, the one rule of a stream's key."""
     if not isinstance(seed, numbers.Integral):
         raise DomainError(f"seed must be an integer, got {seed!r}")
+
+
+def _stream(seed, path_index):
+    """The Philox stream of a path, Generator(Philox(key=[seed, path_index] mod 2^64)); seed must be an integer."""
+    _check_seed(seed)
     key = np.array([seed & _MASK64, path_index & _MASK64], dtype=np.uint64)
     return Generator(Philox(_Key(key), counter=_COUNTER0))
 
@@ -220,7 +231,7 @@ def walk(table, seed, path_indices):
     block is requested; copy what must outlive it.  Each path's normals come
     from its own stream, a slab of _SLAB_PATHS paths at a time, and are scaled
     into time-major rows of that buffer, where the scan turns them into X; no
-    noise is kept (paths redraws it).  A walk of one block reads each stream
+    noise is kept (an Euler path redraws it).  A walk of one block reads each stream
     once, so it re-keys a single generator instead of keeping one per path.
 
     x <- decay * x + noise is evaluated as a blocked scan over sub-blocks of
@@ -296,12 +307,6 @@ def _trajectories(table, seed, path_indices):
     return values
 
 
-def paths(table, seed, path_indices):
-    """Whole trajectories and the noise std * N that drove them, redrawn from each path's stream, one row per path."""
-    noise = np.array([_normals(seed, p, len(table[0])) for p in path_indices]) * table[1]
-    return _trajectories(table, seed, path_indices), noise
-
-
 def _cores():
     """CPUs this process may run on."""
     try:
@@ -310,9 +315,11 @@ def _cores():
         return os.cpu_count() or 1
 
 
-def ensemble(table, seed, n_paths, reduce, chunk=None, threads=None):
+def ensemble(spec, T, h, scheme, seed, n_paths, reduce, chunk=None, threads=None):
     """Stack reduce(path_indices, walk(table, seed, path_indices)) over tasks of paths 0 .. n_paths-1.
 
+    seed, n_paths, chunk and threads are checked first; only then is the table,
+    transition_table(spec, grid(T, h), scheme), built, and it is dropped on return.
     reduce takes a task's paths and the blocks of their walk, and returns its
     rows, one per path unless it sums them.  A task holds at most chunk paths
     and at most _TILE_PATHS, the widest walk.  A batch of fewer than two such
@@ -325,9 +332,11 @@ def ensemble(table, seed, n_paths, reduce, chunk=None, threads=None):
     _SERIAL_STEPS steps runs on one thread, too short to pay for the pool.  Memory
     is threads times one task's working set.  n_paths, chunk, threads: integers >= 1.
     """
+    _check_seed(seed)
     for name, value in (("n_paths", n_paths), ("chunk", chunk), ("threads", threads)):
         if value is not None and not (isinstance(value, numbers.Integral) and value >= 1):
             raise DomainError(f"{name} must be an integer of at least 1, got {value!r}")
+    table = transition_table(spec, grid(T, h), scheme)
     workers = 1 if len(table[0]) < _SERIAL_STEPS else _cores() if threads is None else threads
     width = min(_TILE_PATHS, n_paths if chunk is None else chunk)
     if n_paths < 2 * width:  # a small batch: one task per thread, each of a draw slab or more
@@ -361,14 +370,12 @@ def ensemble(table, seed, n_paths, reduce, chunk=None, threads=None):
 def _single_path(scheme, spec, T, h, seed, path_index):
     times = grid(T, h)
     table = transition_table(spec, times, scheme)
-    if scheme == "euler":
-        values, noise = paths(table, seed, [path_index])
-    else:  # the exact scheme does not expose its noise, so it draws none
-        values, noise = _trajectories(table, seed, [path_index]), [None]
+    # walk keeps no noise: an Euler path redraws the increments that drove it, an exact path draws none
+    noise = _normals(seed, path_index, len(table[0])) * table[1] if scheme == "euler" else None
     return SamplePath(
         times=times,
-        values=values[0],
-        brownian_increments=noise[0],
+        values=_trajectories(table, seed, [path_index])[0],
+        brownian_increments=noise,
         scheme=scheme,
         seed=seed,
         path_index=path_index,
@@ -386,28 +393,14 @@ def exact_path(spec, T, h, seed=0, path_index=0):
     return _single_path("exact", spec, T, h, seed, path_index)
 
 
-def shift_to_ab(path, a, b, spec):
-    """Deterministic shift to the bridge running from a at 0 to b at infinity.
-
-    The shifted process is b + (a - b) exp(-A(t)) + X_t on the same grid,
-    driven by the same noise.
-    """
-    offset = b + (a - b) * np.exp(-drift_mod.eval_antiderivative(spec, path.times))
-    return replace(path, values=offset + path.values)
-
-
 def terminal_values(spec, horizons, h, n_paths, seed, scheme="exact", chunk=4096, threads=None):
     """X at each horizon for n_paths independent paths, shape (n_paths, len(horizons)).
 
-    The horizons must be nonnegative and nondecreasing.  chunk bounds the paths
-    stepped together; ensemble caps it at _TILE_PATHS.  Neither it nor threads
-    changes a bit of the result.
+    The horizons must be nonnegative and nondecreasing (horizon_steps).  chunk
+    bounds the paths stepped together; ensemble caps it at _TILE_PATHS.  Neither
+    it nor threads changes a bit of the result.
     """
-    horizons = np.asarray(horizons, dtype=float)
     steps = np.asarray(horizon_steps(horizons, h))
-    if not (horizons[0] >= 0 and np.all(np.diff(horizons) >= 0)):
-        raise DomainError("horizons must be nonnegative and nondecreasing")
-    table = transition_table(spec, grid(horizons[-1], h), scheme)
 
     def snapshots(idx, blocks):
         out = np.zeros((len(idx), len(steps)))
@@ -415,13 +408,13 @@ def terminal_values(spec, horizons, h, n_paths, seed, scheme="exact", chunk=4096
             record(out, steps, k0, values)
         return out
 
-    return ensemble(table, seed, n_paths, snapshots, chunk, threads)
+    return ensemble(spec, horizons[-1], h, scheme, seed, n_paths, snapshots, chunk, threads)
 
 
 def batch_terminal_stats(spec, horizons, n_paths, scheme="exact", h=0.05, seed=0, threads=None):
     """Monte Carlo decay statistics of |X_T| and X_T^2 over a horizon ladder."""
     horizons = np.asarray(horizons, dtype=float)
-    if np.any(np.diff(horizons) <= 0):
+    if np.any(np.diff(horizons) == 0):  # terminal_values checks that they are nondecreasing
         raise DomainError("horizons must be strictly increasing")
     if n_paths < 100:
         raise DomainError("need at least 100 paths for stable statistics")

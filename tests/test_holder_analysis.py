@@ -368,7 +368,7 @@ class TestSpaceModulus:
         x = np.linspace(-1, 1, 65)
         h, eps = 1e-3, 1e-3
         table = simulate.transition_table(BRIDGE, simulate.grid(1.0, h), scheme)
-        values, _ = simulate.paths(table, 3, range(70))
+        values = simulate._trajectories(table, 3, range(70))
         monkeypatch.setattr(simulate, "_TILE_PATHS", 32)
         profile = space_modulus(BRIDGE, 1.0, x, n_paths=70, h=h, seed=3, eps=eps, scheme=scheme)
         lags = [int(round(s / (x[1] - x[0]))) for s in profile.scales]

@@ -255,7 +255,7 @@ class TestKernelEnsemble:
         monkeypatch.setattr(simulate, "transition_table", lambda spec, times, scheme: table)
         monkeypatch.setattr(simulate, "BLOCK_STEPS", 2)
         finals = kernel_ensemble(BM, 0.0, [1e-2], 12.0, 1.0, 16, 0)[:, 0, 0]
-        values, _ = simulate.paths(table, 0, range(16))
+        values = simulate._trajectories(table, 0, range(16))
         for p in range(16):
             assert finals[p] == kernel_estimate(manual_path(values[p], 1.0), 0.0, 1e-2, [12.0]).values[0]
 

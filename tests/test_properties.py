@@ -20,7 +20,7 @@ from bridgelab import drift, holder_analysis, local_time, simulate
 from bridgelab.config import ExperimentConfig, parse_config, to_text
 from bridgelab.drift import DriftSpec, decay_integral, decay_integrals, eval_antiderivative, running_sup
 from bridgelab.gaussian_law import build_cov_matrix, conditional_variance, det_bounds, det_by_conditioning, lu_det
-from bridgelab.simulate import SamplePath, euler_path, exact_path, grid, shift_to_ab, terminal_values
+from bridgelab.simulate import euler_path, exact_path, grid, terminal_values
 
 HORIZON = 3.0
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
@@ -214,7 +214,7 @@ def test_scan_bits_do_not_depend_on_block_or_width(ensemble, scheme, seed, finer
     spec, horizons, h = ensemble
     table = simulate.transition_table(spec, grid(horizons[-1], h / 2**finer), scheme)
     n_paths = data.draw(st.integers(1, 70))
-    ref_values, ref_noise = simulate.paths(table, seed, range(n_paths))
+    ref_values = simulate._trajectories(table, seed, range(n_paths))
     blocks = data.draw(st.lists(st.integers(1, 3 * simulate._SCAN_STEPS + 5), min_size=1, max_size=3)) + [1024]
     for block in blocks:
         width = data.draw(st.integers(1, 70))
@@ -222,48 +222,11 @@ def test_scan_bits_do_not_depend_on_block_or_width(ensemble, scheme, seed, finer
         idx = range(lo, min(lo + width, n_paths))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simulate, "BLOCK_STEPS", block)
-            values, noise = simulate.paths(table, seed, idx)
+            values = simulate._trajectories(table, seed, idx)
         assert values.tobytes() == ref_values[lo : lo + len(idx)].tobytes()
-        assert noise.tobytes() == ref_noise[lo : lo + len(idx)].tobytes()
-    for values, noise in zip(ref_values, ref_noise):
-        expected = sequential(table[0], noise)
+    for p, values in enumerate(ref_values):
+        expected = sequential(table[0], simulate._normals(seed, p, len(table[0])) * table[1])
         assert np.abs(values[1:] - expected).max() <= 1e-12 * np.abs(expected).max()
-
-
-endpoints = st.floats(-10.0, 10.0)
-
-
-@PROPERTY
-@given(drifts(), endpoints, endpoints, st.integers(0, 100))
-def test_shift_starts_at_a(spec, a, b, seed):
-    path = euler_path(spec, HORIZON, 0.05, seed=seed)
-    shifted = shift_to_ab(path, a, b, spec)
-    assert abs(shifted.values[0] - a) <= 2.0**-51 * (abs(a) + abs(b))
-
-
-@st.composite
-def unbounded_drifts(draw):
-    """Drifts with A(t) -> infinity; a tabulated drift cannot be evaluated past its last knot."""
-    family = draw(st.sampled_from(["power", "exponential", "constant"]))
-    if family == "constant":
-        return DriftSpec.constant(draw(st.floats(0.1, 5.0)))
-    return getattr(DriftSpec, family)(draw(st.floats(0.3, 2.5)), draw(st.floats(0.25, 2.0)))
-
-
-@PROPERTY
-@given(unbounded_drifts(), endpoints, endpoints)
-def test_shift_offset_tends_to_b(spec, a, b):
-    # with zero noise the shifted path is the offset b + (a - b) exp(-A(t)) alone
-    T = 1.0
-    while eval_antiderivative(spec, T) < 40.0:
-        T *= 2.0
-    times = grid(T, T / 256)
-    zero = SamplePath(times, np.zeros(len(times)), np.zeros(len(times) - 1), "euler", seed=0, path_index=0)
-    offset = shift_to_ab(zero, a, b, spec).values
-    gap = np.abs(offset - b)
-    ulp = 2.0**-50 * (abs(a) + abs(b))
-    assert np.all(np.diff(gap) <= ulp)
-    assert gap[-1] <= abs(a - b) * math.exp(-40.0) + ulp
 
 
 @pytest.fixture(scope="module")
@@ -353,8 +316,8 @@ def test_stream_equals_keyed_philox(seed, index, other):
         return Generator(Philox(key=np.array([seed & _M64, i & _M64], dtype=np.uint64))).standard_normal(3000)
 
     assert simulate._stream(seed, index).standard_normal(3000).tobytes() == reference(index).tobytes()
-    for n in (3000, 1000):
-        _, noise = simulate.paths((np.ones(n), np.ones(n)), seed, [index, other, index])
+    for n in (3000, 1000):  # with zero decays, walk's values are its draws
+        noise = simulate._trajectories((np.zeros(n), np.ones(n)), seed, [index, other, index])[:, 1:]
         assert noise[0].tobytes() == noise[2].tobytes() == reference(index)[:n].tobytes()
         assert noise[1].tobytes() == reference(other)[:n].tobytes()
 

@@ -12,15 +12,13 @@ from bridgelab import local_time, simulate
 from bridgelab.drift import DriftSpec, decay_integral_steps, eval_alpha, eval_antiderivative
 from bridgelab.errors import DomainError
 from bridgelab.gaussian_law import abs_moment, variance
-from bridgelab.holder_analysis import space_modulus
+from bridgelab.holder_analysis import space_modulus, time_bound_fits, time_profile
 from bridgelab.local_time import kernel_ensemble
 from bridgelab.simulate import (
-    SamplePath,
     batch_terminal_stats,
     euler_path,
     exact_path,
     exact_transition_table,
-    shift_to_ab,
     grid,
     terminal_values,
     transition_table,
@@ -30,9 +28,10 @@ BRIDGE = DriftSpec.power(0.8)
 BM = DriftSpec.constant(0.0)
 
 
-def flat_table(n_steps):
-    """A (decays, stds) table of n_steps steps, for ensemble calls whose reducer never walks it."""
-    return np.ones(n_steps), np.ones(n_steps)
+def flat_ensemble(n_steps, *args, **kwargs):
+    """simulate.ensemble on the (ones, ones) table of n_steps steps, Brownian motion's Euler table at h = 1,
+    for reducers that never walk it."""
+    return simulate.ensemble(BM, n_steps, 1.0, "euler", *args, **kwargs)
 
 
 def scalar_scan(decays, noise):
@@ -97,11 +96,10 @@ class TestEulerPath:
 
     def test_block_rows_match_single_paths(self):
         table = transition_table(BRIDGE, grid(1.0, 0.01), "euler")
-        block, dws = simulate.paths(table, 42, [0, 1, 2])
+        block = simulate._trajectories(table, 42, [0, 1, 2])
         for p in range(3):
             single = euler_path(BRIDGE, T=1.0, h=0.01, seed=42, path_index=p)
             assert np.array_equal(block[p], single.values)
-            assert np.array_equal(dws[p], single.brownian_increments)
 
     def test_initial_value_and_lengths(self):
         path = euler_path(BRIDGE, T=1.0, h=0.01, seed=0)
@@ -154,13 +152,13 @@ class TestExactPath:
         [
             (DriftSpec.power(0.8), 20.0),
             (DriftSpec.exponential(0.5), 20.0),
-            (DriftSpec.tabulated([0.0, 0.5, 1.0], [0.0, 2.0, 1.0]), 48.01),
+            (DriftSpec.tabulated([0.0, 0.5, 1.0], [0.0, 2.0, 1.0]), 20.0),
         ],
         ids=["power", "exponential", "tabulated"],
     )
     def test_table_peaks_near_the_16_bytes_per_step_it_holds(self, spec, bound):
         # 2^20 steps, grid excluded.  With columns built out of place the power and exponential tables
-        # peaked at 32.0 B per step; a tabulated A's index and interpolation temporaries keep it at 48.0
+        # peaked at 32.0 B per step; a tabulated A evaluated on the whole grid at once peaked at 48.0
         times = np.arange(2**20 + 1) / 2**20
         tracemalloc.start()
         try:
@@ -220,35 +218,6 @@ class TestEulerVsExact:
             v = (1.0 - a[k] * 0.5) ** 2 * v + 0.5
         se = v * math.sqrt(2.0 / (len(vals) - 1))
         assert abs(vals.var(ddof=1) - v) < 4 * se
-
-
-class TestShift:
-    def test_identity_when_endpoints_zero(self):
-        path = euler_path(BRIDGE, T=1.0, h=0.01, seed=1)
-        shifted = shift_to_ab(path, 0.0, 0.0, BRIDGE)
-        assert np.array_equal(shifted.values, path.values)
-
-    def test_starts_at_a(self):
-        path = euler_path(BRIDGE, T=1.0, h=0.01, seed=1)
-        shifted = shift_to_ab(path, 2.5, -1.0, BRIDGE)
-        assert shifted.values[0] == pytest.approx(2.5, abs=1e-14)
-
-    def test_deterministic_offset_oracle(self):
-        spec = DriftSpec.power(2.0)
-        path = euler_path(spec, T=4.0, h=0.01, seed=2)
-        a, b = 1.0, -1.0
-        shifted = shift_to_ab(path, a, b, spec)
-        offset = b + (a - b) * np.exp(-eval_antiderivative(spec, path.times))
-        np.testing.assert_allclose(shifted.values, offset + path.values, rtol=0, atol=1e-14)
-
-    def test_pins_to_b_at_large_horizon(self):
-        # the deterministic component of the shift decays below 1e-12 for
-        # power(beta=2) once A(T) > 27.6, i.e. T > 4.36
-        spec = DriftSpec.power(2.0)
-        times = grid(5.0, 0.01)
-        path = SamplePath(times, np.zeros(len(times)), np.zeros(len(times) - 1), "euler", seed=2, path_index=0)
-        shifted = shift_to_ab(path, 1.0, -1.0, spec)
-        assert abs(shifted.values[-1] - (-1.0)) < 1e-12
 
 
 class TestBatchStats:
@@ -322,14 +291,13 @@ class TestStreamingEngine:
             terminal_values(BRIDGE, [0.5, 2.0], h=0.01, n_paths=40, seed=4, scheme=scheme, chunk=16)
             for scheme in ("euler", "exact")
         ]
-        ref_block = simulate.paths(table, 4, [0, 3, 9])
+        ref_block = simulate._trajectories(table, 4, [0, 3, 9])
         ref_path = euler_path(BRIDGE, T=2.0, h=0.01, seed=4, path_index=3)
         monkeypatch.setattr(simulate, "BLOCK_STEPS", block)
         for scheme, expected in zip(("euler", "exact"), ref):
             got = terminal_values(BRIDGE, [0.5, 2.0], h=0.01, n_paths=40, seed=4, scheme=scheme, chunk=16)
             assert got.tobytes() == expected.tobytes()
-        for got, expected in zip(simulate.paths(table, 4, [0, 3, 9]), ref_block):
-            assert got.tobytes() == expected.tobytes()
+        assert simulate._trajectories(table, 4, [0, 3, 9]).tobytes() == ref_block.tobytes()
         path = euler_path(BRIDGE, T=2.0, h=0.01, seed=4, path_index=3)
         assert path.values.tobytes() == ref_path.values.tobytes()
         assert path.brownian_increments.tobytes() == ref_path.brownian_increments.tobytes()
@@ -339,20 +307,19 @@ class TestStreamingEngine:
         # widths straddle the 64-path draw slab; 2500 steps end in a partial block, and
         # 500 steps are one block, drawn from one re-keyed generator
         table = transition_table(BRIDGE, grid(T, 1e-3), scheme)
-        ref = [simulate.paths(table, 21, [p]) for p in range(130)]
+        ref = [simulate._trajectories(table, 21, [p])[0] for p in range(130)]
         for width in (1, 2, 63, 64, 65, 130):
             for lo in range(0, 130, width):
-                values, noise = simulate.paths(table, 21, range(lo, min(lo + width, 130)))
+                values = simulate._trajectories(table, 21, range(lo, min(lo + width, 130)))
                 for row, p in enumerate(range(lo, min(lo + width, 130))):
-                    assert values[row].tobytes() == ref[p][0][0].tobytes()
-                    assert noise[row].tobytes() == ref[p][1][0].tobytes()
+                    assert values[row].tobytes() == ref[p].tobytes()
 
     def test_walk_steps_at_most_a_tile(self):
         # no walk is wider than an ensemble task: a 257-path walk is refused before it draws
         table = transition_table(BRIDGE, grid(1.0, 0.01), "euler")
-        assert simulate.paths(table, 5, range(256))[0].shape == (256, 101)
+        assert simulate._trajectories(table, 5, range(256)).shape == (256, 101)
         with pytest.raises(DomainError, match="path_indices"):
-            simulate.paths(table, 5, range(257))
+            simulate._trajectories(table, 5, range(257))
 
     @pytest.mark.parametrize("block", [1, 7, 33, 100])
     def test_walk_blocks_are_whole_sub_blocks(self, monkeypatch, block):
@@ -391,9 +358,8 @@ class TestStreamingEngine:
 
         monkeypatch.setattr(simulate, "ThreadPoolExecutor", pool)
         monkeypatch.setattr(simulate, "_cores", lambda: 8)
-        table = flat_table(simulate.BLOCK_STEPS)
         for threads in (None, 2, 1):
-            simulate.ensemble(table, 0, 30, lambda idx, _: np.zeros((len(idx), 1)), 10, threads)
+            flat_ensemble(simulate.BLOCK_STEPS, 0, 30, lambda idx, _: np.zeros((len(idx), 1)), 10, threads)
         assert pools == [3, 2]  # None: 8 cores capped at 3 chunks; 1 runs without a pool
 
     def test_short_walks_run_without_a_pool(self, monkeypatch):
@@ -413,7 +379,7 @@ class TestStreamingEngine:
         assert pools == []
 
         def widths(n_paths, n_steps):
-            return simulate.ensemble(flat_table(n_steps), 0, n_paths, lambda idx, _: np.array([len(idx)]))
+            return flat_ensemble(n_steps, 0, n_paths, lambda idx, _: np.array([len(idx)]))
 
         assert widths(200, simulate._SERIAL_STEPS - 1).tolist() == [200]  # one task, not one per core
         assert widths(600, 1).tolist() == [256, 256, 88]
@@ -448,14 +414,41 @@ class TestStreamingEngine:
         with pytest.raises(DomainError, match=name):
             call()
 
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda: kernel_ensemble(BRIDGE, 0.0, [1e-3], 1.0, 0.01, 4, 1.5), "seed"),
+            (lambda: kernel_ensemble(BRIDGE, 0.0, [1e-3], 1.0, 0.01, 2.5, 0), "n_paths"),
+            (lambda: terminal_values(BRIDGE, [1.0], 0.01, 4, 1.5), "seed"),
+            (lambda: terminal_values(BRIDGE, [1.0], 0.01, 2.5, 0), "n_paths"),
+            (lambda: terminal_values(BRIDGE, [1.0], 0.01, 4, 0, chunk=2.5), "chunk"),
+            (lambda: terminal_values(BRIDGE, [1.0], 0.01, 4, 0, threads=2.5), "threads"),
+            (lambda: space_modulus(BRIDGE, 1.0, np.linspace(-1, 1, 65), 4, 0.01, 1.5, 1e-3), "seed"),
+            (lambda: space_modulus(BRIDGE, 1.0, np.linspace(-1, 1, 65), 2.5, 0.01, 0, 1e-3), "n_paths"),
+            (lambda: space_modulus(BRIDGE, 1.0, np.linspace(-1, 1, 65), 4, 0.01, 0, 1e-3, threads=2.5), "threads"),
+            (lambda: time_profile(BRIDGE, 1.0, 0.01, 4, 1.5, [0.02, 0.04]), "seed"),
+            (lambda: time_profile(BRIDGE, 1.0, 0.01, 2.5, 0, [0.02, 0.04]), "n_paths"),
+            (lambda: time_bound_fits(BRIDGE, [1.0], 0.01, 4, 1.5), "seed"),
+            (lambda: time_bound_fits(BRIDGE, [1.0], 0.01, 2.5, 0), "n_paths"),
+        ],
+    )
+    def test_non_integer_arguments_fail_before_the_table_is_built(self, monkeypatch, call, name):
+        # a table of 10^6 exact steps took 0.4 s and 26 MB to build before a fractional n_paths was refused
+        def builder(*args):
+            raise AssertionError("the transition table was built")
+
+        monkeypatch.setattr(simulate, "transition_table", builder)
+        with pytest.raises(DomainError, match=f"^{name} must be an integer"):
+            call()
+
     def test_lone_chunk_is_returned_without_a_copy(self):
         result = np.zeros((3, 2))
-        assert simulate.ensemble(flat_table(simulate.BLOCK_STEPS), 0, 3, lambda idx, _: result, 5) is result
+        assert flat_ensemble(simulate.BLOCK_STEPS, 0, 3, lambda idx, _: result, 5) is result
 
     def test_ensemble_hands_each_task_its_walk(self):
         # 200 paths in four tasks: each reducer reads its own paths' blocks, in grid order
         table = transition_table(BRIDGE, grid(2.5, 1e-3), "euler")
-        values, _ = simulate.paths(table, 4, range(200))
+        values = simulate._trajectories(table, 4, range(200))
 
         def finals(idx, blocks):
             ends = []
@@ -465,7 +458,8 @@ class TestStreamingEngine:
             assert ends == sorted(ends) and ends[-1] == len(table[0])
             return last
 
-        assert simulate.ensemble(table, 4, 200, finals, chunk=64).tobytes() == values[:, -1].tobytes()
+        got = simulate.ensemble(BRIDGE, 2.5, 1e-3, "euler", 4, 200, finals, chunk=64)
+        assert got.tobytes() == values[:, -1].tobytes()
 
     def test_ensemble_tasks_are_at_most_a_tile(self, monkeypatch):
         # whatever chunk the caller asks for, no walk steps more than _TILE_PATHS paths at once
@@ -504,8 +498,7 @@ class TestStreamingEngine:
     def test_small_batches_are_spread_over_the_cores(self, monkeypatch, n_paths, cores, threads, widths):
         # fewer than two tiles of paths: one task per thread, each keeping a 64-path draw slab
         monkeypatch.setattr(simulate, "_cores", lambda: cores)
-        table = flat_table(simulate.BLOCK_STEPS)
-        got = simulate.ensemble(table, 0, n_paths, lambda idx, _: np.array([[len(idx)]]), 4096, threads)
+        got = flat_ensemble(simulate.BLOCK_STEPS, 0, n_paths, lambda idx, _: np.array([[len(idx)]]), 4096, threads)
         assert got[:, 0].tolist() == widths
 
     def test_task_memory_does_not_grow_with_chunk_or_paths(self, monkeypatch):
@@ -555,7 +548,7 @@ class TestStreamingEngine:
                 raise TimeoutError("the calling thread ran no task")
             return np.array([[idx[0]]])
 
-        got = simulate.ensemble(flat_table(simulate.BLOCK_STEPS), 0, 6, reduce, chunk=1, threads=2)
+        got = flat_ensemble(simulate.BLOCK_STEPS, 0, 6, reduce, chunk=1, threads=2)
         assert got[:, 0].tolist() == list(range(6))
         assert main in ident and len(set(ident)) == 2
 
@@ -574,7 +567,7 @@ class TestStreamingEngine:
             return np.zeros((1, 1))
 
         with pytest.raises(ValueError, match="task . failed"):
-            simulate.ensemble(flat_table(simulate.BLOCK_STEPS), 0, 2, reduce, chunk=1, threads=2)
+            flat_ensemble(simulate.BLOCK_STEPS, 0, 2, reduce, chunk=1, threads=2)
 
     def test_threads_take_each_task_once(self):
         # eight threads on 200 one-path tasks, switching every microsecond: an index handed to
@@ -587,7 +580,7 @@ class TestStreamingEngine:
 
         sys.setswitchinterval(1e-6)
         try:
-            got = simulate.ensemble(flat_table(simulate.BLOCK_STEPS), 0, 200, reduce, chunk=1, threads=8)
+            got = flat_ensemble(simulate.BLOCK_STEPS, 0, 200, reduce, chunk=1, threads=8)
         finally:
             sys.setswitchinterval(interval)
         assert sorted(runs) == list(range(200))
