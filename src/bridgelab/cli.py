@@ -53,7 +53,7 @@ def _cmd_simulate(cfg, args):
     horizons = cfg.simulate_horizons or (cfg.T,)
     if cfg.n_paths >= 100:
         stats = simulate.batch_terminal_stats(
-            spec, horizons, cfg.n_paths, cfg.scheme, h=cfg.h, seed=cfg.seed, threads=args.threads
+            spec, horizons, cfg.h, cfg.n_paths, cfg.seed, cfg.scheme, threads=args.threads
         )
         decay_stats_to_csv(stats, os.path.join(cfg.outputs, "terminal_stats.csv"))
         summary.metrics["mean_sq_final"] = float(stats.mean_sq[-1])

@@ -218,7 +218,7 @@ def time_bound_fits(spec, horizons, h, n_paths, seed):
     from local_time.kernel_tiles and takes them at each horizon's step, so
     only the table, 8 B per step, grows with the horizon.
     """
-    steps = np.asarray(simulate.horizon_steps(horizons, h))
+    steps = simulate.horizon_steps(horizons, h)
     if steps[0] < 1:  # horizon_steps checks that they are nondecreasing
         raise DomainError(f"horizons must be positive and nondecreasing, got {horizons}")
     lags = _bound_lags(h, steps[-1] + 1)

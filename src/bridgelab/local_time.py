@@ -159,8 +159,8 @@ def kernel_tiles(blocks, x, eps, h, steps=None):
     path's curve is kernel_estimate's bit for bit, whatever the block length,
     task width and thread count.  A tile holds at most _TILE_SIZE elements and
     a walk block, and is valid only until the next is asked for.  Given the
-    nondecreasing steps the caller records, a tile holding none of them is
-    summed without a cumsum and yields its last row only.
+    nondecreasing steps the caller records, only the tiles holding one of them
+    are yielded; the others are summed without a cumsum.
     """
     for k0, block in blocks:
         if k0 == 0:
@@ -180,33 +180,26 @@ def kernel_tiles(blocks, x, eps, h, steps=None):
             y = _gaussian_density(s, eps, dens[:nb])
             cum = _running_trapezoid(y, h, prev, acc, trap[:nb], cumulative)
             prev[:], acc[:] = y[-1], cum[-1] if cumulative else cum
-            yield (k, cum) if cumulative else (k + nb - 1, cum[None])
+            if cumulative:
+                yield k, cum
 
 
-def kernel_ensemble(spec, x, eps_list, T, h, n_paths, seed, steps=None, scheme="euler"):
-    """Kernel local time of paths 0 .. n_paths-1 at grid steps, shape (n_paths, len(steps), len(eps_list)).
+def kernel_ensemble(spec, x, eps_list, horizons, h, n_paths, seed, scheme="euler"):
+    """Kernel local time of paths 0 .. n_paths-1 at the horizons, shape (n_paths, len(horizons), len(eps_list)).
 
-    steps, nondecreasing grid steps in [0, n], defaults to the end n of the
-    grid reaching T; step 0 records 0.0.  simulate.ensemble runs tasks of at
-    most 256 paths on every core, and each records its steps from kernel_tiles.
+    The grid reaches the last horizon, simulate.horizon_steps finds each one's
+    step, and a horizon 0 records 0.0.  simulate.ensemble runs tasks of at most
+    256 paths on every core, and each takes its snapshots of kernel_tiles.
     """
-    n = simulate.grid_steps(T, h)
-    steps = np.asarray([n] if steps is None else steps)
-    whole = (steps >= 0) & (steps <= n) & (steps == np.floor(steps))  # NaN fails all three
-    if not np.all(whole) or np.any(np.diff(steps) < 0):
-        raise DomainError(f"steps must be nondecreasing whole grid steps in [0, {n}], got {steps}")
-    steps = steps.astype(np.intp, copy=False)
+    steps = simulate.horizon_steps(horizons, h)
     eps = np.asarray(eps_list, dtype=float)
     if not np.all((eps > 0) & (eps < math.inf)):
         raise DomainError(f"eps_list must be positive and finite, got {eps}")
 
     def curves(idx, blocks):
-        out = np.zeros((len(idx), len(steps), len(eps)))
-        for k, cum in kernel_tiles(blocks, x, eps, h, steps):
-            simulate.record(out, steps, k, cum)
-        return out
+        return simulate.snapshots(kernel_tiles(blocks, x, eps, h, steps), steps, (len(idx), len(steps), len(eps)))
 
-    return simulate.ensemble(spec, T, h, scheme, seed, n_paths, curves)
+    return simulate.ensemble(spec, horizons[-1], h, scheme, seed, n_paths, curves)
 
 
 def cauchy_diagnostic(spec, x, t, eps_ladder, n_paths, seed):
@@ -222,9 +215,9 @@ def cauchy_diagnostic(spec, x, t, eps_ladder, n_paths, seed):
     if len(ladder) < 2:
         return []
     if n_paths < 500:
-        raise DomainError("need at least 500 paths")
+        raise DomainError(f"n_paths must be at least 500, got {n_paths}")
     h = min(float(ladder.min()), 1e-3)
-    l_vals = kernel_ensemble(spec, x, ladder, t, h, n_paths, seed)[:, 0, :]
+    l_vals = kernel_ensemble(spec, x, ladder, [simulate.grid_steps(t, h) * h], h, n_paths, seed)[:, 0, :]
     diffs = l_vals[:, :-1] - l_vals[:, 1:]
     return list((diffs**2).mean(axis=0))
 
@@ -238,11 +231,12 @@ def growth_probe(spec, x, horizons, h, n_paths, seed, scheme="exact"):
     is strictly positive.  The fit is loglog_slope's, so it needs at least
     three horizons.
     """
+    if not math.isfinite(x):
+        raise DomainError(f"x must be finite, got {x}")
     horizons = np.asarray(horizons, dtype=float)
-    steps = simulate.horizon_steps(horizons, h)
-    if horizons[0] == 0 or np.any(np.diff(horizons) == 0):  # horizon_steps checks >= 0 and nondecreasing
+    if np.any(horizons[:1] == 0) or np.any(np.diff(horizons) == 0):  # horizon_steps checks the rest
         raise DomainError("horizons must be positive and strictly increasing")
-    l_vals = kernel_ensemble(spec, x, [h], horizons[-1], h, n_paths, seed, steps, scheme)
+    l_vals = kernel_ensemble(spec, x, [h], horizons, h, n_paths, seed, scheme)
     curve = l_vals[:, :, 0].mean(axis=0)
     if np.any(np.diff(curve) <= 0):
         raise NumericsError("ensemble local-time curve failed to increase strictly")

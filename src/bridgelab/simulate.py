@@ -24,12 +24,13 @@ O(paths x block) unless whole paths are kept.  ensemble(spec, T, h, scheme,
 seed, n_paths, reduce, ...) checks its integer arguments, builds the table on
 grid(T, h), cuts the batch into tasks of at most 256 paths, so a task's one
 values block (the scan runs in place on the noise) is 2 MB, walks each task
-and hands its blocks to the caller's reducer (snapshots at horizons, a running
-kernel integral, a level sweep) as they come.  The calling thread and a pool
-share the tasks, by default on every core, or on one thread when the table is
-too short to gain from more.  Memory is the thread count times one task's
-working set; results are bit-identical for any BLOCK_STEPS, chunk size, task
-width and thread count.  An Euler single path redraws its increments.
+and hands its blocks to the caller's reducer (a level sweep, or snapshots of
+them or of a running kernel integral at the horizons' steps) as they come.
+The calling thread and a pool share the tasks, by default on every core, or on
+one thread when the table is too short to gain from more.  Memory is the
+thread count times one task's working set; results are bit-identical for any
+BLOCK_STEPS, chunk size, task width and thread count.  An Euler single path
+redraws its increments.
 """
 
 from __future__ import annotations
@@ -114,8 +115,8 @@ def grid(T, h):
 
 
 def horizon_steps(horizons, h):
-    """Grid step index of each horizon; DomainError unless there is one and the horizons are finite,
-    nonnegative, nondecreasing and on the grid."""
+    """Grid step index of each horizon, an array; DomainError unless there is one and the horizons are
+    finite, nonnegative, nondecreasing and on the grid."""
     if not 0 < h < math.inf:
         raise DomainError(f"need 0 < h < inf, got h={h}")
     horizons = np.asarray(horizons, dtype=float)
@@ -128,7 +129,7 @@ def horizon_steps(horizons, h):
     steps = [int(round(t / h)) for t in horizons]
     if any(abs(k * h - t) > 1e-9 * max(1.0, t) for k, t in zip(steps, horizons)):
         raise DomainError("horizons must lie on the step grid")
-    return steps
+    return np.asarray(steps)
 
 
 class _Key(ISeedSequence):
@@ -293,10 +294,17 @@ def recorded(steps, k0, n_rows):
     return slice(lo, hi)
 
 
-def record(out, steps, k0, block):
-    """Copy the rows of block (grid steps k0+1, k0+2, ...) at the nondecreasing steps into out[:, j]."""
-    j = recorded(steps, k0, len(block))
-    out[:, j] = np.moveaxis(block[steps[j] - k0 - 1], 0, 1)
+def snapshots(tiles, steps, shape):
+    """The rows at the nondecreasing steps of the (k0, tile) pairs, whose rows are grid steps k0+1, k0+2, ...
+
+    The array has the given shape, (paths, len(steps), ...), and holds the row
+    at steps[j] in column j; a step that no tile holds, step 0 among them, reads 0.0.
+    """
+    out = np.zeros(shape)
+    for k0, tile in tiles:
+        j = recorded(steps, k0, len(tile))
+        out[:, j] = np.moveaxis(tile[steps[j] - k0 - 1], 0, 1)
+    return out
 
 
 def _trajectories(table, seed, path_indices):
@@ -400,24 +408,21 @@ def terminal_values(spec, horizons, h, n_paths, seed, scheme="exact", chunk=4096
     bounds the paths stepped together; ensemble caps it at _TILE_PATHS.  Neither
     it nor threads changes a bit of the result.
     """
-    steps = np.asarray(horizon_steps(horizons, h))
+    steps = horizon_steps(horizons, h)
 
-    def snapshots(idx, blocks):
-        out = np.zeros((len(idx), len(steps)))
-        for k0, values in blocks:
-            record(out, steps, k0, values)
-        return out
+    def reduce(idx, blocks):
+        return snapshots(blocks, steps, (len(idx), len(steps)))
 
-    return ensemble(spec, horizons[-1], h, scheme, seed, n_paths, snapshots, chunk, threads)
+    return ensemble(spec, horizons[-1], h, scheme, seed, n_paths, reduce, chunk, threads)
 
 
-def batch_terminal_stats(spec, horizons, n_paths, scheme="exact", h=0.05, seed=0, threads=None):
+def batch_terminal_stats(spec, horizons, h, n_paths, seed, scheme="exact", threads=None):
     """Monte Carlo decay statistics of |X_T| and X_T^2 over a horizon ladder."""
     horizons = np.asarray(horizons, dtype=float)
     if np.any(np.diff(horizons) == 0):  # terminal_values checks that they are nondecreasing
         raise DomainError("horizons must be strictly increasing")
     if n_paths < 100:
-        raise DomainError("need at least 100 paths for stable statistics")
+        raise DomainError(f"n_paths must be at least 100 for stable statistics, got {n_paths}")
     values = terminal_values(spec, horizons, h, n_paths, seed, scheme, threads=threads)
     sq = values**2
     return DecayStats(

@@ -143,7 +143,7 @@ def check_localtime_second_moment(seed):
     """Quadrature value of E(L_1^0)^2 for Brownian motion, and its Monte Carlo twin on 5000 paths."""
     bm = DriftSpec.constant(0.0)
     quad_val = gaussian_law.localtime_second_moment(bm, 1.0, 0.0, 0.0)
-    l_vals = local_time.kernel_ensemble(bm, 0.0, [1e-4], 1.0, 1e-4, 5000, seed)[:, 0, 0]
+    l_vals = local_time.kernel_ensemble(bm, 0.0, [1e-4], [1.0], 1e-4, 5000, seed)[:, 0, 0]
     mc_val = float((l_vals**2).mean())
     metrics = {"lt2_quadrature": quad_val, "lt2_monte_carlo": mc_val}
     flags = {
@@ -199,12 +199,12 @@ def check_estimator_consistency(seed):
 def check_bridge_decay(seed):
     """Mean X_T^2 of 1000 paths decays like 1/(2 alpha(T)) for explosive drift; constant drift does not decay."""
     spec = DriftSpec.power(2.0)
-    stats = simulate.batch_terminal_stats(spec, [2.0, 4.0, 8.0], 1000, "exact", h=0.125, seed=seed)
+    stats = simulate.batch_terminal_stats(spec, [2.0, 4.0, 8.0], 0.125, 1000, seed)
     target = 1.0 / (2.0 * eval_alpha(spec, 8.0))
     ratio8 = stats.mean_sq[-1] / target
 
     ou = DriftSpec.constant(1.0)
-    flat = simulate.batch_terminal_stats(ou, [5.0, 50.0], 1000, "exact", h=0.5, seed=seed + 1)
+    flat = simulate.batch_terminal_stats(ou, [5.0, 50.0], 0.5, 1000, seed + 1)
     flat_ratio = flat.mean_sq[0] / flat.mean_sq[1]
 
     metrics = {

@@ -44,14 +44,15 @@ _SPECS = {
 }
 _FAMILIES = ("power0.8", "exponential1.5", "constant1", "tabulated")
 
-# (name, drift, scheme, level, eps list, T, h, paths, steps); T / h > BLOCK_STEPS, so each
-# walk has several blocks, and a level of 1.5 or 50 leaves whole blocks of exact zeros
+# (name, drift, scheme, level, eps list, grid steps, h, paths); the horizons are the steps times h,
+# the last past BLOCK_STEPS, so each walk has several blocks, and a level of 1.5 or 50 leaves
+# whole blocks of exact zeros
 _ENSEMBLES = (
-    ("power0.8_euler_x1.2_65paths", "power0.8", "euler", 1.2, [1e-4, 1e-3], 3.0, 1e-3, 65, None),
-    ("power2_exact_x1.5_sparse", "power2", "exact", 1.5, [1e-4], 3.0, 1e-3, 2, [0, 500, 3000]),
-    ("brownian_euler_x0.4_1path_dense", "brownian", "euler", 0.4, [1e-3], 2.5, 1e-3, 1, range(0, 2501, 7)),
-    ("exponential1.5_exact_x50", "exponential1.5", "exact", 50.0, [1e-2], 2.5, 1e-3, 3, None),
-    ("tabulated_euler_x0_sparse", "tabulated", "euler", 0.0, [1e-3, 4e-3], 3.0, 1e-3, 5, [5, 1024, 2900]),
+    ("power0.8_euler_x1.2_65paths", "power0.8", "euler", 1.2, [1e-4, 1e-3], [3000], 1e-3, 65),
+    ("power2_exact_x1.5_sparse", "power2", "exact", 1.5, [1e-4], [0, 500, 3000], 1e-3, 2),
+    ("brownian_euler_x0.4_1path_dense", "brownian", "euler", 0.4, [1e-3], range(0, 2501, 7), 1e-3, 1),
+    ("exponential1.5_exact_x50", "exponential1.5", "exact", 50.0, [1e-2], [2500], 1e-3, 3),
+    ("tabulated_euler_x0_sparse", "tabulated", "euler", 0.0, [1e-3, 4e-3], [5, 1024, 2900], 1e-3, 5),
 )
 
 
@@ -139,8 +140,8 @@ def _engine_digests():
         out[f"terminal_values.power2.{scheme}.one_block"] = _array_sha(one_block)
         blocks = simulate.terminal_values(_SPECS["power0.8"], [5.0, 20.0], 0.01, 5, 12, scheme)
         out[f"terminal_values.power0.8.{scheme}.blocks"] = _array_sha(blocks)
-    for i, (name, spec, scheme, x, eps, T, h, n, steps) in enumerate(_ENSEMBLES):
-        values = local_time.kernel_ensemble(_SPECS[spec], x, eps, T, h, n, 20 + i, steps, scheme)
+    for i, (name, spec, scheme, x, eps, steps, h, n) in enumerate(_ENSEMBLES):
+        values = local_time.kernel_ensemble(_SPECS[spec], x, eps, np.asarray(steps) * h, h, n, 20 + i, scheme)
         out[f"kernel_ensemble.{name}"] = _array_sha(values)
     return out
 

@@ -159,7 +159,7 @@ class TestTimeProfile:
         # the hand-built recipe it replaces: whole grid, every-step ensemble, averaged LocalTimeCurve
         scales = h * 2.0 ** np.arange(3)
         times = simulate.grid(T, h)
-        curves = kernel_ensemble(BRIDGE, 0.0, [h], T, h, 3, 7, steps=np.arange(len(times)), scheme=scheme)
+        curves = kernel_ensemble(BRIDGE, 0.0, [h], times, h, 3, 7, scheme)
         curve = LocalTimeCurve(0.0, times, curves[:, :, 0].mean(axis=0), "kernel", h, 7)
         want = time_modulus(curve, scales)
         got = time_profile(BRIDGE, T, h, 3, 7, scales, scheme)
@@ -185,7 +185,7 @@ class TestTimeProfile:
 def whole_curves(scheme, T, h, n_paths, seed):
     """The grid, and every path's kernel local time at level 0, eps = h, at every step: what the streams replace."""
     times = simulate.grid(T, h)
-    curves = kernel_ensemble(BRIDGE, 0.0, [h], T, h, n_paths, seed, steps=np.arange(len(times)), scheme=scheme)
+    curves = kernel_ensemble(BRIDGE, 0.0, [h], times, h, n_paths, seed, scheme)
     return times, curves[:, :, 0]
 
 

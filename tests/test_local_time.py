@@ -81,7 +81,7 @@ class TestKernelEstimate:
     def test_brownian_ensemble_mean(self):
         # E L_1^0 = int_0^1 (2 pi s)^(-1/2) ds = sqrt(2/pi); smoothing and
         # time discretization bias the estimate a few percent low
-        l_vals = kernel_ensemble(BM, 0.0, [1e-4], 1.0, 1e-4, 2000, seed=11)[:, 0, :]
+        l_vals = kernel_ensemble(BM, 0.0, [1e-4], [1.0], 1e-4, 2000, seed=11)[:, 0, :]
         target = math.sqrt(2.0 / math.pi)
         assert l_vals.mean() == pytest.approx(target, rel=0.05)
 
@@ -197,6 +197,16 @@ class TestGrowthProbe:
         with pytest.raises(InsufficientDataError):
             growth_probe(BM, 0.0, [1.0, 2.0], h=1e-2, n_paths=20, seed=0)
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_level_is_refused_before_any_walk(self, monkeypatch, x):
+        # NaN walked every path, then found fewer than 3 usable points; inf found a curve that failed to increase
+        def refuse_to_build(*args):
+            raise AssertionError("the transition table was built")
+
+        monkeypatch.setattr(simulate, "transition_table", refuse_to_build)
+        with pytest.raises(DomainError, match="^x must be finite"):
+            growth_probe(BM, x, [1.0, 2.0, 3.0], 1e-2, 20, 0)
+
     def test_invariant_to_chunk_and_block(self, monkeypatch):
         args = (DriftSpec.power(1.5), 0.0, np.arange(1.0, 4.0), 1e-3, 40, 2)
         ref, _ = growth_probe(*args)
@@ -210,27 +220,27 @@ class TestGrowthProbe:
 class TestKernelEnsemble:
     # full-grid curves at eps = h, as the holder_time check uses them
     H = 2.0**-11
-    ARGS = (BRIDGE, 0.0, [H], 1.0, H, 12, 5)
+    ARGS = (BRIDGE, 0.0, [H], simulate.grid(1.0, H), H, 12, 5)
 
     def test_curves_equal_single_path_estimates(self):
-        curves = kernel_ensemble(*self.ARGS, steps=range(2049))[:, :, 0]
+        curves = kernel_ensemble(*self.ARGS)[:, :, 0]
         for p in (0, 11):
             path = euler_path(BRIDGE, T=1.0, h=self.H, seed=5, path_index=p)
             assert curves[p].tobytes() == kernel_estimate(path, 0.0, self.H, path.times).values.tobytes()
 
     def test_curves_invariant_to_chunk_and_block(self, monkeypatch):
-        ref = kernel_ensemble(*self.ARGS, steps=range(2049))
+        ref = kernel_ensemble(*self.ARGS)
         for chunk in (5, 4):
             monkeypatch.setattr(simulate, "_TILE_PATHS", chunk)
-            assert kernel_ensemble(*self.ARGS, steps=range(2049)).tobytes() == ref.tobytes()
+            assert kernel_ensemble(*self.ARGS).tobytes() == ref.tobytes()
         monkeypatch.setattr(simulate, "BLOCK_STEPS", 33)
-        assert kernel_ensemble(*self.ARGS, steps=range(2049)).tobytes() == ref.tobytes()
+        assert kernel_ensemble(*self.ARGS).tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("x", [0.0, 0.4, 50.0])
     def test_final_step_equals_kernel_estimate(self, x):
         # only the final step recorded: blocks where every path is far add exact zeros, and
         # a 1-path chunk sums its single column step by step, not pairwise
-        args = (BM, x, [1e-4], 1.0, 1e-4, 40, 8)
+        args = (BM, x, [1e-4], [1.0], 1e-4, 40, 8)
         finals = kernel_ensemble(*args)[:, 0, 0]
         for p in range(40):
             path = euler_path(BM, T=1.0, h=1e-4, seed=8, path_index=p)
@@ -241,7 +251,7 @@ class TestKernelEnsemble:
     def test_one_path_chunk_sums_step_by_step(self, monkeypatch):
         # a single column would be reduced pairwise; it must keep kernel_estimate's sequential sum
         monkeypatch.setattr(simulate, "_TILE_PATHS", 1)
-        finals = kernel_ensemble(BM, 0.0, [1e-4], 1.0, 1e-4, 4, 8)[:, 0, 0]
+        finals = kernel_ensemble(BM, 0.0, [1e-4], [1.0], 1e-4, 4, 8)[:, 0, 0]
         for p in range(4):
             path = euler_path(BM, T=1.0, h=1e-4, seed=8, path_index=p)
             assert finals[p].tobytes() == kernel_estimate(path, 0.0, 1e-4, [1.0]).values[0].tobytes()
@@ -254,45 +264,40 @@ class TestKernelEnsemble:
         table = (np.zeros(12), stds)
         monkeypatch.setattr(simulate, "transition_table", lambda spec, times, scheme: table)
         monkeypatch.setattr(simulate, "BLOCK_STEPS", 2)
-        finals = kernel_ensemble(BM, 0.0, [1e-2], 12.0, 1.0, 16, 0)[:, 0, 0]
+        finals = kernel_ensemble(BM, 0.0, [1e-2], [12.0], 1.0, 16, 0)[:, 0, 0]
         values = simulate._trajectories(table, 0, range(16))
         for p in range(16):
             assert finals[p] == kernel_estimate(manual_path(values[p], 1.0), 0.0, 1e-2, [12.0]).values[0]
 
     def test_one_path_chunks_equal_wide_chunks(self, monkeypatch):
-        args = (BM, 0.4, [1e-4, 1e-3], 1.0, 1e-4, 12, 9)
+        args = (BM, 0.4, [1e-4, 1e-3], [1.0], 1e-4, 12, 9)
         ref = kernel_ensemble(*args)
         monkeypatch.setattr(simulate, "_TILE_PATHS", 1)
         assert kernel_ensemble(*args).tobytes() == ref.tobytes()
 
     def test_threads_do_not_change_curves(self, monkeypatch):
         # kernel_ensemble runs on every core; pretend the process has one or three
-        args = (BRIDGE, 0.2, [1e-3, 1e-2], 2.0, 1e-3, 30, 4)
+        args = (BRIDGE, 0.2, [1e-3, 1e-2], [0.5, 1.0, 2.0], 1e-3, 30, 4)
         monkeypatch.setattr(simulate, "_TILE_PATHS", 7)
-        ref = kernel_ensemble(*args, steps=[500, 1000, 2000])
+        ref = kernel_ensemble(*args)
         for cores in (1, 3):
             monkeypatch.setattr(simulate, "_cores", lambda cores=cores: cores)
-            assert kernel_ensemble(*args, steps=[500, 1000, 2000]).tobytes() == ref.tobytes()
+            assert kernel_ensemble(*args).tobytes() == ref.tobytes()
 
-    @pytest.mark.parametrize("steps", [[50, 100, 5000], [-1, 50], [50, 20]], ids=str)
-    def test_steps_off_the_grid_or_out_of_order_rejected(self, steps):
-        with pytest.raises(DomainError, match="steps"):
-            kernel_ensemble(BM, 0.0, [1e-2], 1.0, 0.01, 2, 0, steps=steps)
-
-    def test_repeated_and_zero_steps(self):
-        curves = kernel_ensemble(BRIDGE, 0.0, [1e-2], 1.0, 0.01, 3, 2, steps=[0, 40, 40, 100])
-        final = kernel_ensemble(BRIDGE, 0.0, [1e-2], 1.0, 0.01, 3, 2)
+    def test_repeated_and_zero_horizons(self):
+        curves = kernel_ensemble(BRIDGE, 0.0, [1e-2], [0.0, 0.4, 0.4, 1.0], 0.01, 3, 2)
+        final = kernel_ensemble(BRIDGE, 0.0, [1e-2], [1.0], 0.01, 3, 2)
         assert np.all(curves[:, 0] == 0.0)
         assert curves[:, 1].tobytes() == curves[:, 2].tobytes()
         assert curves[:, 3].tobytes() == final[:, 0].tobytes()
 
     def test_nan_level_propagates(self):
-        assert np.all(np.isnan(kernel_ensemble(BM, math.nan, [1e-4], 0.2, 1e-4, 3, 0)))
+        assert np.all(np.isnan(kernel_ensemble(BM, math.nan, [1e-4], [0.2], 1e-4, 3, 0)))
 
     def test_shorter_horizon_is_a_prefix(self):
         # holder_time slices its T=2 curves out of the T=8 run
-        short = kernel_ensemble(BRIDGE, 0.0, [self.H], 0.5, self.H, 3, 5, steps=range(1025), scheme="exact")
-        long = kernel_ensemble(BRIDGE, 0.0, [self.H], 1.0, self.H, 3, 5, steps=range(2049), scheme="exact")
+        short = kernel_ensemble(BRIDGE, 0.0, [self.H], simulate.grid(0.5, self.H), self.H, 3, 5, "exact")
+        long = kernel_ensemble(BRIDGE, 0.0, [self.H], simulate.grid(1.0, self.H), self.H, 3, 5, "exact")
         assert short.tobytes() == long[:, :1025].tobytes()
 
 

@@ -21,34 +21,25 @@ CALLS = {
     "horizon_steps": (lambda: simulate.horizon_steps([1.0, NAN], 0.1), "horizons must be finite"),
     "terminal_values_h": (lambda: simulate.terminal_values(BRIDGE, [1.0], NAN, 4, 0), "h=nan"),
     "batch_terminal_stats_zero_h": (
-        lambda: simulate.batch_terminal_stats(BRIDGE, [1.0, 2.0], 100, h=0.0),
+        lambda: simulate.batch_terminal_stats(BRIDGE, [1.0, 2.0], 0.0, 100, 0),
         "h=0.0",
     ),
-    "kernel_ensemble_T": (lambda: local_time.kernel_ensemble(BRIDGE, 0.0, [1e-3], NAN, 1e-3, 4, 0), "T=nan"),
-    "kernel_ensemble_h": (lambda: local_time.kernel_ensemble(BRIDGE, 0.0, [1e-3], 1.0, NAN, 4, 0), "h=nan"),
-    "kernel_ensemble_eps": (lambda: local_time.kernel_ensemble(BRIDGE, 0.0, [NAN], 1.0, 1e-3, 4, 0), "eps_list"),
+    # "need at least 100 paths" and "need at least 500 paths" named no argument
+    "batch_terminal_stats_negative_n_paths": (
+        lambda: simulate.batch_terminal_stats(BRIDGE, [1.0, 2.0], 0.01, -1, 0),
+        "^n_paths must be at least 100 for stable statistics, got -1",
+    ),
+    "cauchy_diagnostic_zero_n_paths": (
+        lambda: local_time.cauchy_diagnostic(BRIDGE, 0.0, 1.0, [1e-2, 1e-3], 0, 0),
+        "^n_paths must be at least 500, got 0",
+    ),
+    "kernel_ensemble_h": (lambda: local_time.kernel_ensemble(BRIDGE, 0.0, [1e-3], [1.0], NAN, 4, 0), "h=nan"),
+    "kernel_ensemble_eps": (lambda: local_time.kernel_ensemble(BRIDGE, 0.0, [NAN], [1.0], 1e-3, 4, 0), "eps_list"),
     "cauchy_diagnostic_t": (
         lambda: local_time.cauchy_diagnostic(BRIDGE, 0.0, NAN, [1e-2, 1e-3], 500, 0),
         "T=nan",
     ),
-    "growth_probe_horizons": (
-        lambda: local_time.growth_probe(BRIDGE, 0.0, [1.0, 2.0, NAN], 0.01, 4, 0),
-        "horizons must be finite",
-    ),
     "growth_probe_h": (lambda: local_time.growth_probe(BRIDGE, 0.0, [1.0, 2.0, 3.0], NAN, 4, 0), "h=nan"),
-    # a NaN step matched no block and read 0.0; a fractional one was a bare IndexError
-    "kernel_ensemble_nan_steps": (
-        lambda: local_time.kernel_ensemble(BRIDGE, 0.0, [1e-2], 1.0, 0.01, 2, 0, steps=[NAN]),
-        "steps must be nondecreasing whole grid steps",
-    ),
-    "kernel_ensemble_infinite_steps": (
-        lambda: local_time.kernel_ensemble(BRIDGE, 0.0, [1e-2], 1.0, 0.01, 2, 0, steps=[50, INF]),
-        "steps must be nondecreasing whole grid steps",
-    ),
-    "kernel_ensemble_fractional_steps": (
-        lambda: local_time.kernel_ensemble(BRIDGE, 0.0, [1e-2], 1.0, 0.01, 2, 0, steps=[2.5]),
-        "steps must be nondecreasing whole grid steps",
-    ),
     "kernel_estimate_checkpoints": (
         lambda: local_time.kernel_estimate(PATH, 0.0, 0.01, [0.5, NAN, 1.0]),
         "checkpoints must be finite",
@@ -125,7 +116,7 @@ CALLS = {
         "delta must be positive",
     ),
     "kernel_ensemble_infinite_eps": (
-        lambda: local_time.kernel_ensemble(BRIDGE, 0.0, [1e-3, INF], 1.0, 1e-3, 4, 0),
+        lambda: local_time.kernel_ensemble(BRIDGE, 0.0, [1e-3, INF], [1.0], 1e-3, 4, 0),
         "eps_list",
     ),
     "level_sweep_infinite_eps": (
@@ -165,10 +156,6 @@ CALLS = {
     "time_modulus_bound_fit_infinite_T": (
         lambda: holder_analysis.time_modulus_bound_fit(CURVE, INF, BRIDGE),
         "^T must be positive and finite, got inf",
-    ),
-    "time_bound_fits_nan_horizon": (
-        lambda: holder_analysis.time_bound_fits(BRIDGE, [NAN, 1.0], 0.01, 2, 0),
-        "horizons must be finite",
     ),
     "time_bound_fits_zero_horizon": (
         lambda: holder_analysis.time_bound_fits(BRIDGE, [0.0, 1.0], 0.01, 2, 0),
@@ -218,7 +205,7 @@ CALLS = {
         "^n_paths must be an integer of at least 1, got 2.5",
     ),
     "kernel_ensemble_fractional_n_paths": (
-        lambda: local_time.kernel_ensemble(BRIDGE, 0.0, [1e-2], 1.0, 0.01, 2.5, 0),
+        lambda: local_time.kernel_ensemble(BRIDGE, 0.0, [1e-2], [1.0], 0.01, 2.5, 0),
         "^n_paths must be an integer",
     ),
     "terminal_values_fractional_chunk": (
@@ -231,24 +218,11 @@ CALLS = {
     ),
 }
 
-EMPTY_HORIZONS = {
-    "terminal_values": lambda: simulate.terminal_values(BRIDGE, [], 0.01, 4, 0),
-    "batch_terminal_stats": lambda: simulate.batch_terminal_stats(BRIDGE, [], 100),
-    "growth_probe": lambda: local_time.growth_probe(BRIDGE, 0.0, [], 0.01, 4, 0),
-}
-
-
 @pytest.mark.parametrize("name", sorted(CALLS))
 def test_nonfinite_argument_is_a_domain_error(name):
     call, names_argument = CALLS[name]
     with pytest.raises(DomainError, match=names_argument):
         call()
-
-
-@pytest.mark.parametrize("name", sorted(EMPTY_HORIZONS))
-def test_empty_horizons_are_a_domain_error(name):
-    with pytest.raises(DomainError, match="horizons must not be empty"):
-        EMPTY_HORIZONS[name]()
 
 
 EMPTY_SCALES = {

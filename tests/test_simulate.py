@@ -222,26 +222,26 @@ class TestEulerVsExact:
 
 class TestBatchStats:
     def test_explosive_drift_decays(self):
-        stats = batch_terminal_stats(DriftSpec.power(2.0), [2.0, 4.0, 8.0], 1000, "exact", h=0.25, seed=0)
+        stats = batch_terminal_stats(DriftSpec.power(2.0), [2.0, 4.0, 8.0], 0.25, 1000, 0)
         assert np.all(np.diff(stats.mean_sq) < 0)
         assert stats.n_paths == 1000
         assert len(stats.mean_abs) == len(stats.mean_sq) == len(stats.std_err_sq) == 3
 
     def test_constant_drift_is_flat_at_stationary_level(self):
-        stats = batch_terminal_stats(DriftSpec.constant(1.0), [5.0, 50.0], 2000, "exact", h=0.5, seed=3)
+        stats = batch_terminal_stats(DriftSpec.constant(1.0), [5.0, 50.0], 0.5, 2000, 3)
         for j in range(2):
             assert abs(stats.mean_sq[j] - 0.5) < 4 * stats.std_err_sq[j]
 
     def test_brownian_motion_variance_grows_linearly(self):
-        stats = batch_terminal_stats(BM, [1.0, 4.0], 2000, "exact", h=0.5, seed=4)
+        stats = batch_terminal_stats(BM, [1.0, 4.0], 0.5, 2000, 4)
         for j, t in enumerate((1.0, 4.0)):
             assert abs(stats.mean_sq[j] - t) < 4 * stats.std_err_sq[j]
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            batch_terminal_stats(BM, [2.0, 1.0], 1000, "exact", h=0.5, seed=0)
+            batch_terminal_stats(BM, [2.0, 1.0], 0.5, 1000, 0)
         with pytest.raises(DomainError):
-            batch_terminal_stats(BM, [1.0, 2.0], 50, "exact", h=0.5, seed=0)
+            batch_terminal_stats(BM, [1.0, 2.0], 0.5, 50, 0)
         with pytest.raises(DomainError):
             terminal_values(BM, [1.05], h=0.5, n_paths=100, seed=0)
 
@@ -390,11 +390,10 @@ class TestStreamingEngine:
     @pytest.mark.parametrize(
         "steps", [[4, 5, 6, 7], [4, 4, 6], [5, 9, 9, 12], [12, 13], [1, 2, 3, 12]], ids=str
     )
-    def test_record_copies_each_step_of_the_block(self, steps):
-        # block rows are grid steps 4 .. 11; [4, 4, 6] spans as many rows as it has entries
+    def test_snapshots_copy_each_step_of_the_tiles(self, steps):
+        # tile rows are grid steps 4 .. 7 and 8 .. 11; [4, 4, 6] spans as many rows as it has entries
         block = np.arange(8.0)[:, None] * np.array([1.0, 10.0]) + 4.0
-        out = np.zeros((2, len(steps)))
-        simulate.record(out, np.array(steps), 3, block)
+        out = simulate.snapshots([(3, block[:4]), (7, block[4:])], np.array(steps), (2, len(steps)))
         expected = [[k, 10.0 * k - 36.0] if 4 <= k <= 11 else [0.0, 0.0] for k in steps]
         assert out.T.tolist() == expected
 
@@ -402,7 +401,7 @@ class TestStreamingEngine:
         "call, name",
         [
             (lambda: terminal_values(BRIDGE, [1.0], 0.01, 0, 0), "n_paths"),
-            (lambda: kernel_ensemble(BRIDGE, 0.0, [1e-3], 1.0, 0.01, 0, 0), "n_paths"),
+            (lambda: kernel_ensemble(BRIDGE, 0.0, [1e-3], [1.0], 0.01, 0, 0), "n_paths"),
             (lambda: space_modulus(BRIDGE, 1.0, np.linspace(-1, 1, 65), 0, 2.0**-8, 0, 1e-3), "n_paths"),
             (lambda: terminal_values(BRIDGE, [1.0], 0.01, 4, 0, chunk=0), "chunk"),
             (lambda: terminal_values(BRIDGE, [1.0], 0.01, 4, 0, threads=0), "threads"),
@@ -417,8 +416,8 @@ class TestStreamingEngine:
     @pytest.mark.parametrize(
         "call, name",
         [
-            (lambda: kernel_ensemble(BRIDGE, 0.0, [1e-3], 1.0, 0.01, 4, 1.5), "seed"),
-            (lambda: kernel_ensemble(BRIDGE, 0.0, [1e-3], 1.0, 0.01, 2.5, 0), "n_paths"),
+            (lambda: kernel_ensemble(BRIDGE, 0.0, [1e-3], [1.0], 0.01, 4, 1.5), "seed"),
+            (lambda: kernel_ensemble(BRIDGE, 0.0, [1e-3], [1.0], 0.01, 2.5, 0), "n_paths"),
             (lambda: terminal_values(BRIDGE, [1.0], 0.01, 4, 1.5), "seed"),
             (lambda: terminal_values(BRIDGE, [1.0], 0.01, 2.5, 0), "n_paths"),
             (lambda: terminal_values(BRIDGE, [1.0], 0.01, 4, 0, chunk=2.5), "chunk"),
@@ -464,7 +463,7 @@ class TestStreamingEngine:
     def test_ensemble_tasks_are_at_most_a_tile(self, monkeypatch):
         # whatever chunk the caller asks for, no walk steps more than _TILE_PATHS paths at once
         args = (BRIDGE, [0.5, 2.0], 0.01, 40, 6, "exact")
-        curve_args = (BRIDGE, 0.1, [1e-2, 1e-3], 2.0, 0.01, 40, 6, [50, 200])
+        curve_args = (BRIDGE, 0.1, [1e-2, 1e-3], [0.5, 2.0], 0.01, 40, 6)
         ref = terminal_values(*args, threads=1)
         monkeypatch.setattr(simulate, "_cores", lambda: 1)
         ref_curves = kernel_ensemble(*curve_args)
@@ -520,8 +519,8 @@ class TestStreamingEngine:
         assert abs(wide - narrow) < 0.05 * narrow
         monkeypatch.setattr(simulate, "_cores", lambda: 1)
         walk = peak(lambda: terminal_values(BRIDGE, [1.0], 1e-3, tile, 0, "euler", threads=1))
-        one = peak(lambda: kernel_ensemble(BRIDGE, 0.0, [1e-3], 1.0, 1e-3, tile, 0))
-        four = peak(lambda: kernel_ensemble(BRIDGE, 0.0, [1e-3], 1.0, 1e-3, 4 * tile, 0))
+        one = peak(lambda: kernel_ensemble(BRIDGE, 0.0, [1e-3], [1.0], 1e-3, tile, 0))
+        four = peak(lambda: kernel_ensemble(BRIDGE, 0.0, [1e-3], [1.0], 1e-3, 4 * tile, 0))
         assert four < 1.05 * one
         assert one - walk <= 1.05 * 3 * local_time._TILE_SIZE * 8  # three row-tile buffers
 
