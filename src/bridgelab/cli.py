@@ -8,6 +8,11 @@ subcommand writes its CSV artifacts plus a <command>_report.json summary into
 the output directory.  Given a fixed config and seed, artifacts are
 byte-identical regardless of the thread count: path randomness is keyed by
 (seed, path_index, step), never by execution order.
+
+Exit codes: 0 when every pass flag holds; 1 when one fails; 2 for a bad flag,
+config file or config value; 3 when the run raises a package error (a
+DomainError, NumericsError, UnsupportedSchemeError or InsufficientDataError),
+printed as one "error: ..." line on stderr, with no report written.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import numpy as np
 
 from . import gaussian_law, holder_analysis, local_time, simulate, verification
 from .config import config_digest, parse_config
-from .errors import ConfigError
+from .errors import ConfigError, DomainError, InsufficientDataError, NumericsError, UnsupportedSchemeError
 from .reporting import (
     ReportSummary,
     curve_to_csv,
@@ -196,7 +201,11 @@ def main(argv=None):
     os.makedirs(cfg.outputs, exist_ok=True)
 
     start = time.monotonic()
-    summary = _HANDLERS[args.command](cfg, args)
+    try:
+        summary = _HANDLERS[args.command](cfg, args)
+    except (DomainError, NumericsError, UnsupportedSchemeError, InsufficientDataError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     summary.wall_time = time.monotonic() - start
     summary.write(cfg.outputs)
     return 0 if summary.all_passed else 1

@@ -20,9 +20,8 @@ from dataclasses import dataclass, fields
 from .drift import DriftSpec, FAMILIES
 from .errors import ConfigError, DomainError
 from .reporting import digest_text, fmt_float, read_csv
+from .simulate import MAX_STEPS
 
-
-MAX_STEPS = 10**8  # per path: one whole path of 10^8 float64 values takes 0.8 GB
 MAX_PATH_STEPS = 10**10  # n_paths * steps: ~6 min at the engine's ~37 ns per path-step (2 vCPUs)
 
 

@@ -4,7 +4,8 @@ The modulus at scale eta is the sup of |f(t) - f(s)| over pairs at distance
 at most eta (nested classes, so the profile is monotone in the scale by
 construction); the Hoelder exponent is the slope of the profile in log-log
 coordinates.  Both the time variable and the level variable of the local
-time are analyzed this way.
+time are analyzed this way.  The lag sups max |f(s + lag) - f(s)| have one
+owner, _LagSups, which differences whole curves and streamed ones alike.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .errors import DomainError, InsufficientDataError
 
 _SWEEP_STEPS = 256  # samples per level_sweep piece; memory is O(_SWEEP_STEPS * levels)
 _MEAN_PATHS = 64  # paths per task of time_profile, whose average is summed task by task
-_LAG_PIECE = 2**14  # pairs _lag_sup differences at once
+_LAG_PIECE = 2**14  # samples _LagSups differences at once, over all its curves
 
 
 @dataclass
@@ -33,36 +34,69 @@ class ModulusProfile:
     fitted_intercept: float
 
 
-def _nested_sup_increments(values, lags):
-    """Max |values[i+l] - values[i]| over all l' <= l, for each requested lag; NaN propagates.
+class _LagSups:
+    """Running max |f(s) - f(s - lag)| of several curves at each lag, fed their samples in step order.
 
-    On a nondecreasing curve of finite span the lag-l sup already bounds
+    The one place a curve is differenced at a lag.  Pairs reaching before
+    step 0 do not count, so the sups after step k are those of the curves'
+    samples 0 .. k, and a lag with no pair gives 0.  A window holds the last
+    r samples differenced, then up to r pending ones, which are differenced at
+    every lag at once; r = max(max(lags), _LAG_PIECE // curves), so one curve
+    is differenced _LAG_PIECE samples at a time and memory does not grow with k.
+    """
+
+    def __init__(self, first, lags):
+        r = max(max(lags, default=1), _LAG_PIECE // len(first))
+        self.lags, self.window, self.diff = lags, np.empty((len(first), 2 * r)), np.empty((len(first), r))
+        self.window[:, r - 1] = first  # row r - 1 holds step k, the last differenced; pending rows follow
+        self.k = self.pending = 0
+        self.sups = np.zeros((len(first), len(lags)))
+
+    @classmethod
+    def of(cls, curves, lags):
+        """The sups of whole curves, shape (curves, samples), at each lag: shape (curves, lags)."""
+        sups = cls(curves[:, 0], lags)
+        sups.feed(curves[:, 1:].T)
+        return sups.taken()
+
+    def feed(self, samples):
+        """Take the samples at the next steps, shape (samples, curves)."""
+        r = self.diff.shape[1]
+        while len(samples):
+            take = min(len(samples), r - self.pending)
+            self.window[:, r + self.pending : r + self.pending + take] = samples[:take].T
+            self.pending += take
+            samples = samples[take:]
+            if self.pending == r:
+                self.taken()
+
+    def taken(self):
+        """Difference the pending samples; return the sups over every sample fed, shape (curves, lags)."""
+        w, r, nb = self.window, self.diff.shape[1], self.pending
+        for j, lag in enumerate(self.lags):
+            i = max(0, lag - self.k - 1)  # the first pending sample whose partner is at step 0 or later
+            if i < nb:
+                d = np.subtract(w[:, r + i : r + nb], w[:, r + i - lag : r + nb - lag], out=self.diff[:, : nb - i])
+                np.maximum(self.sups[:, j], np.abs(d, out=d).max(axis=1), out=self.sups[:, j])
+        w[:, :r] = w[:, nb : nb + r]
+        self.k, self.pending = self.k + nb, 0
+        return self.sups.copy()
+
+
+def _nested_sup_increments(curves, lags):
+    """Max |f[i+l] - f[i]| over all l' <= l of each row f, for each requested lag; NaN propagates.
+
+    Shape (curves, lags), C-ordered.  A lag past a curve's end counts as its
+    last.  On nondecreasing curves of finite span the lag-l sup already bounds
     every shorter lag (rounding is monotone, so this holds for the computed
     differences too), and only the requested lags are taken; otherwise every
-    lag up to the largest is.  A lag past the curve's end counts as its last.
+    lag up to the largest is, and the sups are accumulated across lags.
     """
-    if np.all(values[1:] >= values[:-1]) and np.all(np.isfinite(values[-1:] - values[:1])):
-        return np.array([_lag_sup(values, min(lag, len(values) - 1)) for lag in lags])
-    wanted, nested = set(lags), {}
-    best = 0.0
-    for lag in range(1, max(lags) + 1):
-        best = np.maximum(best, _lag_sup(values, lag))
-        if lag in wanted:
-            nested[lag] = best
-    return np.array([nested[lag] for lag in lags])
-
-
-def _lag_sup(values, lag):
-    """Max |values[i+lag] - values[i]|, piece by piece in one buffer, or 0.0 if no pair is lag apart; NaN propagates."""
-    if not 0 < lag < len(values):
-        return 0.0
-    n = len(values) - lag
-    buf, sups = np.empty(min(n, _LAG_PIECE), dtype=values.dtype), []
-    for lo in range(0, n, len(buf)):
-        hi = min(lo + len(buf), n)
-        d = np.subtract(values[lo + lag : hi + lag], values[lo:hi], out=buf[: hi - lo])
-        sups.append(np.abs(d, out=d).max())
-    return float(np.max(sups))
+    lags = np.minimum(lags, max(1, curves.shape[1] - 1))
+    if np.all(curves[:, 1:] >= curves[:, :-1]) and np.all(np.isfinite(curves[:, -1] - curves[:, 0])):
+        return _LagSups.of(curves, lags)
+    nested = np.maximum.accumulate(_LagSups.of(curves, range(1, lags.max() + 1)), axis=1)
+    return np.ascontiguousarray(nested[:, lags - 1])
 
 
 def _uniform_spacing(checkpoints):
@@ -101,7 +135,7 @@ def _fitted_profile(scales, sups):
 def time_modulus(curve, scales):
     """Sup-increment profile of a local-time curve in the time variable."""
     scales, lags = _scale_lags(scales, _uniform_spacing(curve.checkpoints))
-    return _fitted_profile(scales, _nested_sup_increments(curve.values, lags))
+    return _fitted_profile(scales, _nested_sup_increments(curve.values[None], lags)[0])
 
 
 def time_profile(spec, T, h, n_paths, seed, scales, scheme="euler"):
@@ -135,7 +169,7 @@ def time_profile(spec, T, h, n_paths, seed, scales, scheme="euler"):
     for row in sums[1:]:
         mean += row
     mean /= n_paths
-    return _fitted_profile(scales, _nested_sup_increments(mean, lags))
+    return _fitted_profile(scales, _nested_sup_increments(mean[None], lags)[0])
 
 
 def _bound_lags(dt, n_samples):
@@ -167,47 +201,7 @@ def time_modulus_bound_fit(curve, T, spec):
     """
     dt = _uniform_spacing(curve.checkpoints)
     lags = _bound_lags(dt, len(curve.values))
-    return float(_bound_fit(np.array([_lag_sup(curve.values, lag) for lag in lags]), lags, dt, T, spec))
-
-
-class _LagSups:
-    """Running max |f(s) - f(s - lag)| of several curves at each lag, fed their samples in step order.
-
-    Pairs reaching before step 0 do not count, so the sups after step k are
-    _lag_sup's on the curves' samples 0 .. k, bit for bit.  A window holds the
-    last max(lags) samples differenced, then up to max(lags) pending ones,
-    which are differenced at every lag at once; memory does not grow with k.
-    """
-
-    def __init__(self, first, lags):
-        r = max(lags, default=1)
-        self.lags, self.window, self.diff = lags, np.empty((len(first), 2 * r)), np.empty((len(first), r))
-        self.window[:, r - 1] = first  # row r - 1 holds step k, the last differenced; pending rows follow
-        self.k = self.pending = 0
-        self.sups = np.zeros((len(first), len(lags)))
-
-    def feed(self, samples):
-        """Take the samples at the next steps, shape (samples, curves)."""
-        r = self.diff.shape[1]
-        while len(samples):
-            take = min(len(samples), r - self.pending)
-            self.window[:, r + self.pending : r + self.pending + take] = samples[:take].T
-            self.pending += take
-            samples = samples[take:]
-            if self.pending == r:
-                self.taken()
-
-    def taken(self):
-        """Difference the pending samples; return the sups over every sample fed, shape (curves, lags)."""
-        w, r, nb = self.window, self.diff.shape[1], self.pending
-        for j, lag in enumerate(self.lags):
-            i = max(0, lag - self.k - 1)  # the first pending sample whose partner is at step 0 or later
-            if i < nb:
-                d = np.subtract(w[:, r + i : r + nb], w[:, r + i - lag : r + nb - lag], out=self.diff[:, : nb - i])
-                np.maximum(self.sups[:, j], np.abs(d, out=d).max(axis=1), out=self.sups[:, j])
-        w[:, :r] = w[:, nb : nb + r]
-        self.k, self.pending = self.k + nb, 0
-        return self.sups.copy()
+    return float(_bound_fit(_LagSups.of(curve.values[None], lags)[0], lags, dt, T, spec))
 
 
 def time_bound_fits(spec, horizons, h, n_paths, seed):
@@ -327,7 +321,7 @@ def space_modulus(spec, t, x_grid, n_paths, h, seed, eps, scheme="euler", thread
         sweep.feed(np.zeros((1, len(idx))))  # X_0 = 0
         for _, values in blocks:
             sweep.feed(values)
-        return np.array([_nested_sup_increments(row, lags) for row in sweep.total()])
+        return _nested_sup_increments(sweep.total(), lags)
 
     sups = simulate.ensemble(spec, t, h, scheme, seed, n_paths, profiles, threads=threads)
     return _fitted_profile(scales, np.mean(sups, axis=0))

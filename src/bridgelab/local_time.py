@@ -119,7 +119,8 @@ def binned_estimate(path, x, delta, checkpoints):
     """Occupation-measure estimate: Leb{r <= t : |X_r - x| < delta} / (2 delta)."""
     if not 0 < delta < math.inf:
         raise DomainError(f"delta must be positive and finite, got {delta}")
-    y = (np.abs(path.values - x) < delta).astype(float) / (2.0 * delta)
+    y = np.heaviside(delta - np.abs(path.values - x), 0.0)  # 1 inside the band, 0 on and outside, NaN at NaN
+    y /= 2.0 * delta
     return _occupation_curve(path, y, x, checkpoints, "binned", delta)
 
 

@@ -56,6 +56,7 @@ _TILE_PATHS = 256  # paths a walk steps at most: its 1024-step values block is 2
 _SLAB_PATHS = 64  # paths drawn per slab before the slab is transposed into the time-major noise
 _SCAN_STEPS = 32  # sub-block length of walk's scan, whose blocks are whole sub-blocks; path bits depend on it
 _SERIAL_STEPS = BLOCK_STEPS * 5 // 8  # a walk of fewer steps runs on one thread: on two it ran slower
+MAX_STEPS = 10**8  # per path: one whole path of 10^8 float64 values takes 0.8 GB
 
 
 @dataclass
@@ -103,10 +104,13 @@ class DecayStats:
 
 
 def grid_steps(T, h):
-    """The step count n of the shortest grid 0, h, 2h, ..., n h that reaches T."""
+    """The step count n of the shortest grid 0, h, 2h, ..., n h that reaches T, at most MAX_STEPS."""
     if not 0 < h <= T < math.inf:
         raise DomainError(f"need 0 < h <= T < inf, got h={h}, T={T}")
-    return int(math.ceil(T / h - 1e-9))
+    steps = float(T) / float(h)  # Python floats overflow to inf without a numpy warning
+    if steps > MAX_STEPS:
+        raise DomainError(f"T={T} takes {steps:.3g} steps of h={h}, past the cap of {MAX_STEPS:.0e} per path")
+    return int(math.ceil(steps - 1e-9))
 
 
 def grid(T, h):
@@ -116,7 +120,7 @@ def grid(T, h):
 
 def horizon_steps(horizons, h):
     """Grid step index of each horizon, an array; DomainError unless there is one and the horizons are
-    finite, nonnegative, nondecreasing and on the grid."""
+    finite, nonnegative, nondecreasing, on the grid and at most MAX_STEPS steps."""
     if not 0 < h < math.inf:
         raise DomainError(f"need 0 < h < inf, got h={h}")
     horizons = np.asarray(horizons, dtype=float)
@@ -126,6 +130,9 @@ def horizon_steps(horizons, h):
         raise DomainError(f"horizons must be finite, got {horizons}")
     if not (horizons[0] >= 0 and np.all(np.diff(horizons) >= 0)):
         raise DomainError("horizons must be nonnegative and nondecreasing")
+    reach = float(horizons[-1]) / float(h)
+    if reach > MAX_STEPS:
+        raise DomainError(f"horizons reach {reach:.3g} steps of h={h}, past the cap of {MAX_STEPS:.0e} per path")
     steps = [int(round(t / h)) for t in horizons]
     if any(abs(k * h - t) > 1e-9 * max(1.0, t) for k, t in zip(steps, horizons)):
         raise DomainError("horizons must lie on the step grid")

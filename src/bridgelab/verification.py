@@ -163,22 +163,17 @@ def check_estimator_consistency(seed):
     pathwise regression against a documented fixed trajectory.  The discrete
     pathwise estimator fluctuates around the occupation estimators at the
     h**(1/4) scale, so agreement at the 10% level is a property of the fixed
-    path, not of every path.  At most five attempts advance the seed
-    deterministically, only while the common value stays below 0.1.
+    path, not of every path.  The pinned path's estimates are about 0.74, so
+    one attempt is made, and `consistency_attempts` is always 1; a value below
+    0.1 fails `estimators_usable`.
     """
     spec = DriftSpec.power(0.8)
-    base = _CONSISTENCY_SEED
-    attempts = 0
-    vals = (0.0, 0.0, 0.0)
-    for j in range(5):
-        attempts = j + 1
-        path = simulate.euler_path(spec, T=1.0, h=1e-4, seed=base + j)
-        k = local_time.kernel_estimate(path, 0.0, 1e-3, [1.0]).values[0]
-        b = local_time.binned_estimate(path, 0.0, 0.05, [1.0]).values[0]
-        t = local_time.tanaka_estimate(path, spec, 0.0, [1.0]).values[0]
-        vals = (k, b, t)
-        if min(vals) >= 0.1:
-            break
+    path = simulate.euler_path(spec, T=1.0, h=1e-4, seed=_CONSISTENCY_SEED)
+    vals = (
+        local_time.kernel_estimate(path, 0.0, 1e-3, [1.0]).values[0],
+        local_time.binned_estimate(path, 0.0, 0.05, [1.0]).values[0],
+        local_time.tanaka_estimate(path, spec, 0.0, [1.0]).values[0],
+    )
     worst = max(
         _rel_diff(vals[0], vals[1]), _rel_diff(vals[0], vals[2]), _rel_diff(vals[1], vals[2])
     )
@@ -186,7 +181,7 @@ def check_estimator_consistency(seed):
         "consistency_kernel": vals[0],
         "consistency_binned": vals[1],
         "consistency_tanaka": vals[2],
-        "consistency_attempts": float(attempts),
+        "consistency_attempts": 1.0,
         "consistency_worst_rel": worst,
     }
     flags = {

@@ -8,7 +8,6 @@ from bridgelab import holder_analysis, simulate, verification
 from bridgelab.drift import DriftSpec
 from bridgelab.errors import DomainError, InsufficientDataError
 from bridgelab.holder_analysis import (
-    _lag_sup,
     _nested_sup_increments,
     level_sweep,
     loglog_slope,
@@ -21,6 +20,11 @@ from bridgelab.local_time import LocalTimeCurve, kernel_ensemble
 
 BRIDGE = DriftSpec.power(0.8)
 BM = DriftSpec.constant(0.0)
+
+
+def lag_sup_reference(values, lag):
+    """Max |values[i+lag] - values[i]| by its definition, 0.0 if no pair is lag apart; NaN propagates."""
+    return np.abs(values[lag:] - values[: max(0, len(values) - lag)]).max(initial=0.0)
 
 
 def make_curve(fn, n=2049, T=1.0):
@@ -130,7 +134,7 @@ class TestTimeModulus:
     def test_nan_sample_propagates(self, shape):
         curve = make_curve(shape, n=65)
         curve.values[40] = math.nan
-        sups = _nested_sup_increments(curve.values, [1, 2, 4, 8])
+        sups = _nested_sup_increments(curve.values[None], [1, 2, 4, 8])
         assert np.all(np.isnan(sups))
         with pytest.warns(UserWarning, match="dropping 5 NaN values"):
             profile = time_modulus(curve, 2.0 ** -np.arange(2, 7))
@@ -138,7 +142,7 @@ class TestTimeModulus:
 
     def test_duplicate_lags_get_the_same_sup(self):
         rough = np.sin(np.linspace(0.0, 20.0, 200))
-        sups = _nested_sup_increments(rough, [4, 2, 4])
+        sups = _nested_sup_increments(rough[None], [4, 2, 4])[0]
         assert sups[0] == sups[2] >= sups[1] > 0.0
 
     def test_doubling_subadditivity(self):
@@ -230,7 +234,8 @@ class TestStreamedTimeStatistics:
             assert got[:, j].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("piece", [1, 5, 64, 1000])
-    def test_lag_sups_equal_lag_sup_at_any_step(self, piece):
+    def test_lag_sups_equal_the_definition_at_any_step(self, monkeypatch, piece):
+        monkeypatch.setattr(holder_analysis, "_LAG_PIECE", 1)  # a max(lags) = 64 window, shifted ten times
         rng = np.random.default_rng(piece)
         curves = np.cumsum(rng.standard_normal((3, 700)), axis=1)
         curves[2, 300] = math.nan
@@ -240,7 +245,7 @@ class TestStreamedTimeStatistics:
             sups.feed(curves[:, lo : lo + piece].T)
             k = min(lo + piece, 700) - 1
             if k == 699 or rng.random() < 0.1:
-                want = [[_lag_sup(c[: k + 1], lag) for lag in lags] for c in curves]
+                want = [[lag_sup_reference(c[: k + 1], lag) for lag in lags] for c in curves]
                 np.testing.assert_array_equal(sups.taken(), want)
 
     def test_check_holder_time_peaks_below_5_mb(self):
@@ -331,6 +336,21 @@ class TestLevelSweep:
 
 
 class TestSpaceModulus:
+    @pytest.mark.parametrize("lags", [[64, 1, 2, 700, 64], [2, 5000, 20000]], ids=["short", "past_the_end"])
+    @pytest.mark.parametrize("kind", ["rough", "monotone"])
+    def test_rows_at_once_equal_one_row_at_a_time(self, kind, lags):
+        # 4 rows of 6000 samples take short lags in a 4096-sample window, which shifts, and one row
+        # in a single pass; a NaN row sends monotone rows down the general path, which must give
+        # their fast-path bits
+        rng = np.random.default_rng(11)
+        rows = np.cumsum(rng.standard_normal((4, 6000)) ** (2 if kind == "monotone" else 1), axis=1)
+        rows[2, 1234] = math.nan
+        got = _nested_sup_increments(rows, lags)
+        want = np.concatenate([_nested_sup_increments(row[None], lags) for row in rows])
+        assert got.flags.c_contiguous and got.shape == (4, len(lags))
+        assert np.all(np.isnan(got[2])) and np.all(got[[0, 1, 3]] > 0.0)
+        assert got.tobytes() == want.tobytes()
+
     def test_degenerate_path_is_smooth(self):
         # L(x) proportional to p_eps(x) is C^1, so at scales well below the
         # kernel width the increments are linear in the scale: slope near 1
@@ -339,7 +359,7 @@ class TestSpaceModulus:
         profile_values = level_sweep(np.zeros(1025), 1.0 / 1024, x, eps)
         dx = x[1] - x[0]
         lags = [2, 4, 8]
-        sups = _nested_sup_increments(profile_values, lags)
+        sups = _nested_sup_increments(profile_values[None], lags)[0]
         slope, _ = loglog_slope(zip(np.array(lags) * dx, sups))
         assert slope == pytest.approx(1.0, abs=0.1)
 
@@ -372,7 +392,7 @@ class TestSpaceModulus:
         monkeypatch.setattr(simulate, "_TILE_PATHS", 32)
         profile = space_modulus(BRIDGE, 1.0, x, n_paths=70, h=h, seed=3, eps=eps, scheme=scheme)
         lags = [int(round(s / (x[1] - x[0]))) for s in profile.scales]
-        whole = np.mean([_nested_sup_increments(level_sweep(v, h, x, eps), lags) for v in values], axis=0)
+        whole = np.mean([_nested_sup_increments(level_sweep(v, h, x, eps)[None], lags)[0] for v in values], axis=0)
         assert profile.sup_increments.tobytes() == whole.tobytes()
 
     def test_scales_are_the_dyadic_ladder(self):

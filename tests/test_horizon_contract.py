@@ -40,6 +40,8 @@ REFUSED = {
     "negative": ([-1.0, 1.0], "^horizons must be nonnegative and nondecreasing$"),
     "decreasing": ([2.0, 1.0], "^horizons must be nonnegative and nondecreasing$"),
     "off_grid": ([1.0, 1.005], "^horizons must lie on the step grid$"),
+    # simulate.grid's np.arange raised a bare "Maximum allowed size exceeded"
+    "past_the_cap": ([1.0, 1e17], r"^horizons reach 1e\+19 steps of h=0.01, past the cap of 1e\+08 per path$"),
 }
 
 

@@ -199,6 +199,8 @@ CALLS = {
         lambda: simulate.terminal_values(BRIDGE, [1.0], 0.01, 4, 1.5),
         "^seed must be an integer, got 1.5",
     ),
+    # a T too far for memory was a bare ValueError from simulate.grid's np.arange
+    "euler_path_T_past_the_cap": (lambda: simulate.euler_path(BRIDGE, 1e17, 0.01), r"^T=1e\+17 takes 1e\+19 steps"),
     "euler_path_fractional_seed": (lambda: simulate.euler_path(BRIDGE, 1.0, 0.01, seed=1.5), "^seed must be an integer"),
     "terminal_values_fractional_n_paths": (
         lambda: simulate.terminal_values(BRIDGE, [1.0], 0.01, 2.5, 0),
@@ -223,6 +225,19 @@ def test_nonfinite_argument_is_a_domain_error(name):
     call, names_argument = CALLS[name]
     with pytest.raises(DomainError, match=names_argument):
         call()
+
+
+NAN_LEVEL = {
+    "kernel_estimate": lambda: local_time.kernel_estimate(PATH, NAN, 0.1, [1.0]),
+    # the band test |X - x| < delta is False at a NaN level, so the binned estimate read 0.0
+    "binned_estimate": lambda: local_time.binned_estimate(PATH, NAN, 0.1, [1.0]),
+    "tanaka_estimate": lambda: local_time.tanaka_estimate(PATH, BRIDGE, NAN, [1.0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAN_LEVEL))
+def test_nan_level_gives_a_nan_local_time(name):
+    assert np.isnan(NAN_LEVEL[name]().values).all()
 
 
 EMPTY_SCALES = {

@@ -354,7 +354,7 @@ def test_monotone_fast_path_equals_general_loop(data, kind):
     lags += [data.draw(st.integers(max(1, n // 2), 2 * n), label="long lag"), 2 * n + 1]
     lags = data.draw(st.permutations(lags), label="lags")
     with np.errstate(invalid="ignore"):
-        got = holder_analysis._nested_sup_increments(values, lags)
+        got = holder_analysis._nested_sup_increments(values[None], lags)[0]
         assert got.tobytes() == nested_sup_reference(values, lags).tobytes()
 
 
