@@ -7,10 +7,11 @@ pathwise local-time identities) and the exact Gaussian transition, unbiased
 at any step size and therefore safe for stiff drifts.
 
 Randomness is drawn from counter-based Philox streams keyed by
-(seed, path_index), with step k consuming the k-th draw of the stream, so a
-sample is a pure function of (seed, path_index, step) and results never
-depend on execution order or worker count.  A stream is built straight from
-its key, without reading OS entropy.
+(seed, path_index), row k of the table taking the k-th draw, so a walked sample
+is a pure function of (seed, path_index, step), a recorded one (terminal_values)
+of (seed, path_index, horizon index), and results never depend on execution
+order or worker count.  A stream is built straight from its key, without
+reading OS entropy.
 
 One engine, walk, steps at most _TILE_PATHS = 256 paths through a table
 time-major over blocks of BLOCK_STEPS steps, drawing each block from the
@@ -22,15 +23,17 @@ call per step.  walk writes every block into the same buffers, so a yielded
 block is valid only until the next one is requested, and memory is
 O(paths x block) unless whole paths are kept.  ensemble(spec, T, h, scheme,
 seed, n_paths, reduce, ...) checks its integer arguments, builds the table on
-grid(T, h), cuts the batch into tasks of at most 256 paths, so a task's one
-values block (the scan runs in place on the noise) is 2 MB, walks each task
-and hands its blocks to the caller's reducer (a level sweep, or snapshots of
-them or of a running kernel integral at the horizons' steps) as they come.
+grid(T, h) (for terminal_values, one row per horizon gap: _gap_table), cuts
+the batch into tasks of at most 256 paths, so a task's one values block (the
+scan runs in place on the noise) is 2 MB, walks each task and hands its
+blocks to the caller's reducer (a level sweep, or snapshots of them or of a
+running kernel integral at the horizons' steps) as they come.
 The calling thread and a pool share the tasks, by default on every core, or on
 one thread when the table is too short to gain from more.  Memory is the
 thread count times one task's working set; results are bit-identical for any
-BLOCK_STEPS, chunk size, task width and thread count.  An Euler single path
-redraws its increments.
+chunk size, task width and thread count, and any BLOCK_STEPS but in the Euler
+gap table, composed BLOCK_STEPS steps at a time.  An Euler single path redraws
+its increments.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from numpy.random import Generator, Philox
 from numpy.random.bit_generator import ISeedSequence
 
 from . import drift as drift_mod
-from .errors import DomainError
+from .errors import DomainError, NumericsError
 
 _MASK64 = (1 << 64) - 1
 _COUNTER0 = np.zeros(4, dtype=np.uint64)
@@ -183,29 +186,59 @@ def exact_transition_table(spec, times):
     """Per-step decay factors and noise standard deviations of the true transition.
 
     X_{t_{k+1}} = exp(-(A(t_{k+1}) - A(t_k))) X_{t_k} + N(0, Var(X_{t_{k+1}} | X_{t_k})).
+    An A that overflows is a NumericsError naming the first time where it does.
     """
+    with np.errstate(over="ignore"):  # A is nondecreasing, so it overflows if it does at the last time
+        if drift_mod.eval_antiderivative(spec, times[-1]) == math.inf:
+            first = np.argmax(drift_mod.eval_antiderivative(spec, times) == math.inf)
+            raise NumericsError(f"A(t) overflows to inf at t={times[first]}")
     a = drift_mod.eval_antiderivative(spec, np.asarray(times, dtype=float))
     decays = np.subtract(a[:-1], a[1:], out=a[:-1])  # bit for bit -np.diff(a); both columns are built in place
     stds = drift_mod.decay_integral_steps(spec, times, 2.0)
     return np.exp(decays, out=decays), np.sqrt(stds, out=stds)
 
 
-def transition_table(spec, times, scheme):
+def transition_table(spec, times, scheme, h=None):
     """The (decays, stds) table that walk steps for a scheme on a uniform grid.
 
-    exact: exact_transition_table.  euler: its first-order form (1 - h * alpha(t_k), sqrt(h)),
-    whose decay is negative exactly where h * alpha(t_k) > 1.  The Euler stds are one
-    read-only value broadcast over the grid, so the table holds 8 B per step.
+    exact: exact_transition_table.  euler: its first-order form (1 - h * alpha(t_k), sqrt(h)), h being
+    times[1] - times[0] unless given; a decay is negative exactly where h * alpha(t_k) > 1.  The Euler
+    stds are one read-only value broadcast over the grid, so the table holds 8 B per step.
     """
     if scheme == "exact":
         return exact_transition_table(spec, times)
     if scheme != "euler":
         raise DomainError(f"scheme must be euler or exact, got {scheme!r}")
-    h = float(times[1] - times[0])
+    h = float(times[1] - times[0]) if h is None else h
     decays = np.asarray(drift_mod.eval_alpha(spec, times[:-1]), dtype=float)
     decays *= -h
     decays += 1.0  # in place, bit for bit 1.0 - h * alpha
     return decays, np.broadcast_to(math.sqrt(h), len(decays))
+
+
+def _gap_table(spec, knots, h, scheme):
+    """The (decays, stds) table of a scheme's chain over the gaps between grid steps 0 = knots[0] < knots[1] < ...
+
+    exact: transition_table on the knot times knots * h.  euler: the grid's Euler steps d_k composed over each
+    gap, D = prod d_k and S^2 = h * sum_k (prod_{j>k} d_j)^2, on pieces of at most BLOCK_STEPS steps joined by
+    (D, V) <- (D * D_p, D_p^2 * V + V_p), so memory is flat.  A gap whose D or S is not finite is a NumericsError.
+    """
+    if scheme != "euler":
+        decays, stds = transition_table(spec, knots * h, scheme)
+    else:
+        decays, stds = np.ones(len(knots) - 1), np.zeros(len(knots) - 1)  # stds hold V until the sqrt
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j, (k0, k1) in enumerate(zip(knots[:-1].tolist(), knots[1:].tolist())):
+                for lo in range(k0, k1, BLOCK_STEPS):
+                    d = transition_table(spec, np.arange(lo, min(lo + BLOCK_STEPS, k1) + 1) * h, scheme, h)[0]
+                    after = np.cumprod(d[::-1])  # after[i] = d_{b-1-i} ... d_{b-1}; after[-1] is D_p
+                    stds[j] = after[-1] ** 2 * stds[j] + h * (1.0 + after[:-1] @ after[:-1])
+                    decays[j] *= after[-1]
+            np.sqrt(stds, out=stds)
+    bad = ~(np.isfinite(decays) & np.isfinite(stds))
+    if bad.any():
+        raise NumericsError(f"horizons: the {scheme} chain is not finite up to t={knots[np.argmax(bad) + 1] * h}")
+    return decays, stds
 
 
 def _scan_plan(values, decays, prods, temp, start):
@@ -330,11 +363,12 @@ def _cores():
         return os.cpu_count() or 1
 
 
-def ensemble(spec, T, h, scheme, seed, n_paths, reduce, chunk=None, threads=None):
+def ensemble(spec, T, h, scheme, seed, n_paths, reduce, chunk=None, threads=None, knots=None):
     """Stack reduce(path_indices, walk(table, seed, path_indices)) over tasks of paths 0 .. n_paths-1.
 
     seed, n_paths, chunk and threads are checked first; only then is the table,
     transition_table(spec, grid(T, h), scheme), built, and it is dropped on return.
+    Given knots (grid steps from 0 up), the table is _gap_table(spec, knots, h, scheme) and T is unread.
     reduce takes a task's paths and the blocks of their walk, and returns its
     rows, one per path unless it sums them.  A task holds at most chunk paths
     and at most _TILE_PATHS, the widest walk.  A batch of fewer than two such
@@ -351,7 +385,7 @@ def ensemble(spec, T, h, scheme, seed, n_paths, reduce, chunk=None, threads=None
     for name, value in (("n_paths", n_paths), ("chunk", chunk), ("threads", threads)):
         if value is not None and not (isinstance(value, numbers.Integral) and value >= 1):
             raise DomainError(f"{name} must be an integer of at least 1, got {value!r}")
-    table = transition_table(spec, grid(T, h), scheme)
+    table = transition_table(spec, grid(T, h), scheme) if knots is None else _gap_table(spec, knots, h, scheme)
     workers = 1 if len(table[0]) < _SERIAL_STEPS else _cores() if threads is None else threads
     width = min(_TILE_PATHS, n_paths if chunk is None else chunk)
     if n_paths < 2 * width:  # a small batch: one task per thread, each of a draw slab or more
@@ -411,16 +445,22 @@ def exact_path(spec, T, h, seed=0, path_index=0):
 def terminal_values(spec, horizons, h, n_paths, seed, scheme="exact", chunk=4096, threads=None):
     """X at each horizon for n_paths independent paths, shape (n_paths, len(horizons)).
 
-    The horizons must be nonnegative and nondecreasing (horizon_steps).  chunk
-    bounds the paths stepped together; ensemble caps it at _TILE_PATHS.  Neither
-    it nor threads changes a bit of the result.
+    The horizons must be nonnegative and nondecreasing (horizon_steps).  A path
+    takes one draw per distinct nonzero horizon, walking the chain composed over
+    the gaps between them (_gap_table), so exact values depend on h only through
+    the horizons, and Euler values through the chain too.  chunk bounds the
+    paths stepped together; ensemble caps it at _TILE_PATHS.  Neither it nor
+    threads changes a bit of the result.
     """
     steps = horizon_steps(horizons, h)
+    new = np.diff(steps, prepend=0) > 0  # each distinct nonzero horizon ends a gap
+    knots = np.append(0, steps[new])
+    rows = np.cumsum(new)  # the walk's step r is X at knots[r]; step 0 reads 0.0
 
     def reduce(idx, blocks):
-        return snapshots(blocks, steps, (len(idx), len(steps)))
+        return snapshots(blocks, rows, (len(idx), len(rows)))
 
-    return ensemble(spec, horizons[-1], h, scheme, seed, n_paths, reduce, chunk, threads)
+    return ensemble(spec, horizons[-1], h, scheme, seed, n_paths, reduce, chunk, threads, knots=knots)
 
 
 def batch_terminal_stats(spec, horizons, h, n_paths, seed, scheme="exact", threads=None):

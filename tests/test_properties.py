@@ -20,7 +20,7 @@ from bridgelab import drift, holder_analysis, local_time, simulate
 from bridgelab.config import ExperimentConfig, parse_config, to_text
 from bridgelab.drift import DriftSpec, decay_integral, decay_integrals, eval_antiderivative, running_sup
 from bridgelab.gaussian_law import build_cov_matrix, conditional_variance, det_bounds, det_by_conditioning, lu_det
-from bridgelab.simulate import euler_path, exact_path, grid, terminal_values
+from bridgelab.simulate import euler_path, exact_path, grid
 
 HORIZON = 3.0
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
@@ -184,13 +184,17 @@ def ensembles(draw):
     st.integers(1, 16),
     st.sampled_from([1, 2]),
 )
-def test_terminal_values_equal_single_paths(ensemble, scheme, seed, n_paths, chunk, threads):
-    # a one-path chunk steps the same scan as a chunk of several paths
+def test_ensemble_snapshots_equal_single_paths(ensemble, scheme, seed, n_paths, chunk, threads):
+    # a one-path chunk steps the same scan as a chunk of several paths, over every grid step
     spec, horizons, h = ensemble
+    steps = np.rint(horizons / h).astype(int)
+
+    def reduce(idx, blocks):
+        return simulate.snapshots(blocks, steps, (len(idx), len(steps)))
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulate, "_SERIAL_STEPS", 0)  # let these short walks use the threads
-        got = terminal_values(spec, horizons, h, n_paths, seed, scheme, chunk=chunk, threads=threads)
-    steps = np.rint(horizons / h).astype(int)
+        got = simulate.ensemble(spec, horizons[-1], h, scheme, seed, n_paths, reduce, chunk, threads)
     one_path = euler_path if scheme == "euler" else exact_path
     for i in range(n_paths):
         single = one_path(spec, horizons[-1], h, seed=seed, path_index=i).values[steps]

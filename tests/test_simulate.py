@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -10,7 +11,7 @@ from numpy.random import Generator, Philox
 
 from bridgelab import local_time, simulate
 from bridgelab.drift import DriftSpec, decay_integral_steps, eval_alpha, eval_antiderivative
-from bridgelab.errors import DomainError
+from bridgelab.errors import DomainError, NumericsError
 from bridgelab.gaussian_law import abs_moment, variance
 from bridgelab.holder_analysis import space_modulus, time_bound_fits, time_profile
 from bridgelab.local_time import kernel_ensemble
@@ -32,6 +33,17 @@ def flat_ensemble(n_steps, *args, **kwargs):
     """simulate.ensemble on the (ones, ones) table of n_steps steps, Brownian motion's Euler table at h = 1,
     for reducers that never walk it."""
     return simulate.ensemble(BM, n_steps, 1.0, "euler", *args, **kwargs)
+
+
+def grid_snapshots(spec, horizons, h, n_paths, seed, scheme="exact", chunk=None, threads=None):
+    """X at the horizons from simulate.ensemble's walk of every grid step, read by a snapshots reducer:
+    the walk that terminal_values no longer takes, for tests of the walk itself."""
+    steps = simulate.horizon_steps(horizons, h)
+
+    def reduce(idx, blocks):
+        return simulate.snapshots(blocks, steps, (len(idx), len(steps)))
+
+    return simulate.ensemble(spec, horizons[-1], h, scheme, seed, n_paths, reduce, chunk, threads)
 
 
 def scalar_scan(decays, noise):
@@ -252,16 +264,109 @@ class TestBatchStats:
             terminal_values(DriftSpec.power(1.0), horizons, 0.01, 3, 5, scheme="euler")
 
 
+def euler_chain(decays, h, knots):
+    """(D, V) of the Euler chain over each gap between the grid steps knots, one step at a time on Python floats."""
+    out = []
+    for k0, k1 in zip(knots[:-1], knots[1:]):
+        d_gap, v = 1.0, 0.0
+        for d in decays[k0:k1].tolist():
+            d_gap, v = d_gap * d, d * d * v + h
+        out.append((d_gap, v))
+    return np.array(out).T
+
+
+class TestHorizonTable:
+    # terminal_values walks one row per gap between distinct horizons, not the step grid
+    @pytest.mark.parametrize("scheme", ["euler", "exact"])
+    def test_terminal_values_are_the_composed_recursion_on_the_stream(self, scheme):
+        horizons, rows = [0.0, 0.5, 0.5, 1.25, 3.0], [0, 1, 1, 2, 3]
+        got = terminal_values(BRIDGE, horizons, 0.01, 70, 8, scheme, chunk=16)
+        decays, stds = simulate._gap_table(BRIDGE, np.array([0, 50, 125, 300]), 0.01, scheme)
+        for p in range(70):
+            x, expected = 0.0, [0.0]
+            for d, s, w in zip(decays.tolist(), stds.tolist(), simulate._normals(8, p, 3).tolist()):
+                x = d * x + s * w
+                expected.append(x)
+            assert got[p].tobytes() == np.array(expected)[rows].tobytes()
+
+    @pytest.mark.parametrize("scheme", ["euler", "exact"])
+    def test_no_step_grid_is_built(self, monkeypatch, scheme):
+        def refuse(*args):
+            raise AssertionError("the step grid was built")
+
+        monkeypatch.setattr(simulate, "grid", refuse)
+        assert terminal_values(BRIDGE, [1.0, 2.0], 1e-3, 4, 0, scheme).shape == (4, 2)
+
+    @pytest.mark.parametrize(
+        "spec, h, knots",
+        [
+            (DriftSpec.power(0.8), 1e-3, [0, 1, 1030, 3000]),
+            (DriftSpec.power(2.0), 1e-3, [0, 700, 2600, 4000]),
+            (DriftSpec.exponential(1.5), 1e-3, [0, 2500]),
+            (DriftSpec.tabulated([0.0, 1.0, 2.0, 3.0], [0.0, 2.0, 0.5, 1.0]), 1e-3, [0, 1500, 3000]),
+            (DriftSpec.power(2.0), 0.25, [0, 9, 24]),  # h * alpha > 1 past t = 2: negative decays
+        ],
+        ids=["power0.8", "power2", "exponential1.5", "tabulated", "negative_decays"],
+    )
+    def test_composed_euler_table_is_the_step_by_step_chain(self, spec, h, knots):
+        decays, stds = simulate._gap_table(spec, np.array(knots), h, "euler")
+        grid_decays = transition_table(spec, grid(knots[-1] * h, h), "euler")[0]
+        chain_d, chain_v = euler_chain(grid_decays, h, knots)
+        assert np.all(np.abs(stds**2 - chain_v) <= 1e-13 * chain_v)
+        assert np.all(np.abs(decays - chain_d) <= 1e-13 * np.abs(chain_d))  # a decay of 0 at t = 2 is exact
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            DriftSpec.power(0.8),
+            DriftSpec.power(2.0),
+            DriftSpec.exponential(1.5),
+            DriftSpec.tabulated([0.0, 1.0, 2.0, 3.0], [0.0, 2.0, 0.5, 1.0]),
+        ],
+        ids=["power0.8", "power2", "exponential1.5", "tabulated"],
+    )
+    def test_composed_exact_table_holds_the_law(self, spec):
+        knots = np.array([0, 50, 125, 300])
+        decays, stds = simulate._gap_table(spec, knots, 0.01, "exact")
+        v = 0.0
+        for d, s, k in zip(decays, stds, knots[1:]):
+            v = d * d * v + s * s
+            assert abs(v / variance(spec, k * 0.01) - 1.0) <= 1e-12
+
+    def test_a_chain_that_leaves_the_floats_is_a_numerics_error(self):
+        # Euler decays 1 - h t^2 reach -5000 on power(2) at h = 0.5; an exponential A overflows past t ~ 1419
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericsError, match="^horizons: the euler chain is not finite up to t=100.0$"):
+                terminal_values(DriftSpec.power(2.0), [100.0], 0.5, 4, 0, "euler")
+            with pytest.raises(NumericsError, match=r"^A\(t\) overflows to inf at t=1500.0$"):
+                terminal_values(DriftSpec.exponential(0.5), [1.0, 1500.0], 1.0, 4, 0, "exact")
+
+    @pytest.mark.parametrize("scheme", ["euler", "exact"])
+    def test_memory_does_not_grow_with_the_horizon_steps(self, scheme):
+        # a table on the grid would hold 8.4 MB at 2^20 steps
+        def peak(log2_steps):
+            tracemalloc.start()
+            try:
+                terminal_values(BRIDGE, [0.5, 1.0], 2.0**-log2_steps, 64, 0, scheme)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(4)  # first-call allocations
+        assert peak(20) <= peak(16) + 2**14
+
+
 class TestDeterminismAcrossExecution:
     def test_chunking_does_not_change_results(self):
-        a = terminal_values(BRIDGE, [2.0], h=0.1, n_paths=300, seed=9, chunk=7)
-        b = terminal_values(BRIDGE, [2.0], h=0.1, n_paths=300, seed=9, chunk=4096)
+        a = grid_snapshots(BRIDGE, [2.0], 0.1, 300, 9, chunk=7)
+        b = grid_snapshots(BRIDGE, [2.0], 0.1, 300, 9, chunk=4096)
         assert np.array_equal(a, b)
 
     def test_threads_do_not_change_results(self, monkeypatch):
         monkeypatch.setattr(simulate, "_SERIAL_STEPS", 0)  # let the 20-step walk use the threads
-        a = terminal_values(BRIDGE, [2.0], h=0.1, n_paths=300, seed=9, chunk=32, threads=1)
-        b = terminal_values(BRIDGE, [2.0], h=0.1, n_paths=300, seed=9, chunk=32, threads=4)
+        a = grid_snapshots(BRIDGE, [2.0], 0.1, 300, 9, chunk=32, threads=1)
+        b = grid_snapshots(BRIDGE, [2.0], 0.1, 300, 9, chunk=32, threads=4)
         assert np.array_equal(a, b)
 
 
@@ -287,15 +392,12 @@ class TestStreamingEngine:
     @pytest.mark.parametrize("block", [1, 7, 10**6])
     def test_block_length_does_not_change_results(self, monkeypatch, block):
         table = transition_table(BRIDGE, grid(2.0, 0.01), "euler")
-        ref = [
-            terminal_values(BRIDGE, [0.5, 2.0], h=0.01, n_paths=40, seed=4, scheme=scheme, chunk=16)
-            for scheme in ("euler", "exact")
-        ]
+        ref = [grid_snapshots(BRIDGE, [0.5, 2.0], 0.01, 40, 4, scheme, chunk=16) for scheme in ("euler", "exact")]
         ref_block = simulate._trajectories(table, 4, [0, 3, 9])
         ref_path = euler_path(BRIDGE, T=2.0, h=0.01, seed=4, path_index=3)
         monkeypatch.setattr(simulate, "BLOCK_STEPS", block)
         for scheme, expected in zip(("euler", "exact"), ref):
-            got = terminal_values(BRIDGE, [0.5, 2.0], h=0.01, n_paths=40, seed=4, scheme=scheme, chunk=16)
+            got = grid_snapshots(BRIDGE, [0.5, 2.0], 0.01, 40, 4, scheme, chunk=16)
             assert got.tobytes() == expected.tobytes()
         assert simulate._trajectories(table, 4, [0, 3, 9]).tobytes() == ref_block.tobytes()
         path = euler_path(BRIDGE, T=2.0, h=0.01, seed=4, path_index=3)
@@ -342,12 +444,12 @@ class TestStreamingEngine:
     def test_default_threads_equal_one_and_three(self, monkeypatch, scheme):
         monkeypatch.setattr(simulate, "_SERIAL_STEPS", 0)  # let the 200-step walk use the threads
         args = (BRIDGE, [0.5, 2.0], 0.01, 70, 13, scheme)
-        ref = terminal_values(*args, chunk=16, threads=1)
-        assert terminal_values(*args, chunk=16, threads=3).tobytes() == ref.tobytes()
-        assert terminal_values(*args, chunk=16).tobytes() == ref.tobytes()
+        ref = grid_snapshots(*args, chunk=16, threads=1)
+        assert grid_snapshots(*args, chunk=16, threads=3).tobytes() == ref.tobytes()
+        assert grid_snapshots(*args, chunk=16).tobytes() == ref.tobytes()
         for cores in (1, 3):
             monkeypatch.setattr(simulate, "_cores", lambda cores=cores: cores)
-            assert terminal_values(*args, chunk=16).tobytes() == ref.tobytes()
+            assert grid_snapshots(*args, chunk=16).tobytes() == ref.tobytes()
 
     def test_default_threads_use_every_core_up_to_the_chunks(self, monkeypatch):
         pools = []  # threads each pool run used: its workers and the calling thread
@@ -373,9 +475,9 @@ class TestStreamingEngine:
         monkeypatch.setattr(simulate, "ThreadPoolExecutor", pool)
         monkeypatch.setattr(simulate, "_cores", lambda: 2)
         args = (BRIDGE, [1.0], 0.01, 600, 3, "euler")
-        ref = terminal_values(*args, threads=1)
-        assert terminal_values(*args).tobytes() == ref.tobytes()
-        assert terminal_values(*args, threads=2).tobytes() == ref.tobytes()
+        ref = grid_snapshots(*args, threads=1)
+        assert grid_snapshots(*args).tobytes() == ref.tobytes()
+        assert grid_snapshots(*args, threads=2).tobytes() == ref.tobytes()
         assert pools == []
 
         def widths(n_paths, n_steps):
@@ -503,7 +605,7 @@ class TestStreamingEngine:
     def test_task_memory_does_not_grow_with_chunk_or_paths(self, monkeypatch):
         # a task's working set is one tile's: chunk=4096 peaks where chunk=256 does, and
         # kernel_ensemble over four tiles of paths where it does over one; its reducer's row
-        # tiles add little to the walk blocks that terminal_values holds for the same paths
+        # tiles add little to the walk blocks that a snapshots reducer holds for the same paths
         def peak(call):
             tracemalloc.start()
             try:
@@ -514,11 +616,11 @@ class TestStreamingEngine:
 
         tile = simulate._TILE_PATHS
         args = (BRIDGE, [2.0], 1e-3, 4 * tile, 0, "euler")
-        narrow = peak(lambda: terminal_values(*args, chunk=tile, threads=1))
-        wide = peak(lambda: terminal_values(*args, chunk=4096, threads=1))
+        narrow = peak(lambda: grid_snapshots(*args, chunk=tile, threads=1))
+        wide = peak(lambda: grid_snapshots(*args, chunk=4096, threads=1))
         assert abs(wide - narrow) < 0.05 * narrow
         monkeypatch.setattr(simulate, "_cores", lambda: 1)
-        walk = peak(lambda: terminal_values(BRIDGE, [1.0], 1e-3, tile, 0, "euler", threads=1))
+        walk = peak(lambda: grid_snapshots(BRIDGE, [1.0], 1e-3, tile, 0, "euler", threads=1))
         one = peak(lambda: kernel_ensemble(BRIDGE, 0.0, [1e-3], [1.0], 1e-3, tile, 0))
         four = peak(lambda: kernel_ensemble(BRIDGE, 0.0, [1e-3], [1.0], 1e-3, 4 * tile, 0))
         assert four < 1.05 * one
@@ -529,7 +631,7 @@ class TestStreamingEngine:
         # a separate 2 MB noise block read 5.41 MB
         tracemalloc.start()
         try:
-            terminal_values(BRIDGE, [20.0], 1e-3, simulate._TILE_PATHS, 0, "euler", threads=1)
+            grid_snapshots(BRIDGE, [20.0], 1e-3, simulate._TILE_PATHS, 0, "euler", threads=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -589,7 +691,7 @@ class TestStreamingEngine:
         # 64 paths x 2e5 steps: the whole-horizon noise alone would take 102 MB
         tracemalloc.start()
         try:
-            terminal_values(BRIDGE, [2.0], h=1e-5, n_paths=64, seed=0, scheme="euler", chunk=64)
+            grid_snapshots(BRIDGE, [2.0], 1e-5, 64, 0, "euler", chunk=64)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -599,7 +701,7 @@ class TestStreamingEngine:
         # the transition table is built in fixed batches of steps: O(steps) output, bounded work arrays
         tracemalloc.start()
         try:
-            terminal_values(BRIDGE, [2.0], h=1e-5, n_paths=64, seed=0, scheme="exact", chunk=64)
+            grid_snapshots(BRIDGE, [2.0], 1e-5, 64, 0, "exact", chunk=64)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
