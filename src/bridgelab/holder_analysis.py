@@ -164,7 +164,7 @@ def time_profile(spec, T, h, n_paths, seed, scales, scheme="euler"):
                 rows += cum[:, j, 0]
         return total
 
-    sums = simulate.ensemble(spec, T, h, scheme, seed, n_paths, summed, chunk=_MEAN_PATHS)
+    sums = simulate.ensemble(spec, range(n + 1), h, scheme, seed, n_paths, summed, chunk=_MEAN_PATHS)
     mean = sums[0]
     for row in sums[1:]:
         mean += row
@@ -228,8 +228,19 @@ def time_bound_fits(spec, horizons, h, n_paths, seed):
             sups.feed(cum[r0:, :, 0])
         return np.stack(snaps, axis=1)
 
-    sups = simulate.ensemble(spec, horizons[-1], h, "euler", seed, n_paths, snapshots)
+    sups = simulate.ensemble(spec, range(steps[-1] + 1), h, "euler", seed, n_paths, snapshots)
     return np.stack([_bound_fit(sups[:, j], lags, h, T, spec) for j, T in enumerate(horizons)], axis=1)
+
+
+def _sweep_levels(h, x_grid, eps):
+    """x_grid as a float array; DomainError unless h and eps are positive and finite and the levels nondecreasing."""
+    for name, value in (("h", h), ("eps", eps)):
+        if not 0 < value < math.inf:
+            raise DomainError(f"{name} must be positive and finite, got {value}")
+    x = np.asarray(x_grid, dtype=float)
+    if not np.all(x[1:] >= x[:-1]):
+        raise DomainError("levels must be nondecreasing")
+    return x
 
 
 class _LevelSweep:
@@ -243,12 +254,6 @@ class _LevelSweep:
     """
 
     def __init__(self, n_paths, h, x, eps):
-        if not 0 < h < math.inf:
-            raise DomainError(f"h must be positive and finite, got {h}")
-        if not 0 < eps < math.inf:
-            raise DomainError(f"eps must be positive and finite, got {eps}")
-        if not np.all(x[1:] >= x[:-1]):
-            raise DomainError("levels must be nondecreasing")
         self.h, self.x, self.eps = float(h), x, eps
         self.reach = 10.0 * math.sqrt(eps)
         self.out = np.zeros((n_paths, len(x)))
@@ -295,7 +300,7 @@ def level_sweep(path_values, h, x_grid, eps):
     10 sqrt(eps) of the piece's range, so kernel terms below exp(-50) of the
     peak are dropped (the truncated sweep of Wand 1994).
     """
-    sweep = _LevelSweep(1, h, np.asarray(x_grid, dtype=float), eps)
+    sweep = _LevelSweep(1, h, _sweep_levels(h, x_grid, eps), eps)
     sweep.feed(np.asarray(path_values, dtype=float)[:, None])
     return sweep.total()[0]
 
@@ -311,7 +316,8 @@ def space_modulus(spec, t, x_grid, n_paths, h, seed, eps, scheme="euler", thread
     three); profiles are averaged over paths (max within a path, then mean
     across paths) and fitted in log-log coordinates.
     """
-    x = np.asarray(x_grid, dtype=float)
+    x = _sweep_levels(h, x_grid, eps)  # checked before the table is built, and once
+    n = simulate.grid_steps(t, h)
     dx = _uniform_spacing(x)
     n_dyadic = max(3, int(math.floor(math.log2((x[-1] - x[0]) / (4 * dx)))) + 1)
     scales, lags = _scale_lags(dx * 2.0 ** np.arange(n_dyadic), dx)
@@ -323,5 +329,5 @@ def space_modulus(spec, t, x_grid, n_paths, h, seed, eps, scheme="euler", thread
             sweep.feed(values)
         return _nested_sup_increments(sweep.total(), lags)
 
-    sups = simulate.ensemble(spec, t, h, scheme, seed, n_paths, profiles, threads=threads)
+    sups = simulate.ensemble(spec, range(n + 1), h, scheme, seed, n_paths, profiles, threads=threads)
     return _fitted_profile(scales, np.mean(sups, axis=0))

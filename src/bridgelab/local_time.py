@@ -200,7 +200,7 @@ def kernel_ensemble(spec, x, eps_list, horizons, h, n_paths, seed, scheme="euler
     def curves(idx, blocks):
         return simulate.snapshots(kernel_tiles(blocks, x, eps, h, steps), steps, (len(idx), len(steps), len(eps)))
 
-    return simulate.ensemble(spec, horizons[-1], h, scheme, seed, n_paths, curves)
+    return simulate.ensemble(spec, range(steps[-1] + 1), h, scheme, seed, n_paths, curves)
 
 
 def cauchy_diagnostic(spec, x, t, eps_ladder, n_paths, seed):

@@ -1,7 +1,8 @@
 """Path generation for the bridge SDE dX = -alpha(t) X dt + dW, X_0 = 0.
 
-Both schemes step one affine recursion x <- decay_k * x + std_k * N_k, and a
-scheme is nothing but its (decays, stds) table (transition_table): plain Euler
+Both schemes step one affine recursion x <- decay_k * x + std_k * N_k between
+increasing grid steps, the knots, and a scheme is nothing but its (decays, stds)
+table (transition_table(spec, knots, h, scheme), one row per gap): plain Euler
 (used by the preset experiments; retains the driving Brownian increments for
 pathwise local-time identities) and the exact Gaussian transition, unbiased
 at any step size and therefore safe for stiff drifts.
@@ -21,19 +22,18 @@ aligned to step 0, and a block is a whole number of sub-blocks, so a numpy call
 covers every sub-block of the block at once and a narrow walk does not pay one
 call per step.  walk writes every block into the same buffers, so a yielded
 block is valid only until the next one is requested, and memory is
-O(paths x block) unless whole paths are kept.  ensemble(spec, T, h, scheme,
-seed, n_paths, reduce, ...) checks its integer arguments, builds the table on
-grid(T, h) (for terminal_values, one row per horizon gap: _gap_table), cuts
-the batch into tasks of at most 256 paths, so a task's one values block (the
-scan runs in place on the noise) is 2 MB, walks each task and hands its
-blocks to the caller's reducer (a level sweep, or snapshots of them or of a
-running kernel integral at the horizons' steps) as they come.
-The calling thread and a pool share the tasks, by default on every core, or on
-one thread when the table is too short to gain from more.  Memory is the
-thread count times one task's working set; results are bit-identical for any
-chunk size, task width and thread count, and any BLOCK_STEPS but in the Euler
-gap table, composed BLOCK_STEPS steps at a time.  An Euler single path redraws
-its increments.
+O(paths x block) unless whole paths are kept.  ensemble(spec, knots, h,
+scheme, seed, n_paths, reduce, ...) checks its integer arguments, builds
+transition_table(spec, knots, h, scheme), cuts the batch into tasks of at most
+256 paths, so a task's one values block (the scan runs in place on the noise)
+is 2 MB, walks each task and hands its blocks to the caller's reducer (a level
+sweep, or snapshots of them or of a running kernel integral at the horizons'
+steps) as they come.  The calling thread and a pool share the tasks, by default
+on every core, or on one thread when the table is too short to gain from more.
+Memory is the thread count times one task's working set; results are
+bit-identical for any chunk size, task width and thread count, and any
+BLOCK_STEPS but in an Euler table of longer gaps, composed BLOCK_STEPS steps at
+a time.  An Euler single path redraws its increments.
 """
 
 from __future__ import annotations
@@ -198,46 +198,39 @@ def exact_transition_table(spec, times):
     return np.exp(decays, out=decays), np.sqrt(stds, out=stds)
 
 
-def transition_table(spec, times, scheme, h=None):
-    """The (decays, stds) table that walk steps for a scheme on a uniform grid.
+def transition_table(spec, knots, h, scheme):
+    """The (decays, stds) table of a scheme's chain between grid steps knots[0] < knots[1] < ..., one row per gap.
 
-    exact: exact_transition_table.  euler: its first-order form (1 - h * alpha(t_k), sqrt(h)), h being
-    times[1] - times[0] unless given; a decay is negative exactly where h * alpha(t_k) > 1.  The Euler
-    stds are one read-only value broadcast over the grid, so the table holds 8 B per step.
+    knots: an increasing integer array, or a range such as a grid walk's range(n + 1), every gap one step.
+    exact: exact_transition_table on the times knots * h.  euler on unit gaps: (1 - h * alpha(t_k), sqrt(h)), a
+    decay negative exactly where h * alpha(t_k) > 1 and the stds one read-only value broadcast, 8 B per step.
+    euler on longer gaps: the unit steps composed over each gap, D = prod d_k, S^2 = h * sum_k (prod_{j>k} d_j)^2,
+    in pieces of at most BLOCK_STEPS steps joined by (D, V) <- (D * D_p, D_p^2 * V + V_p); NumericsError if not finite.
     """
+    if scheme not in ("euler", "exact"):
+        raise DomainError(f"scheme must be euler or exact, got {scheme!r}")
+    h = float(h)
+    unit = knots[-1] - knots[0] == len(knots) - 1  # every gap one step, told without reading the knots
+    times = (np.arange(knots[0], knots[-1] + 1) if unit else np.asarray(knots)) * h
     if scheme == "exact":
         return exact_transition_table(spec, times)
-    if scheme != "euler":
-        raise DomainError(f"scheme must be euler or exact, got {scheme!r}")
-    h = float(times[1] - times[0]) if h is None else h
-    decays = np.asarray(drift_mod.eval_alpha(spec, times[:-1]), dtype=float)
-    decays *= -h
-    decays += 1.0  # in place, bit for bit 1.0 - h * alpha
-    return decays, np.broadcast_to(math.sqrt(h), len(decays))
-
-
-def _gap_table(spec, knots, h, scheme):
-    """The (decays, stds) table of a scheme's chain over the gaps between grid steps 0 = knots[0] < knots[1] < ...
-
-    exact: transition_table on the knot times knots * h.  euler: the grid's Euler steps d_k composed over each
-    gap, D = prod d_k and S^2 = h * sum_k (prod_{j>k} d_j)^2, on pieces of at most BLOCK_STEPS steps joined by
-    (D, V) <- (D * D_p, D_p^2 * V + V_p), so memory is flat.  A gap whose D or S is not finite is a NumericsError.
-    """
-    if scheme != "euler":
-        decays, stds = transition_table(spec, knots * h, scheme)
-    else:
-        decays, stds = np.ones(len(knots) - 1), np.zeros(len(knots) - 1)  # stds hold V until the sqrt
-        with np.errstate(over="ignore", invalid="ignore"):
-            for j, (k0, k1) in enumerate(zip(knots[:-1].tolist(), knots[1:].tolist())):
-                for lo in range(k0, k1, BLOCK_STEPS):
-                    d = transition_table(spec, np.arange(lo, min(lo + BLOCK_STEPS, k1) + 1) * h, scheme, h)[0]
-                    after = np.cumprod(d[::-1])  # after[i] = d_{b-1-i} ... d_{b-1}; after[-1] is D_p
-                    stds[j] = after[-1] ** 2 * stds[j] + h * (1.0 + after[:-1] @ after[:-1])
-                    decays[j] *= after[-1]
-            np.sqrt(stds, out=stds)
+    if unit:
+        decays = np.asarray(drift_mod.eval_alpha(spec, times[:-1]), dtype=float)
+        decays *= -h
+        decays += 1.0  # in place, bit for bit 1.0 - h * alpha
+        return decays, np.broadcast_to(math.sqrt(h), len(decays))
+    decays, stds = np.ones(len(knots) - 1), np.zeros(len(knots) - 1)  # stds hold V until the sqrt
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, (k0, k1) in enumerate(zip(knots[:-1], knots[1:])):
+            for lo in range(k0, k1, BLOCK_STEPS):
+                d = transition_table(spec, range(lo, min(lo + BLOCK_STEPS, k1) + 1), h, scheme)[0]
+                after = np.cumprod(d[::-1])  # after[i] = d_{b-1-i} ... d_{b-1}; after[-1] is D_p
+                stds[j] = after[-1] ** 2 * stds[j] + h * (1.0 + after[:-1] @ after[:-1])
+                decays[j] *= after[-1]
+        np.sqrt(stds, out=stds)
     bad = ~(np.isfinite(decays) & np.isfinite(stds))
     if bad.any():
-        raise NumericsError(f"horizons: the {scheme} chain is not finite up to t={knots[np.argmax(bad) + 1] * h}")
+        raise NumericsError(f"horizons: the {scheme} chain is not finite up to t={times[np.argmax(bad) + 1]}")
     return decays, stds
 
 
@@ -363,12 +356,12 @@ def _cores():
         return os.cpu_count() or 1
 
 
-def ensemble(spec, T, h, scheme, seed, n_paths, reduce, chunk=None, threads=None, knots=None):
+def ensemble(spec, knots, h, scheme, seed, n_paths, reduce, chunk=None, threads=None):
     """Stack reduce(path_indices, walk(table, seed, path_indices)) over tasks of paths 0 .. n_paths-1.
 
     seed, n_paths, chunk and threads are checked first; only then is the table,
-    transition_table(spec, grid(T, h), scheme), built, and it is dropped on return.
-    Given knots (grid steps from 0 up), the table is _gap_table(spec, knots, h, scheme) and T is unread.
+    transition_table(spec, knots, h, scheme), built, and it is dropped on return;
+    a grid walk passes range(n + 1), since an array of knots would live as long.
     reduce takes a task's paths and the blocks of their walk, and returns its
     rows, one per path unless it sums them.  A task holds at most chunk paths
     and at most _TILE_PATHS, the widest walk.  A batch of fewer than two such
@@ -385,7 +378,7 @@ def ensemble(spec, T, h, scheme, seed, n_paths, reduce, chunk=None, threads=None
     for name, value in (("n_paths", n_paths), ("chunk", chunk), ("threads", threads)):
         if value is not None and not (isinstance(value, numbers.Integral) and value >= 1):
             raise DomainError(f"{name} must be an integer of at least 1, got {value!r}")
-    table = transition_table(spec, grid(T, h), scheme) if knots is None else _gap_table(spec, knots, h, scheme)
+    table = transition_table(spec, knots, h, scheme)
     workers = 1 if len(table[0]) < _SERIAL_STEPS else _cores() if threads is None else threads
     width = min(_TILE_PATHS, n_paths if chunk is None else chunk)
     if n_paths < 2 * width:  # a small batch: one task per thread, each of a draw slab or more
@@ -417,8 +410,8 @@ def ensemble(spec, T, h, scheme, seed, n_paths, reduce, chunk=None, threads=None
 
 
 def _single_path(scheme, spec, T, h, seed, path_index):
+    table = transition_table(spec, range(grid_steps(T, h) + 1), h, scheme)
     times = grid(T, h)
-    table = transition_table(spec, times, scheme)
     # walk keeps no noise: an Euler path redraws the increments that drove it, an exact path draws none
     noise = _normals(seed, path_index, len(table[0])) * table[1] if scheme == "euler" else None
     return SamplePath(
@@ -446,9 +439,9 @@ def terminal_values(spec, horizons, h, n_paths, seed, scheme="exact", chunk=4096
     """X at each horizon for n_paths independent paths, shape (n_paths, len(horizons)).
 
     The horizons must be nonnegative and nondecreasing (horizon_steps).  A path
-    takes one draw per distinct nonzero horizon, walking the chain composed over
-    the gaps between them (_gap_table), so exact values depend on h only through
-    the horizons, and Euler values through the chain too.  chunk bounds the
+    takes one draw per distinct nonzero horizon, walking the chain between them
+    (its knots are step 0 and the distinct horizon steps), so exact values depend
+    on h only through the horizons, and Euler values through the chain too.  chunk bounds the
     paths stepped together; ensemble caps it at _TILE_PATHS.  Neither it nor
     threads changes a bit of the result.
     """
@@ -460,7 +453,7 @@ def terminal_values(spec, horizons, h, n_paths, seed, scheme="exact", chunk=4096
     def reduce(idx, blocks):
         return snapshots(blocks, rows, (len(idx), len(rows)))
 
-    return ensemble(spec, horizons[-1], h, scheme, seed, n_paths, reduce, chunk, threads, knots=knots)
+    return ensemble(spec, knots, h, scheme, seed, n_paths, reduce, chunk, threads)
 
 
 def batch_terminal_stats(spec, horizons, h, n_paths, seed, scheme="exact", threads=None):

@@ -387,7 +387,7 @@ class TestSpaceModulus:
         # 70 paths span three tasks; 1000 steps end in a partial sweep piece and a partial walk block
         x = np.linspace(-1, 1, 65)
         h, eps = 1e-3, 1e-3
-        table = simulate.transition_table(BRIDGE, simulate.grid(1.0, h), scheme)
+        table = simulate.transition_table(BRIDGE, range(1001), h, scheme)
         values = simulate._trajectories(table, 3, range(70))
         monkeypatch.setattr(simulate, "_TILE_PATHS", 32)
         profile = space_modulus(BRIDGE, 1.0, x, n_paths=70, h=h, seed=3, eps=eps, scheme=scheme)
@@ -406,3 +406,22 @@ class TestSpaceModulus:
         x = np.concatenate([np.linspace(-1, 0, 9), np.linspace(0.1, 1, 9)])
         with pytest.raises(DomainError):
             space_modulus(BRIDGE, 1.0, x, n_paths=2, h=2.0**-8, seed=0, eps=1e-3)
+
+    @pytest.mark.parametrize(
+        "h, x, eps, message",
+        [
+            (0.01, np.linspace(-1, 1, 33), math.nan, "^eps must be positive"),
+            (0.01, np.linspace(-1, 1, 33), -1.0, "^eps must be positive"),
+            (math.nan, np.linspace(-1, 1, 33), 1e-3, "^h must be positive"),
+            (0.01, np.linspace(1, -1, 33), 1e-3, "^levels must be nondecreasing"),
+        ],
+        ids=["nan_eps", "negative_eps", "nan_h", "decreasing_levels"],
+    )
+    def test_bad_sweep_arguments_are_refused_before_the_table_is_built(self, monkeypatch, h, x, eps, message):
+        # the sweep refused eps only inside the first task, after the whole table was built
+        def refuse_to_build(*args):
+            raise AssertionError("the transition table was built")
+
+        monkeypatch.setattr(simulate, "transition_table", refuse_to_build)
+        with pytest.raises(DomainError, match=message):
+            space_modulus(BRIDGE, 1.0, x, 2, h, 0, eps)

@@ -1,7 +1,8 @@
 """The five ensembles that record at horizons share simulate.horizon_steps' contract.
 
 Each takes horizons, h, n_paths and seed in that order, and refuses a ladder
-that horizon_steps refuses, with its message, before any path is walked.
+that horizon_steps refuses, with its message, before any path is walked.  A
+ladder of horizon 0 alone records zeros, except in the two fits, which refuse it.
 """
 
 import inspect
@@ -64,3 +65,26 @@ def test_horizon_steps_refusals_come_before_any_walk(monkeypatch, name, case):
         ENSEMBLES[name][1](horizons)
     with pytest.raises(DomainError, match=message):
         simulate.horizon_steps(horizons, 0.01)
+
+
+@pytest.mark.parametrize("name, shape", [("terminal_values", (4, 1)), ("kernel_ensemble", (4, 1, 1))])
+def test_horizon_zero_records_zeros(name, shape):
+    # kernel_ensemble refused [0.0] with an error naming T, an argument it does not take
+    got = ENSEMBLES[name][1]([0.0])
+    assert got.shape == shape and not got.any()
+
+
+def test_horizon_zero_has_zero_statistics():
+    stats = ENSEMBLES["batch_terminal_stats"][1]([0.0])
+    for column in (stats.mean_abs, stats.mean_sq, stats.std_err_sq):
+        assert column.shape == (1,) and not column.any()
+
+
+@pytest.mark.parametrize("name", ["growth_probe", "time_bound_fits"])
+def test_horizon_zero_is_refused_by_the_fits(monkeypatch, name):
+    def refuse_to_build(*args):
+        raise AssertionError("the transition table was built")
+
+    monkeypatch.setattr(simulate, "transition_table", refuse_to_build)
+    with pytest.raises(DomainError, match="^horizons must be positive"):
+        ENSEMBLES[name][1]([0.0])

@@ -262,7 +262,7 @@ class TestKernelEnsemble:
         # taken as one whole sub-block, so all 12 steps are one block, summed as kernel_estimate does
         stds = np.concatenate([np.full(4, 0.05), np.full(6, 1e6), np.full(2, 0.05)])
         table = (np.zeros(12), stds)
-        monkeypatch.setattr(simulate, "transition_table", lambda spec, times, scheme: table)
+        monkeypatch.setattr(simulate, "transition_table", lambda spec, knots, h, scheme: table)
         monkeypatch.setattr(simulate, "BLOCK_STEPS", 2)
         finals = kernel_ensemble(BM, 0.0, [1e-2], [12.0], 1.0, 16, 0)[:, 0, 0]
         values = simulate._trajectories(table, 0, range(16))

@@ -20,7 +20,7 @@ from bridgelab import drift, holder_analysis, local_time, simulate
 from bridgelab.config import ExperimentConfig, parse_config, to_text
 from bridgelab.drift import DriftSpec, decay_integral, decay_integrals, eval_antiderivative, running_sup
 from bridgelab.gaussian_law import build_cov_matrix, conditional_variance, det_bounds, det_by_conditioning, lu_det
-from bridgelab.simulate import euler_path, exact_path, grid
+from bridgelab.simulate import euler_path, exact_path
 
 HORIZON = 3.0
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
@@ -194,7 +194,7 @@ def test_ensemble_snapshots_equal_single_paths(ensemble, scheme, seed, n_paths, 
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulate, "_SERIAL_STEPS", 0)  # let these short walks use the threads
-        got = simulate.ensemble(spec, horizons[-1], h, scheme, seed, n_paths, reduce, chunk, threads)
+        got = simulate.ensemble(spec, range(steps[-1] + 1), h, scheme, seed, n_paths, reduce, chunk, threads)
     one_path = euler_path if scheme == "euler" else exact_path
     for i in range(n_paths):
         single = one_path(spec, horizons[-1], h, seed=seed, path_index=i).values[steps]
@@ -216,7 +216,8 @@ def test_scan_bits_do_not_depend_on_block_or_width(ensemble, scheme, seed, finer
     # each path's bits are the same for any BLOCK_STEPS and any chunk around it, and they are
     # the sequential recursion's up to rounding; up to 1536 steps cross 1024 and many sub-blocks
     spec, horizons, h = ensemble
-    table = simulate.transition_table(spec, grid(horizons[-1], h / 2**finer), scheme)
+    fine = h / 2**finer
+    table = simulate.transition_table(spec, range(simulate.grid_steps(horizons[-1], fine) + 1), fine, scheme)
     n_paths = data.draw(st.integers(1, 70))
     ref_values = simulate._trajectories(table, seed, range(n_paths))
     blocks = data.draw(st.lists(st.integers(1, 3 * simulate._SCAN_STEPS + 5), min_size=1, max_size=3)) + [1024]

@@ -32,7 +32,7 @@ BM = DriftSpec.constant(0.0)
 def flat_ensemble(n_steps, *args, **kwargs):
     """simulate.ensemble on the (ones, ones) table of n_steps steps, Brownian motion's Euler table at h = 1,
     for reducers that never walk it."""
-    return simulate.ensemble(BM, n_steps, 1.0, "euler", *args, **kwargs)
+    return simulate.ensemble(BM, range(n_steps + 1), 1.0, "euler", *args, **kwargs)
 
 
 def grid_snapshots(spec, horizons, h, n_paths, seed, scheme="exact", chunk=None, threads=None):
@@ -43,7 +43,7 @@ def grid_snapshots(spec, horizons, h, n_paths, seed, scheme="exact", chunk=None,
     def reduce(idx, blocks):
         return simulate.snapshots(blocks, steps, (len(idx), len(steps)))
 
-    return simulate.ensemble(spec, horizons[-1], h, scheme, seed, n_paths, reduce, chunk, threads)
+    return simulate.ensemble(spec, range(steps[-1] + 1), h, scheme, seed, n_paths, reduce, chunk, threads)
 
 
 def scalar_scan(decays, noise):
@@ -101,13 +101,13 @@ class TestEulerPath:
     def test_euler_table_holds_one_column(self, spec):
         # stds is one read-only value seen through a zero stride; decays is built in place
         times = grid(4.0, 0.005)
-        decays, stds = transition_table(spec, times, "euler")
+        decays, stds = transition_table(spec, range(801), 0.005, "euler")
         assert stds.strides == (0,) and not stds.flags.writeable and stds.shape == decays.shape
         assert stds[0] == math.sqrt(0.005)
         assert decays.tobytes() == (1.0 - 0.005 * eval_alpha(spec, times[:-1])).tobytes()
 
     def test_block_rows_match_single_paths(self):
-        table = transition_table(BRIDGE, grid(1.0, 0.01), "euler")
+        table = transition_table(BRIDGE, range(101), 0.01, "euler")
         block = simulate._trajectories(table, 42, [0, 1, 2])
         for p in range(3):
             single = euler_path(BRIDGE, T=1.0, h=0.01, seed=42, path_index=p)
@@ -281,7 +281,7 @@ class TestHorizonTable:
     def test_terminal_values_are_the_composed_recursion_on_the_stream(self, scheme):
         horizons, rows = [0.0, 0.5, 0.5, 1.25, 3.0], [0, 1, 1, 2, 3]
         got = terminal_values(BRIDGE, horizons, 0.01, 70, 8, scheme, chunk=16)
-        decays, stds = simulate._gap_table(BRIDGE, np.array([0, 50, 125, 300]), 0.01, scheme)
+        decays, stds = transition_table(BRIDGE, np.array([0, 50, 125, 300]), 0.01, scheme)
         for p in range(70):
             x, expected = 0.0, [0.0]
             for d, s, w in zip(decays.tolist(), stds.tolist(), simulate._normals(8, p, 3).tolist()):
@@ -291,11 +291,24 @@ class TestHorizonTable:
 
     @pytest.mark.parametrize("scheme", ["euler", "exact"])
     def test_no_step_grid_is_built(self, monkeypatch, scheme):
-        def refuse(*args):
-            raise AssertionError("the step grid was built")
+        # the table is asked for the three knots 0, 1000, 2000; Euler's composition asks
+        # for its pieces, none longer than BLOCK_STEPS steps
+        table_of, received = simulate.transition_table, []
 
-        monkeypatch.setattr(simulate, "grid", refuse)
+        def recording(spec, knots, h, scheme):
+            received.append(len(knots))
+            return table_of(spec, knots, h, scheme)
+
+        monkeypatch.setattr(simulate, "transition_table", recording)
         assert terminal_values(BRIDGE, [1.0, 2.0], 1e-3, 4, 0, scheme).shape == (4, 2)
+        assert received[0] == 3 and max(received[1:], default=0) <= simulate.BLOCK_STEPS + 1
+
+    def test_a_one_step_gap_is_the_grid_row(self):
+        # knots 0, 1, 3, 4: the composed ladder's rows 0 and 2 are the grid table's rows 0 and 3, bit for bit
+        decays, stds = transition_table(BRIDGE, np.array([0, 1, 3, 4]), 0.01, "euler")
+        grid_decays, grid_stds = transition_table(BRIDGE, range(5), 0.01, "euler")
+        assert decays[[0, 2]].tobytes() == grid_decays[[0, 3]].tobytes()
+        assert stds[[0, 2]].tobytes() == grid_stds[[0, 3]].tobytes()
 
     @pytest.mark.parametrize(
         "spec, h, knots",
@@ -309,8 +322,8 @@ class TestHorizonTable:
         ids=["power0.8", "power2", "exponential1.5", "tabulated", "negative_decays"],
     )
     def test_composed_euler_table_is_the_step_by_step_chain(self, spec, h, knots):
-        decays, stds = simulate._gap_table(spec, np.array(knots), h, "euler")
-        grid_decays = transition_table(spec, grid(knots[-1] * h, h), "euler")[0]
+        decays, stds = transition_table(spec, np.array(knots), h, "euler")
+        grid_decays = transition_table(spec, range(knots[-1] + 1), h, "euler")[0]
         chain_d, chain_v = euler_chain(grid_decays, h, knots)
         assert np.all(np.abs(stds**2 - chain_v) <= 1e-13 * chain_v)
         assert np.all(np.abs(decays - chain_d) <= 1e-13 * np.abs(chain_d))  # a decay of 0 at t = 2 is exact
@@ -327,7 +340,7 @@ class TestHorizonTable:
     )
     def test_composed_exact_table_holds_the_law(self, spec):
         knots = np.array([0, 50, 125, 300])
-        decays, stds = simulate._gap_table(spec, knots, 0.01, "exact")
+        decays, stds = transition_table(spec, knots, 0.01, "exact")
         v = 0.0
         for d, s, k in zip(decays, stds, knots[1:]):
             v = d * d * v + s * s
@@ -391,7 +404,7 @@ class TestStreamingEngine:
 
     @pytest.mark.parametrize("block", [1, 7, 10**6])
     def test_block_length_does_not_change_results(self, monkeypatch, block):
-        table = transition_table(BRIDGE, grid(2.0, 0.01), "euler")
+        table = transition_table(BRIDGE, range(201), 0.01, "euler")
         ref = [grid_snapshots(BRIDGE, [0.5, 2.0], 0.01, 40, 4, scheme, chunk=16) for scheme in ("euler", "exact")]
         ref_block = simulate._trajectories(table, 4, [0, 3, 9])
         ref_path = euler_path(BRIDGE, T=2.0, h=0.01, seed=4, path_index=3)
@@ -408,7 +421,7 @@ class TestStreamingEngine:
     def test_chunk_width_does_not_change_walk(self, scheme, T):
         # widths straddle the 64-path draw slab; 2500 steps end in a partial block, and
         # 500 steps are one block, drawn from one re-keyed generator
-        table = transition_table(BRIDGE, grid(T, 1e-3), scheme)
+        table = transition_table(BRIDGE, range(simulate.grid_steps(T, 1e-3) + 1), 1e-3, scheme)
         ref = [simulate._trajectories(table, 21, [p])[0] for p in range(130)]
         for width in (1, 2, 63, 64, 65, 130):
             for lo in range(0, 130, width):
@@ -418,7 +431,7 @@ class TestStreamingEngine:
 
     def test_walk_steps_at_most_a_tile(self):
         # no walk is wider than an ensemble task: a 257-path walk is refused before it draws
-        table = transition_table(BRIDGE, grid(1.0, 0.01), "euler")
+        table = transition_table(BRIDGE, range(101), 0.01, "euler")
         assert simulate._trajectories(table, 5, range(256)).shape == (256, 101)
         with pytest.raises(DomainError, match="path_indices"):
             simulate._trajectories(table, 5, range(257))
@@ -426,7 +439,7 @@ class TestStreamingEngine:
     @pytest.mark.parametrize("block", [1, 7, 33, 100])
     def test_walk_blocks_are_whole_sub_blocks(self, monkeypatch, block):
         # any BLOCK_STEPS is taken in whole sub-blocks of the scan; only the last block is cut
-        table = transition_table(BRIDGE, grid(1.0, 1e-3), "euler")
+        table = transition_table(BRIDGE, range(1001), 1e-3, "euler")
         monkeypatch.setattr(simulate, "BLOCK_STEPS", block)
         blocks = [len(values) for _, values in simulate.walk(table, 5, range(3))]
         assert all(b % simulate._SCAN_STEPS == 0 for b in blocks[:-1])
@@ -434,7 +447,7 @@ class TestStreamingEngine:
 
     def test_walk_reuses_its_block_buffers(self):
         # the documented contract: a yielded block is overwritten by the next one
-        table = transition_table(BRIDGE, grid(3.0, 1e-3), "euler")
+        table = transition_table(BRIDGE, range(3001), 1e-3, "euler")
         blocks = [values for _, values in simulate.walk(table, 2, range(3))]
         assert len(blocks) == 3
         assert np.shares_memory(blocks[0], blocks[1])
@@ -548,7 +561,7 @@ class TestStreamingEngine:
 
     def test_ensemble_hands_each_task_its_walk(self):
         # 200 paths in four tasks: each reducer reads its own paths' blocks, in grid order
-        table = transition_table(BRIDGE, grid(2.5, 1e-3), "euler")
+        table = transition_table(BRIDGE, range(2501), 1e-3, "euler")
         values = simulate._trajectories(table, 4, range(200))
 
         def finals(idx, blocks):
@@ -559,7 +572,7 @@ class TestStreamingEngine:
             assert ends == sorted(ends) and ends[-1] == len(table[0])
             return last
 
-        got = simulate.ensemble(BRIDGE, 2.5, 1e-3, "euler", 4, 200, finals, chunk=64)
+        got = simulate.ensemble(BRIDGE, range(2501), 1e-3, "euler", 4, 200, finals, chunk=64)
         assert got.tobytes() == values[:, -1].tobytes()
 
     def test_ensemble_tasks_are_at_most_a_tile(self, monkeypatch):
