@@ -25,7 +25,15 @@ from .gaussian_law import (
     variance,
 )
 from .holder_analysis import ModulusProfile, level_sweep, space_modulus, time_modulus, time_modulus_bound_fit, time_profile
-from .local_time import LocalTimeCurve, binned_estimate, cauchy_diagnostic, growth_probe, kernel_estimate, tanaka_estimate
-from .simulate import DecayStats, SamplePath, batch_terminal_stats, euler_path, exact_path
+from .local_time import (
+    LocalTimeCurve,
+    binned_estimate,
+    cauchy_diagnostic,
+    growth_probe,
+    kernel_estimate,
+    kernel_second_moment,
+    tanaka_estimate,
+)
+from .simulate import DecayStats, SamplePath, batch_terminal_stats, chain_variance, euler_path, exact_path
 
 __version__ = "0.1.0"

@@ -317,6 +317,8 @@ def space_modulus(spec, t, x_grid, n_paths, h, seed, eps, scheme="euler", thread
     across paths) and fitted in log-log coordinates.
     """
     x = _sweep_levels(h, x_grid, eps)  # checked before the table is built, and once
+    if not h <= t < math.inf:
+        raise DomainError(f"need 0 < h <= t < inf, got h={h}, t={t}")
     n = simulate.grid_steps(t, h)
     dx = _uniform_spacing(x)
     n_dyadic = max(3, int(math.floor(math.log2((x[-1] - x[0]) / (4 * dx)))) + 1)

@@ -10,8 +10,9 @@ Three independent estimators of the occupation density L_t^x:
             defined on Euler paths (the exact scheme does not expose the
             driving increments).
 
-Plus ensemble probes: the epsilon-Cauchy diagnostic of the mollified family
-and the long-horizon growth of L.
+Plus ensemble probes: the epsilon-Cauchy diagnostic of the mollified family,
+the second moment of the mollified local time with a box-occupation control
+variate, and the long-horizon growth of L.
 """
 
 from __future__ import annotations
@@ -203,6 +204,67 @@ def kernel_ensemble(spec, x, eps_list, horizons, h, n_paths, seed, scheme="euler
     return simulate.ensemble(spec, range(steps[-1] + 1), h, scheme, seed, n_paths, curves)
 
 
+def _steps_to(t, h):
+    """simulate.grid_steps(t, h), refusing h > t by the name t."""
+    if not 0 < h <= t < math.inf:
+        raise DomainError(f"need 0 < h <= t < inf, got h={h}, t={t}")
+    return simulate.grid_steps(t, h)
+
+
+def kernel_second_moment(spec, x, eps, t, h, n_paths, seed):
+    """Monte Carlo E (L_t^x)^2 of the kernel local time of variance eps, with a box-occupation control variate.
+
+    Returns (estimate, standard_error, occupation_z).  Each path's L is
+    kernel_ensemble's at step grid_steps(t, h) of its Euler walk, bit for bit.
+    The same walk gives the path's box occupation B, the trapezoid integral of
+    1{x - delta < X < x + delta} / (2 delta) with delta = 2 sqrt(eps), whose mean
+    is exact from the chain's variance (simulate.chain_variance) and the normal
+    law.  The estimate is mean L^2 - beta (mean B - E B), beta the least-squares
+    slope of L^2 on B, and its standard error is that of L^2 - beta B.  B does
+    not involve the kernel, so a defect of the kernel moves the estimate as it
+    moves the plain mean of L^2.  occupation_z is (mean B - E B) / se(B).
+    """
+    if not 0 < eps < math.inf:
+        raise DomainError(f"eps must be positive and finite, got {eps}")
+    if n_paths < 3:
+        raise DomainError(f"n_paths must be at least 3, got {n_paths}")
+    n = _steps_to(t, h)
+    delta = 2.0 * math.sqrt(eps)
+    lo, hi = x - delta, x + delta
+    steps, eps_arr = np.array([n]), np.array([eps])
+
+    def moments(idx, blocks):
+        inside = np.full(len(idx), 0.5 * (lo < 0.0 < hi))  # trapezoid count of steps 0 .. n in the box; X_0 = 0
+        last = None
+
+        def counted():
+            nonlocal inside, last
+            mask = None  # one bool block: the count below hi less the count at or below lo
+            for k0, block in blocks:
+                mask = np.empty(block.shape, bool) if mask is None else mask[: len(block)]
+                inside += np.count_nonzero(np.less(block, hi, out=mask), axis=0)
+                inside -= np.count_nonzero(np.less_equal(block, lo, out=mask), axis=0)
+                last = (lo < block[-1]) & (block[-1] < hi)
+                yield k0, block
+
+        cum = simulate.snapshots(kernel_tiles(counted(), x, eps_arr, h, steps), steps, (len(idx), 1, 1))
+        inside -= 0.5 * last
+        return np.column_stack([np.square(cum[:, 0, 0]), inside * (h / (2.0 * delta))])
+
+    l_sq, box = simulate.ensemble(spec, range(n + 1), h, "euler", seed, n_paths, moments).T
+    scales = np.sqrt(2.0 * simulate.chain_variance(spec, range(n + 1), h, "euler")).tolist()
+    # P(lo < X_k < hi) for X_k ~ N(0, v_k); X_0 = 0
+    hit = [0.5 * (math.erf(hi / s) - math.erf(lo / s)) if s > 0 else float(lo < 0.0 < hi) for s in scales]
+    box_mean = (math.fsum(hit) - 0.5 * (hit[0] + hit[-1])) * (h / (2.0 * delta))
+    centred = box - box.mean()
+    beta = (centred @ (l_sq - l_sq.mean())) / (centred @ centred) if centred.any() else 0.0
+    estimate = float(l_sq.mean() - beta * (box.mean() - box_mean))
+    standard_error = float(np.std(l_sq - beta * box, ddof=1) / math.sqrt(n_paths))
+    box_se = np.std(box, ddof=1) / math.sqrt(n_paths)
+    occupation_z = float((box.mean() - box_mean) / box_se) if box_se > 0 else math.nan
+    return estimate, standard_error, occupation_z
+
+
 def cauchy_diagnostic(spec, x, t, eps_ladder, n_paths, seed):
     """Monte Carlo E |L_{t, eps_i} - L_{t, eps_{i+1}}|^2 along a decreasing ladder.
 
@@ -218,7 +280,7 @@ def cauchy_diagnostic(spec, x, t, eps_ladder, n_paths, seed):
     if n_paths < 500:
         raise DomainError(f"n_paths must be at least 500, got {n_paths}")
     h = min(float(ladder.min()), 1e-3)
-    l_vals = kernel_ensemble(spec, x, ladder, [simulate.grid_steps(t, h) * h], h, n_paths, seed)[:, 0, :]
+    l_vals = kernel_ensemble(spec, x, ladder, [_steps_to(t, h) * h], h, n_paths, seed)[:, 0, :]
     diffs = l_vals[:, :-1] - l_vals[:, 1:]
     return list((diffs**2).mean(axis=0))
 

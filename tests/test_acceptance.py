@@ -59,6 +59,9 @@ def test_criterion_06_localtime_second_moment(verify_report):
     )
     assert verify_report.metrics["lt2_quadrature"] == pytest.approx(1.0, abs=1e-4)
     assert verify_report.metrics["lt2_monte_carlo"] == pytest.approx(1.0, abs=0.10)
+    # 0.0188 is the standard error of the plain mean of L^2 on 5000 paths, which the control variate replaced
+    assert verify_report.metrics["lt2_monte_carlo_se"] <= 0.0188
+    assert abs(verify_report.metrics["lt2_occupation_z"]) <= 4.0
 
 
 def test_criterion_07_estimator_consistency(verify_report):

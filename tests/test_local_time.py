@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bridgelab import simulate
+from bridgelab import local_time, simulate
 from bridgelab.drift import DriftSpec
 from bridgelab.errors import DomainError, InsufficientDataError, UnsupportedSchemeError
 from bridgelab.local_time import (
@@ -12,6 +12,7 @@ from bridgelab.local_time import (
     growth_probe,
     kernel_ensemble,
     kernel_estimate,
+    kernel_second_moment,
     tanaka_estimate,
 )
 from bridgelab.simulate import SamplePath, euler_path, exact_path
@@ -172,6 +173,33 @@ class TestCauchyDiagnostic:
             cauchy_diagnostic(BM, 0.0, 1.0, [1e-2, 1e-1], 500, seed=0)
         with pytest.raises(DomainError):
             cauchy_diagnostic(BM, 0.0, 1.0, [1e-1, 1e-2], 100, seed=0)
+
+
+class TestKernelSecondMoment:
+    def test_rows_are_kernel_ensembles_squares_and_binned_boxes(self, monkeypatch):
+        # the probe's per-path rows: L^2 bit for bit from kernel_ensemble, B the binned estimate at delta = 2 sqrt(eps)
+        ensemble, rows = simulate.ensemble, []
+        monkeypatch.setattr(simulate, "ensemble", lambda *args: rows.append(ensemble(*args)) or rows[-1])
+        x, eps, t, h, n_paths, seed = 0.1, 1e-3, 2.5, 1e-3, 40, 3
+        kernel_second_moment(BM, x, eps, t, h, n_paths, seed)
+        l_vals = kernel_ensemble(BM, x, [eps], [t], h, n_paths, seed)[:, 0, 0]
+        assert rows[0][:, 0].tobytes() == np.square(l_vals).tobytes()
+        for p in range(n_paths):
+            path = euler_path(BM, T=t, h=h, seed=seed, path_index=p)
+            box = binned_estimate(path, x, 2.0 * math.sqrt(eps), [t]).values[0]
+            assert rows[0][p, 1] == pytest.approx(box, rel=1e-12, abs=1e-15)
+
+    def test_a_kernel_defect_still_shows(self, monkeypatch):
+        # a control variate built from L_eps itself would absorb a kernel defect; the box occupation does not
+        args = (BM, 0.0, 1e-4, 1.0, 1e-4, 256, 4000)
+        plain = kernel_second_moment(*args)[0]
+        monkeypatch.setattr(local_time, "_SQRT_2PI", local_time._SQRT_2PI / 1.1)  # the kernel 1.1 times too tall
+        assert kernel_second_moment(*args)[0] >= plain + 0.15
+
+    def test_level_far_from_every_path_is_the_plain_mean(self):
+        # no path reaches the box, so B carries no information and the estimate is the mean of L^2
+        estimate, se, occupation_z = kernel_second_moment(BM, 50.0, 1e-3, 1.0, 1e-3, 8, 0)
+        assert estimate == 0.0 and se == 0.0 and math.isnan(occupation_z)
 
 
 class TestGrowthProbe:

@@ -37,7 +37,32 @@ CALLS = {
     "kernel_ensemble_eps": (lambda: local_time.kernel_ensemble(BRIDGE, 0.0, [NAN], [1.0], 1e-3, 4, 0), "eps_list"),
     "cauchy_diagnostic_t": (
         lambda: local_time.cauchy_diagnostic(BRIDGE, 0.0, NAN, [1e-2, 1e-3], 500, 0),
-        "T=nan",
+        "t=nan",
+    ),
+    # both named T, an argument neither takes, from simulate.grid_steps
+    "cauchy_diagnostic_h_past_t": (
+        lambda: local_time.cauchy_diagnostic(BRIDGE, 0.0, 1e-4, [1e-2, 1e-3], 500, 0),
+        r"^need 0 < h <= t < inf, got h=0.001, t=0.0001",
+    ),
+    "space_modulus_h_past_t": (
+        lambda: holder_analysis.space_modulus(BRIDGE, 0.001, np.linspace(-1, 1, 33), 2, 0.01, 0, 1e-3),
+        r"^need 0 < h <= t < inf, got h=0.01, t=0.001",
+    ),
+    "kernel_second_moment_h_past_t": (
+        lambda: local_time.kernel_second_moment(BRIDGE, 0.0, 1e-3, 1e-3, 1e-2, 4, 0),
+        r"^need 0 < h <= t < inf, got h=0.01, t=0.001",
+    ),
+    "kernel_second_moment_eps": (
+        lambda: local_time.kernel_second_moment(BRIDGE, 0.0, NAN, 1.0, 1e-2, 4, 0),
+        "^eps must be positive and finite, got nan",
+    ),
+    "kernel_second_moment_too_few_paths": (
+        lambda: local_time.kernel_second_moment(BRIDGE, 0.0, 1e-3, 1.0, 1e-2, 2, 0),
+        "^n_paths must be at least 3, got 2",
+    ),
+    "kernel_second_moment_fractional_n_paths": (
+        lambda: local_time.kernel_second_moment(BRIDGE, 0.0, 1e-3, 1.0, 1e-2, 4.5, 0),
+        "^n_paths must be an integer",
     ),
     "growth_probe_h": (lambda: local_time.growth_probe(BRIDGE, 0.0, [1.0, 2.0, 3.0], NAN, 4, 0), "h=nan"),
     "kernel_estimate_checkpoints": (

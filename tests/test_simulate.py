@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -368,6 +369,63 @@ class TestHorizonTable:
 
         peak(4)  # first-call allocations
         assert peak(20) <= peak(16) + 2**14
+
+
+class TestChainVariance:
+    @pytest.mark.parametrize(
+        "spec, T, h, rel",
+        [
+            # the oracle's own quadrature is off by up to 1.4e-11 at t = 0.06 .. 0.17 here (see the mpmath test)
+            (DriftSpec.power(0.8), 1.0, 0.01, 2e-11),
+            (DriftSpec.power(2.0), 8.0, 0.125, 1e-12),
+        ],
+        ids=["power0.8", "power2"],
+    )
+    def test_exact_chain_is_the_law_at_every_knot(self, spec, T, h, rel):
+        n = simulate.grid_steps(T, h)
+        v = simulate.chain_variance(spec, range(n + 1), h, "exact")
+        oracle = np.array([variance(spec, k * h) for k in range(1, n + 1)])
+        assert v[0] == 0.0 and len(v) == n + 1
+        assert np.max(np.abs(v[1:] / oracle - 1.0)) <= rel
+
+    def test_exact_chain_is_the_law_to_1e12_against_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        v = simulate.chain_variance(BRIDGE, range(18), 0.01, "exact")
+        for k in (6, 8, 17):
+            t = mp.mpf(k) / 100
+            ref = mp.quad(lambda s: mp.exp(-2 * (t**1.8 - s**1.8) / 1.8), [0, t])
+            assert abs(v[k] / float(ref) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("h, n", [(0.01, 100), (1e-3, 1000)])
+    def test_brownian_euler_chain_is_k_h(self, h, n):
+        # one rounding per step: at 10^4 steps the running sum drifts ~1e-13 from k h
+        v = simulate.chain_variance(BM, range(n + 1), h, "euler")
+        k = np.arange(1, n + 1)
+        assert v[0] == 0.0
+        assert np.max(np.abs(v[1:] / (k * h) - 1.0)) <= 1e-14
+
+    @pytest.mark.parametrize("scheme", ["euler", "exact"])
+    @pytest.mark.parametrize(
+        "spec, h, n",
+        [(DriftSpec.power(0.8), 0.01, 100), (DriftSpec.power(2.0), 0.25, 24)],  # the second has negative decays
+        ids=["power0.8", "negative_decays"],
+    )
+    def test_gapped_knots_are_the_unit_ladder_at_its_knots(self, spec, h, n, scheme):
+        # Euler composes the unit steps; an exact row is its own quadrature over the gap, good to ~1e-11
+        knots = np.array([0, 3, 10, 11, 17, n])
+        gapped = simulate.chain_variance(spec, knots, h, scheme)
+        unit = simulate.chain_variance(spec, range(n + 1), h, scheme)[knots]
+        assert gapped[0] == unit[0] == 0.0
+        assert np.max(np.abs(gapped[1:] / unit[1:] - 1.0)) <= (1e-12 if scheme == "euler" else 1e-11)
+
+    def test_costs_at_most_5_ms_at_10_4_steps(self):
+        def cost():
+            t0 = time.perf_counter()
+            simulate.chain_variance(BM, range(10**4 + 1), 1e-4, "euler")
+            return time.perf_counter() - t0
+
+        assert min(cost() for _ in range(5)) <= 5e-3
 
 
 class TestDeterminismAcrossExecution:
