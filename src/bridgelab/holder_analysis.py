@@ -19,7 +19,8 @@ from . import local_time, simulate
 from .drift import loglog_slope, running_sup
 from .errors import DomainError, InsufficientDataError
 
-_SWEEP_STEPS = 256  # samples per level_sweep piece; memory is O(_SWEEP_STEPS * levels)
+_SWEEP_STEPS = 1024  # samples per level_sweep piece, aligned to sample 0
+_SWEEP_SIZE = 2**16  # elements a level_sweep temporary holds, when a piece or the level grid is not longer
 _MEAN_PATHS = 64  # paths per task of time_profile, whose average is summed task by task
 _LAG_PIECE = 2**14  # samples _LagSups differences at once, over all its curves
 
@@ -84,19 +85,44 @@ class _LagSups:
 
 
 def _nested_sup_increments(curves, lags):
-    """Max |f[i+l] - f[i]| over all l' <= l of each row f, for each requested lag; NaN propagates.
+    """Max |f[i+l'] - f[i]| over all l' <= l of each row f, for each requested lag; NaN propagates.
 
     Shape (curves, lags), C-ordered.  A lag past a curve's end counts as its
     last.  On nondecreasing curves of finite span the lag-l sup already bounds
     every shorter lag (rounding is monotone, so this holds for the computed
-    differences too), and only the requested lags are taken; otherwise every
-    lag up to the largest is, and the sups are accumulated across lags.
+    differences too), and only the requested lags are taken.  Otherwise the
+    sup at lag l is the largest range max - min of a window of l + 1 samples,
+    bit for bit, since rounded subtraction is monotone in each argument and
+    sign-symmetric; the windows' max and min come from a sparse table doubled
+    from the samples, O(n log(largest lag)).  Ranges cannot see a pair of equal
+    infinities (inf - inf is NaN) that a window holds beside finite samples,
+    so a curve with two of them at most l apart is NaN from lag l on.
     """
-    lags = np.minimum(lags, max(1, curves.shape[1] - 1))
+    n = curves.shape[1]
+    lags = np.minimum(lags, max(1, n - 1))
     if np.all(curves[:, 1:] >= curves[:, :-1]) and np.all(np.isfinite(curves[:, -1] - curves[:, 0])):
         return _LagSups.of(curves, lags)
-    nested = np.maximum.accumulate(_LagSups.of(curves, range(1, lags.max() + 1)), axis=1)
-    return np.ascontiguousarray(nested[:, lags - 1])
+    sups = np.zeros((len(curves), len(lags)))
+    top = bottom = curves
+    width = 1  # top and bottom: max and min of the windows of width samples from each start
+    for i in np.argsort(lags, kind="stable"):
+        span = lags[i] + 1
+        if span > n:  # a one-sample curve has no pair
+            continue
+        while 2 * width <= span:
+            top = np.maximum(top[:, :-width], top[:, width:])
+            bottom = np.minimum(bottom[:, :-width], bottom[:, width:])
+            width *= 2
+        starts, shift = n - span + 1, span - width
+        ranges = np.maximum(top[:, :starts], top[:, shift : shift + starts])
+        ranges -= np.minimum(bottom[:, :starts], bottom[:, shift : shift + starts])
+        sups[:, i] = np.abs(ranges, out=ranges).max(axis=1)
+    for row in np.flatnonzero(np.isinf(curves).any(axis=1)):
+        for sign in (math.inf, -math.inf):
+            gaps = np.diff(np.flatnonzero(curves[row] == sign))
+            if len(gaps):
+                sups[row, lags >= gaps.min()] = math.nan
+    return sups
 
 
 def _uniform_spacing(checkpoints):
@@ -232,14 +258,27 @@ def time_bound_fits(spec, horizons, h, n_paths, seed):
     return np.stack([_bound_fit(sups[:, j], lags, h, T, spec) for j, T in enumerate(horizons)], axis=1)
 
 
+def _spacing(x):
+    """The spacing of a uniform level grid, from its end levels."""
+    return (float(x[-1]) - float(x[0])) / (len(x) - 1)
+
+
 def _sweep_levels(h, x_grid, eps):
-    """x_grid as a float array; DomainError unless h and eps are positive and finite and the levels nondecreasing."""
+    """x_grid as a float array; DomainError unless h and eps are positive and finite and x_grid is uniform.
+
+    A uniform grid has at least two levels, and its level j is x_grid[0] + j dx
+    to 1e-9 dx, with dx = _spacing(x_grid) positive and finite.
+    """
     for name, value in (("h", h), ("eps", eps)):
         if not 0 < value < math.inf:
             raise DomainError(f"{name} must be positive and finite, got {value}")
     x = np.asarray(x_grid, dtype=float)
-    if not np.all(x[1:] >= x[:-1]):
-        raise DomainError("levels must be nondecreasing")
+    dx = _spacing(x) if x.ndim == 1 and len(x) >= 2 else math.nan
+    if not (0 < dx < math.inf and np.all(np.abs(x - (x[0] + np.arange(len(x)) * dx)) <= 1e-9 * dx)):
+        raise DomainError(
+            "levels must be nondecreasing and evenly spaced: x_grid must be a uniform grid of at least two "
+            f"levels x_grid[0] + j dx with dx > 0, got {x.size} levels"
+        )
     return x
 
 
@@ -247,58 +286,156 @@ class _LevelSweep:
     """level_sweep of several paths at once, fed their samples block by block in time order.
 
     Pieces of _SWEEP_STEPS samples start at multiples of _SWEEP_STEPS from
-    sample 0 whatever the block lengths, so the result equals one sweep of the
-    whole paths bit for bit.  A full piece is swept only once a later sample
-    has arrived, because the trapezoid halves the weight of a path's last
-    sample; at most _SWEEP_STEPS samples per path are held back.
+    sample 0 whatever the block lengths.  A full piece is swept only once a
+    later sample has arrived, because the trapezoid halves the weight of a
+    path's last sample; at most _SWEEP_STEPS samples per path are held back.
+
+    A piece is swept by nearest-level recurrence, the factorisation of the fast
+    Gauss transform (Greengard & Strain 1991).  A sample at r = v - x_j from
+    its nearest level j (an end level, for a sample past the grid) has kernel
+    exp(-(r - k dx)^2 / 2 eps) = e0 u^k g_k at level j + k and e0 d^k g_k at
+    level j - k, k >= 0, where e0 = exp(-r^2 / 2 eps), u = exp((2 r - dx) c),
+    d = exp(-(2 r + dx) c), c = dx / 2 eps, and g_k = exp(-k (k - 1) dx c).
+    On the grid |r| <= dx / 2, so u and d are at most 1 and the running terms
+    e0 u^k and e0 d^k stay in [0, 1]: nothing overflows for any dx / sqrt(eps).
+    (Past the grid the ratio pointing off it is taken as 1; its terms land off
+    the grid.)  d is q / u with q = exp(-2 dx c), so a sample costs two exp;
+    three once q would fall below exp(-700), near the end of the normal
+    numbers, which is at dx > 26 sqrt(eps), where m is 1.  Each level offset
+    then costs one multiply of the running terms and one np.bincount of the
+    terms of every sample in a group of pieces into (piece, level) bins, which
+    g_k scales; the bins span only the levels the group's samples reach.
+    Offsets stop at m levels, 10 sqrt(eps) past every sample, so
+    terms below exp(-50) of the peak are dropped (the truncated sweep of Wand
+    1994).  A piece's bins do not depend on which pieces share a bincount, and
+    each path adds its pieces' sums in order, so the result equals one sweep
+    of the whole paths bit for bit.  A NaN sample makes its path NaN at every
+    level, and an infinite one adds 0.
     """
 
     def __init__(self, n_paths, h, x, eps):
-        self.h, self.x, self.eps = float(h), x, eps
-        self.reach = 10.0 * math.sqrt(eps)
+        self.h, self.eps, self.x0, self.dx = float(h), eps, float(x[0]), _spacing(x)
+        self.m = min(len(x) - 1, math.ceil(min(10.0 * math.sqrt(eps) / self.dx + 0.5, len(x))))
+        self.c = min(self.dx / (2.0 * eps), 1e300)  # capped: past that every ratio underflows anyway
+        k = np.arange(self.m + 1.0)
+        self.g = np.exp(-(k * (k - 1.0)) * min(self.dx * self.c, 1e300))
+        self.q = math.exp(-2.0 * self.dx * self.c) if self.dx * self.c < 350.0 else 0.0  # u d, or 0 past exp(-700)
         self.out = np.zeros((n_paths, len(x)))
-        self.held = np.empty((n_paths, 0))
+        self.held = np.empty((0, n_paths))
         self.first = True
 
     def feed(self, block):
         """Take the next samples of every path, shape (samples, paths)."""
-        run = np.concatenate([self.held, block.T], axis=1)
-        cut = (run.shape[1] - 1) // _SWEEP_STEPS * _SWEEP_STEPS
-        for lo in range(0, cut, _SWEEP_STEPS):
-            self._piece(run[:, lo : lo + _SWEEP_STEPS], last=False)
-        self.held = run[:, cut:]
+        run = np.concatenate([self.held, block])
+        cut = (len(run) - 1) // _SWEEP_STEPS * _SWEEP_STEPS
+        self._pieces(run[:cut], _SWEEP_STEPS, last=False)
+        self.held = run[cut:]
 
     def total(self):
         """Kernel local time of each path at every level, shape (paths, levels), after the last sample."""
-        self._piece(self.held, last=True)
-        return self.out / math.sqrt(2.0 * math.pi * self.eps)
+        self._pieces(self.held, len(self.held), last=True)
+        out = self.out * (self.h / math.sqrt(2.0 * math.pi * self.eps))
+        out[np.isnan(out[:, 0])] = np.nan  # a NaN sample is binned at level 0
+        return out
 
-    def _piece(self, pieces, last):
-        w = np.full(pieces.shape[1], self.h)
-        if self.first:
-            w[0] = 0.5 * self.h
-        if last:
-            w[-1] = 0.5 * self.h
+    def _pieces(self, run, length, last):
+        """Add to each path the sums of its pieces of `length` samples in run, shape (samples, paths).
+
+        A group of (piece, path) columns is swept at once, consecutive pieces
+        of a slice of the paths, so that a temporary holds about _SWEEP_SIZE
+        elements; each path then adds its pieces' sums in order.
+        """
+        if not len(run):
+            return
+        n_paths, n_levels = self.out.shape
+        width = max(1, _SWEEP_SIZE // max(length, n_levels + 2 * self.m))  # columns a group holds
+        per = max(1, width // n_paths)  # pieces a group holds
+        pieces = run.reshape(-1, length, n_paths)
+        for q in range(0, len(pieces), per):
+            for p in range(0, n_paths, width):
+                group = pieces[q : q + per, :, p : p + width]
+                cols = group.transpose(1, 0, 2).reshape(length, -1)
+                sums, a = self._sums(cols, group.shape[2] if self.first and q == 0 else 0, last)
+                for part in sums.reshape(len(group), -1, sums.shape[1]):
+                    self.out[p : p + width, a : a + part.shape[1]] += part
         self.first = False
-        for out, v in zip(self.out, pieces):
-            lo = np.searchsorted(self.x, v.min() - self.reach, "left")
-            hi = np.searchsorted(self.x, v.max() + self.reach, "right")
-            if lo < hi:
-                e = np.subtract(v[:, None], self.x[lo:hi])
-                np.square(e, out=e)
-                np.negative(e, out=e)
-                e /= 2.0 * self.eps
-                np.exp(e, out=e)
-                out[lo:hi] += w @ e
+
+    def _sums(self, v, n_first, last):
+        """The trapezoid kernel sums, in units of h, of each column of v at the levels its group reaches.
+
+        Returns the sums, shape (columns, levels), and the first of those
+        levels, which reach m past the nearest levels of the group's samples:
+        a fine grid pays only for the levels its pieces reach, and the levels
+        left out would add only zeros.  v holds one piece per column, in time
+        order.
+        The first n_first columns begin their paths, and with last every
+        column ends its path; those samples take half weight (once, for a
+        path of one sample).
+        """
+        n_levels, m = self.out.shape[1], self.m
+        j = v - self.x0
+        j /= self.dx
+        np.fmax(j, 0.0, out=j)  # a sample past the grid, or NaN, goes to an end level
+        np.fmin(j, n_levels - 1.0, out=j)
+        np.rint(j, out=j)
+        lo, hi = int(j.min()), int(j.max())
+        # bins: column after column, each of the levels lo .. hi padded by m on both sides
+        stride = hi - lo + 1 + 2 * m
+        bins = j.astype(np.intp)
+        bins += np.arange(m - lo, m - lo + stride * v.shape[1], stride)
+        bins = bins.ravel()
+        r = j  # from here on, j's buffer holds r, then the ratio up
+        r *= self.dx
+        r += self.x0
+        np.subtract(v, r, out=r)
+        e0 = np.square(r)
+        e0 /= -2.0 * self.eps
+        np.exp(e0, out=e0)
+        if n_first:
+            e0[0, :n_first] *= 0.5
+        if last and (not n_first or len(v) > 1):
+            e0[-1] *= 0.5
+        up = np.add(r, r, out=r)
+        with np.errstate(over="ignore", divide="ignore"):
+            if self.q:
+                up -= self.dx
+                up *= self.c
+                np.exp(up, out=up)  # inf for a sample far past the top level
+                down = np.divide(self.q, up)  # inf for one far past the bottom
+            else:
+                down = up + self.dx
+                down *= -self.c
+                np.exp(down, out=down)
+                up -= self.dx
+                up *= self.c
+                np.exp(up, out=up)
+        np.minimum(up, 1.0, out=up)
+        np.minimum(down, 1.0, out=down)
+        sums = np.bincount(bins, e0.ravel(), stride * v.shape[1])
+        term = np.empty_like(e0)
+        for ratio, shift in ((up, 1), (down, -1)):
+            for k in range(1, m + 1):
+                np.multiply(e0 if k == 1 else term, ratio, out=term)
+                binned = np.bincount(bins, term.ravel(), len(sums))
+                if k > 1:
+                    binned *= self.g[k]
+                if shift > 0:
+                    sums[k:] += binned[:-k]
+                else:
+                    sums[:-k] += binned[k:]
+        a, b = max(lo - m, 0), min(hi + m + 1, n_levels)
+        return sums.reshape(-1, stride)[:, a - lo + m : b - lo + m], a
 
 
 def level_sweep(path_values, h, x_grid, eps):
-    """Kernel local time at every level of the nondecreasing x_grid from one traversal of the path.
+    """Kernel local time at every level of the uniform x_grid from one traversal of the path.
 
-    Trapezoid weights in time, Gaussian kernel of variance eps in space.  Each
-    piece of _SWEEP_STEPS samples is evaluated only on the levels within
-    10 sqrt(eps) of the piece's range, so kernel terms below exp(-50) of the
-    peak are dropped (the truncated sweep of Wand 1994).
+    Trapezoid weights in time, Gaussian kernel of variance eps in space, by
+    _LevelSweep's nearest-level recurrence: two exp per sample and one
+    multiply and one binned add per sample and level offset, out to
+    10 sqrt(eps) (terms below exp(-50) of the peak are dropped, the truncated
+    sweep of Wand 1994).  A NaN sample gives NaN at every level; an infinite
+    one adds nothing.  x_grid: at least two evenly spaced increasing levels.
     """
     sweep = _LevelSweep(1, h, _sweep_levels(h, x_grid, eps), eps)
     sweep.feed(np.asarray(path_values, dtype=float)[:, None])
@@ -308,19 +445,22 @@ def level_sweep(path_values, h, x_grid, eps):
 def space_modulus(spec, t, x_grid, n_paths, h, seed, eps, scheme="euler", threads=None):
     """Sup-increment profile of L_t^x in the level variable, ensemble-averaged.
 
-    simulate.ensemble steps the paths in tasks of at most 256, and each walk
-    block is swept over the uniform x_grid as it comes, so no path is kept and
-    memory does not grow with the horizon beyond the transition table.  Per
-    path: nested sup-increments of its level sweep across the dyadic level
-    distances dx, 2 dx, 4 dx, ... up to a quarter of the grid's span (at least
-    three); profiles are averaged over paths (max within a path, then mean
-    across paths) and fitted in log-log coordinates.
+    x_grid must be uniform, at least two levels dx apart (a DomainError
+    otherwise, before any path is walked).  simulate.ensemble steps the paths
+    in tasks of at most 256, and each walk block goes as it comes into one
+    _LevelSweep of all the task's paths, so no path is kept and memory does
+    not grow with the horizon beyond the transition table; the sweeps' bits
+    do not depend on the task width.  Per path: nested sup-increments of its
+    level sweep across the dyadic level distances dx, 2 dx, 4 dx, ... up to a
+    quarter of the grid's span (at least three); profiles are averaged over
+    paths (max within a path, then mean across paths) and fitted in log-log
+    coordinates.
     """
     x = _sweep_levels(h, x_grid, eps)  # checked before the table is built, and once
     if not h <= t < math.inf:
         raise DomainError(f"need 0 < h <= t < inf, got h={h}, t={t}")
     n = simulate.grid_steps(t, h)
-    dx = _uniform_spacing(x)
+    dx = _spacing(x)
     n_dyadic = max(3, int(math.floor(math.log2((x[-1] - x[0]) / (4 * dx)))) + 1)
     scales, lags = _scale_lags(dx * 2.0 ** np.arange(n_dyadic), dx)
 

@@ -324,6 +324,57 @@ class TestLevelSweep:
         with pytest.raises(DomainError, match="nondecreasing"):
             level_sweep(np.zeros(10), 0.1, [0.0, 1.0, 0.5], 1e-2)
 
+    @pytest.mark.parametrize("at", [0, 300, 1024, 2000], ids=["first", "inner", "piece_start", "last"])
+    def test_nan_sample_makes_its_path_nan_at_every_level(self, at):
+        # a NaN sample used to drop its whole piece: a pinned path read 2.99 at x = 0 against 3.99
+        x = np.linspace(-1, 1, 65)
+        values = np.zeros(2001)
+        values[at] = math.nan
+        assert np.all(np.isnan(level_sweep(values, 1e-3, x, 1e-3)))
+        rng = np.random.default_rng(at)
+        paths = np.cumsum(rng.standard_normal((2001, 3)), axis=0) * 0.02
+        paths[at, 1] = math.nan
+        sweep = holder_analysis._LevelSweep(3, 1e-3, x, 1e-3)
+        for lo in range(0, 2001, 700):
+            sweep.feed(paths[lo : lo + 700])
+        got = sweep.total()
+        assert np.all(np.isnan(got[1]))
+        for j in (0, 2):
+            assert got[j].tobytes() == level_sweep(paths[:, j], 1e-3, x, 1e-3).tobytes()
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["inf", "-inf"])
+    def test_infinite_sample_adds_nothing(self, sign):
+        # as in kernel_estimate, whose kernel at an infinite sample is exp(-inf) = 0
+        from bridgelab.local_time import kernel_estimate
+        from bridgelab.simulate import SamplePath
+
+        h, eps = 1e-3, 1e-3
+        x = np.linspace(-0.5, 0.5, 9)
+        rng = np.random.default_rng(4)
+        paths = np.cumsum(rng.standard_normal((1500, 2)), axis=0) * 0.02
+        paths[[10, 1024, 1499], 0] = sign * math.inf
+        sweep = holder_analysis._LevelSweep(2, h, x, eps)
+        sweep.feed(paths[:1100])
+        sweep.feed(paths[1100:])
+        got = sweep.total()
+        assert got[0].tobytes() == level_sweep(paths[:, 0], h, x, eps).tobytes()
+        path = SamplePath(np.arange(1500) * h, paths[:, 0], None, "euler", 0, 0)
+        for j, level in enumerate(x):
+            single = kernel_estimate(path, level, eps, [path.horizon]).values[0]
+            assert got[0, j] == pytest.approx(single, rel=1e-12, abs=1e-300)
+
+    @pytest.mark.parametrize("n_paths", [5, 100], ids=["pieces_grouped", "paths_sliced"])
+    def test_paths_swept_together_equal_paths_swept_alone(self, n_paths):
+        # a group holds 64 columns at 257 levels: 5 paths share it across pieces, 100 are cut into slices
+        rng = np.random.default_rng(n_paths)
+        paths = np.cumsum(rng.standard_normal((2500, n_paths)), axis=0) * 0.01
+        x = np.linspace(-1, 1, 257)
+        sweep = holder_analysis._LevelSweep(n_paths, 1e-3, x, 4e-5)
+        sweep.feed(paths)
+        got = sweep.total()
+        for j in range(n_paths):
+            assert got[j].tobytes() == level_sweep(paths[:, j], 1e-3, x, 4e-5).tobytes()
+
     def test_chunking_invariance(self, monkeypatch):
         rng = np.random.default_rng(8)
         values = np.cumsum(rng.standard_normal(2001)) * 0.02

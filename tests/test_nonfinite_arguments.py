@@ -114,6 +114,23 @@ CALLS = {
         lambda: holder_analysis.level_sweep(np.zeros(10), INF, [0.0, 1.0], 1e-2),
         "h must be positive",
     ),
+    # a non-uniform grid was swept at its own levels by level_sweep and refused only by space_modulus
+    "level_sweep_nonuniform_levels": (
+        lambda: holder_analysis.level_sweep(np.zeros(10), 0.1, [0.0, 0.5, 2.0], 1e-2),
+        "x_grid must be a uniform grid",
+    ),
+    "level_sweep_one_level": (
+        lambda: holder_analysis.level_sweep(np.zeros(10), 0.1, [0.0], 1e-2),
+        "x_grid must be a uniform grid",
+    ),
+    "level_sweep_nan_level": (
+        lambda: holder_analysis.level_sweep(np.zeros(10), 0.1, [0.0, NAN, 1.0], 1e-2),
+        "x_grid must be a uniform grid",
+    ),
+    "space_modulus_infinite_level": (
+        lambda: holder_analysis.space_modulus(BRIDGE, 1.0, [-1.0, 0.0, INF], 2, 0.01, 0, 1e-3),
+        "x_grid must be a uniform grid",
+    ),
     # the law oracle reported the kernel's lo and hi, or its rate, or returned NaN
     "variance_nan_t": (lambda: gaussian_law.variance(BRIDGE, NAN), "^t must be nonnegative and finite, got nan"),
     "variance_infinite_t": (lambda: gaussian_law.variance(BRIDGE, INF), "^t must be nonnegative and finite, got inf"),

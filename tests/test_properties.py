@@ -338,6 +338,40 @@ def nested_sup_reference(values, lags):
     return np.array(out, dtype=float)
 
 
+def nested_sup_per_lag(curves, lags):
+    """The nested sups as the per-lag form took them: every lag up to the largest, then a running max."""
+    lags = np.minimum(lags, max(1, curves.shape[1] - 1))
+    per_lag = holder_analysis._LagSups.of(curves, range(1, lags.max() + 1))
+    return np.ascontiguousarray(np.maximum.accumulate(per_lag, axis=1)[:, lags - 1])
+
+
+@PROPERTY
+@given(st.data(), st.lists(st.sampled_from(["rough", "monotone", "nan", "inf", "-inf", "both"]), min_size=1, max_size=4))
+def test_windowed_ranges_equal_the_per_lag_form(data, kinds):
+    # rows of one call: rough and monotone, a NaN, and infinities of one or both signs, one or
+    # several and sometimes adjacent, so that a window can hold two equal ones beside finite samples
+    n = data.draw(st.integers(1, 150), label="n")
+    rows = []
+    for kind in kinds:
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+        row = np.cumsum(rng.standard_normal(n) ** (2 if kind == "monotone" else 1)) * 0.1
+        row[rng.random(n) < 0.2] = 0.0  # exact ties, and signed zeros once negated
+        row *= data.draw(st.sampled_from([1.0, -1.0]), label="flip")
+        hits = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4), label="hits")
+        if kind == "nan":
+            row[hits[0]] = math.nan
+        elif kind != "rough" and kind != "monotone":
+            for k, at in enumerate(hits):
+                row[at] = -math.inf if kind == "-inf" or (kind == "both" and k % 2) else math.inf
+        rows.append(row)
+    curves = np.array(rows)
+    lags = data.draw(st.lists(st.integers(1, 2 * n + 2), min_size=1, max_size=6), label="lags")
+    with np.errstate(invalid="ignore"):
+        got = holder_analysis._nested_sup_increments(curves, lags)
+        assert got.flags.c_contiguous and got.shape == (len(curves), len(lags))
+        assert got.tobytes() == nested_sup_per_lag(curves, lags).tobytes()
+
+
 @PROPERTY
 @given(st.data(), st.sampled_from(["monotone", "monotone", "infinite", "rough"]))
 def test_monotone_fast_path_equals_general_loop(data, kind):
@@ -363,17 +397,73 @@ def test_monotone_fast_path_equals_general_loop(data, kind):
         assert got.tobytes() == nested_sup_reference(values, lags).tobytes()
 
 
-def level_sweep_reference(v, h, x, eps):
-    """The sweep of a whole path held at once: pieces of one trapezoid weight array, a mask per piece."""
-    w = np.full(len(v), h)
+@PROPERTY
+@given(
+    st.sampled_from([0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]),
+    st.sampled_from([2, 3, 9, 65, 257]),
+    st.integers(64, 3000),
+    st.floats(-2.0, 2.0),
+    st.sampled_from([0.25, 1.0, 4.0]),
+    st.integers(0, 2**16),
+)
+def test_level_sweep_matches_the_dense_sum(ratio, n_levels, n, start, spread, seed):
+    # dx / sqrt(eps) from 1/8 to 64 on a grid of exact levels over [-1, 1]; walks that start anywhere in
+    # [-2, 2] leave the grid or never reach it, and most levels lie far from every sample
+    dx = 2.0 / (n_levels - 1)
+    x = -1.0 + dx * np.arange(n_levels)
+    eps = (dx / ratio) ** 2
+    step = spread * min(dx, math.sqrt(eps))
+    v = start + np.cumsum(np.random.default_rng(seed).standard_normal(n)) * step
+    v[0] = start
+    h = 1.0 / n
+    w = np.full(n, h)
     w[0] = w[-1] = 0.5 * h
-    reach = 10.0 * math.sqrt(eps)
-    out = np.zeros(len(x))
+    dense = w @ np.exp(-((v[:, None] - x) ** 2) / (2.0 * eps)) / math.sqrt(2.0 * math.pi * eps)
+    got = holder_analysis.level_sweep(v, h, x, eps)
+    np.testing.assert_allclose(got, dense, rtol=0, atol=1e-13 * dense.max())
+
+
+def level_sweep_reference(v, h, x, eps):
+    """The sweep of a whole path held at once by nearest-level recurrence, one piece and one offset at a time.
+
+    Each sample goes to its nearest level j, with r = v - (x0 + j dx); its term
+    at offset k above is e0 u^k and below e0 d^k, where d = exp(-2 dx c) / u
+    (a normal number at the dx and eps used here).  np.add.at sums the terms
+    into level bins in sample order, as np.bincount does.  Every offset out to
+    m is summed; one past the path's levels adds only zeros.
+    """
+    n_levels, x0, dx = len(x), x[0], (x[-1] - x[0]) / (len(x) - 1)
+    m = min(n_levels - 1, math.ceil(10.0 * math.sqrt(eps) / dx + 0.5))
+    c = dx / (2.0 * eps)
+    k = np.arange(m + 1.0)
+    g = np.exp(-(k * (k - 1.0)) * (dx * c))
+    w = np.ones(len(v))
+    w[0] = w[-1] = 0.5
+    out = np.zeros(n_levels)
     for lo in range(0, len(v), holder_analysis._SWEEP_STEPS):
         vb = v[lo : lo + holder_analysis._SWEEP_STEPS]
-        near = np.flatnonzero((x >= vb.min() - reach) & (x <= vb.max() + reach))
-        out[near] += w[lo : lo + len(vb)] @ np.exp(-((vb[:, None] - x[near]) ** 2) / (2.0 * eps))
-    return out / math.sqrt(2.0 * math.pi * eps)
+        j = np.rint(np.clip((vb - x0) / dx, 0.0, n_levels - 1.0))
+        r = vb - (j * dx + x0)
+        e0 = np.exp(r * r / (-2.0 * eps)) * w[lo : lo + len(vb)]
+        u = np.exp((2.0 * r - dx) * c)
+        up, down = np.minimum(u, 1.0), np.minimum(math.exp(-2.0 * dx * c) / u, 1.0)
+
+        def binned(term):
+            bins = np.zeros(n_levels)
+            np.add.at(bins, j.astype(int), term)
+            return bins
+
+        piece = binned(e0)
+        for ratio, sign in ((up, 1), (down, -1)):
+            term = e0
+            for step in range(1, m + 1):
+                term = term * ratio
+                if sign > 0:
+                    piece[step:] += g[step] * binned(term)[: n_levels - step]
+                else:
+                    piece[: n_levels - step] += g[step] * binned(term)[step:]
+        out += piece
+    return out * (h / math.sqrt(2.0 * math.pi * eps))
 
 
 @PROPERTY
