@@ -4,8 +4,8 @@ The modulus at scale eta is the sup of |f(t) - f(s)| over pairs at distance
 at most eta (nested classes, so the profile is monotone in the scale by
 construction); the Hoelder exponent is the slope of the profile in log-log
 coordinates.  Both the time variable and the level variable of the local
-time are analyzed this way.  The lag sups max |f(s + lag) - f(s)| have one
-owner, _LagSups, which differences whole curves and streamed ones alike.
+time are analyzed this way.  _LagSups takes the lag sups of streamed
+curves, and _nested_sup_increments the nested sups of whole ones.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .errors import DomainError, InsufficientDataError
 
 _SWEEP_STEPS = 1024  # samples per level_sweep piece, aligned to sample 0
 _SWEEP_SIZE = 2**16  # elements a level_sweep temporary holds, when a piece or the level grid is not longer
-_MEAN_PATHS = 64  # paths per task of time_profile, whose average is summed task by task
+_MEAN_PATHS = 64  # paths time_profile averages at most, in one walk
 _LAG_PIECE = 2**14  # samples _LagSups differences at once, over all its curves
 
 
@@ -38,8 +38,8 @@ class ModulusProfile:
 class _LagSups:
     """Running max |f(s) - f(s - lag)| of several curves at each lag, fed their samples in step order.
 
-    The one place a curve is differenced at a lag.  Pairs reaching before
-    step 0 do not count, so the sups after step k are those of the curves'
+    For streamed curves; whole ones go to _nested_sup_increments.  Pairs reaching
+    before step 0 do not count, so the sups after step k are those of the curves'
     samples 0 .. k, and a lag with no pair gives 0.  A window holds the last
     r samples differenced, then up to r pending ones, which are differenced at
     every lag at once; r = max(max(lags), _LAG_PIECE // curves), so one curve
@@ -52,13 +52,6 @@ class _LagSups:
         self.window[:, r - 1] = first  # row r - 1 holds step k, the last differenced; pending rows follow
         self.k = self.pending = 0
         self.sups = np.zeros((len(first), len(lags)))
-
-    @classmethod
-    def of(cls, curves, lags):
-        """The sups of whole curves, shape (curves, samples), at each lag: shape (curves, lags)."""
-        sups = cls(curves[:, 0], lags)
-        sups.feed(curves[:, 1:].T)
-        return sups.taken()
 
     def feed(self, samples):
         """Take the samples at the next steps, shape (samples, curves)."""
@@ -88,20 +81,17 @@ def _nested_sup_increments(curves, lags):
     """Max |f[i+l'] - f[i]| over all l' <= l of each row f, for each requested lag; NaN propagates.
 
     Shape (curves, lags), C-ordered.  A lag past a curve's end counts as its
-    last.  On nondecreasing curves of finite span the lag-l sup already bounds
-    every shorter lag (rounding is monotone, so this holds for the computed
-    differences too), and only the requested lags are taken.  Otherwise the
-    sup at lag l is the largest range max - min of a window of l + 1 samples,
-    bit for bit, since rounded subtraction is monotone in each argument and
-    sign-symmetric; the windows' max and min come from a sparse table doubled
-    from the samples, O(n log(largest lag)).  Ranges cannot see a pair of equal
+    last.  The sup at lag l is the largest range max - min of a window of
+    l + 1 samples, bit for bit, since rounded subtraction is monotone in each
+    argument and sign-symmetric; the windows' max and min come from a sparse
+    table doubled from the samples, O(n log(largest lag)).  On a nondecreasing
+    finite curve a window's range is its last sample less its first: the
+    plain lag-l sup of _LagSups, bit for bit.  Ranges cannot see a pair of equal
     infinities (inf - inf is NaN) that a window holds beside finite samples,
     so a curve with two of them at most l apart is NaN from lag l on.
     """
     n = curves.shape[1]
     lags = np.minimum(lags, max(1, n - 1))
-    if np.all(curves[:, 1:] >= curves[:, :-1]) and np.all(np.isfinite(curves[:, -1] - curves[:, 0])):
-        return _LagSups.of(curves, lags)
     sups = np.zeros((len(curves), len(lags)))
     top = bottom = curves
     width = 1  # top and bottom: max and min of the windows of width samples from each start
@@ -172,30 +162,25 @@ def time_profile(spec, T, h, n_paths, seed, scales, scheme="euler"):
     saturation events (windows where the path sits at the level and the
     mollified curve climbs at its maximal rate, which bend the smallest scales
     toward slope 1) while keeping the pathwise roughness that a large-ensemble
-    mean would smooth away entirely.  Each task of _MEAN_PATHS paths adds its
-    curves, tile by tile and in path order, into one row; the task rows are
-    added in order and divided by n_paths, the same on any core count.  Up to
-    _MEAN_PATHS paths that is time_modulus of the curves' mean(axis=0), bit for
-    bit.  Only the mean curve and the transition table, 8 B per step each, grow with T.
+    mean would smooth away entirely.  At most _MEAN_PATHS paths (more are a
+    DomainError), walked as one task on one thread: each kernel_tiles tile's
+    curves are summed in path order, divided by n_paths and fed to a _LagSups.
+    The mean never decreases, so this is time_modulus of the curves'
+    mean(axis=0) bit for bit, and only the table, 8 B per step, grows with T.
     """
+    if n_paths > _MEAN_PATHS:
+        raise DomainError(f"n_paths must be at most {_MEAN_PATHS}, got {n_paths}")
     n = simulate.grid_steps(T, h)
     scales, lags = _scale_lags(scales, h)
 
-    def summed(idx, blocks):
-        total = np.zeros((1, n + 1))
-        for k, cum in local_time.kernel_tiles(blocks, 0.0, np.array([h]), h):
-            rows = total[0, k + 1 : k + 1 + len(cum)]
-            np.copyto(rows, cum[:, 0, 0])
-            for j in range(1, cum.shape[1]):
-                rows += cum[:, j, 0]
-        return total
+    def mean_sups(idx, blocks):
+        sups = _LagSups(np.zeros(1), [min(lag, n) for lag in lags])
+        for _, cum in local_time.kernel_tiles(blocks, 0.0, np.array([h]), h):
+            sups.feed(sum(cum[:, 1:, 0].T, cum[:, 0, 0])[:, None] / n_paths)  # paths added in order
+        return sups.taken()[0]
 
-    sums = simulate.ensemble(spec, range(n + 1), h, scheme, seed, n_paths, summed, chunk=_MEAN_PATHS)
-    mean = sums[0]
-    for row in sums[1:]:
-        mean += row
-    mean /= n_paths
-    return _fitted_profile(scales, _nested_sup_increments(mean[None], lags)[0])
+    sups = simulate.ensemble(spec, range(n + 1), h, scheme, seed, n_paths, mean_sups, threads=1)
+    return _fitted_profile(scales, sups)
 
 
 def _bound_lags(dt, n_samples):
@@ -221,13 +206,14 @@ def time_modulus_bound_fit(curve, T, spec):
 
     Bracket at distance eta < 1:
         sqrt(eta) * sqrt((T+1) * alpha*(T+1)) + sqrt(eta) * sqrt(log(1/eta)).
-    Returns the max over all grid pairs at dyadic distances below 1 of
-    |increment| / bracket; 0 for a constant curve, NaN if the curve has a NaN.
-    T must be positive and finite.
+    Returns the max over dyadic eta < 1 of the nested sup of |increment| at
+    distances up to eta, over the bracket; 0 for a constant curve, NaN if the
+    curve has a NaN.  On a kernel curve, which never decreases, these are
+    time_bound_fits' streamed lag sups, bit for bit.  T: positive and finite.
     """
     dt = _uniform_spacing(curve.checkpoints)
     lags = _bound_lags(dt, len(curve.values))
-    return float(_bound_fit(_LagSups.of(curve.values[None], lags)[0], lags, dt, T, spec))
+    return float(_bound_fit(_nested_sup_increments(curve.values[None], lags)[0], lags, dt, T, spec))
 
 
 def time_bound_fits(spec, horizons, h, n_paths, seed):

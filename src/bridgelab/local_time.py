@@ -24,7 +24,7 @@ import numpy as np
 
 from . import drift as drift_mod
 from . import simulate
-from .errors import DomainError, NumericsError, UnsupportedSchemeError
+from .errors import DomainError, InsufficientDataError, NumericsError, UnsupportedSchemeError
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # np.exp is fast for arguments >= _EXP_FAST; below it the result is subnormal or zero and
@@ -224,6 +224,8 @@ def kernel_second_moment(spec, x, eps, t, h, n_paths, seed):
     not involve the kernel, so a defect of the kernel moves the estimate as it
     moves the plain mean of L^2.  occupation_z is (mean B - E B) / se(B).
     """
+    if not math.isfinite(x):
+        raise DomainError(f"x must be finite, got {x}")
     if not 0 < eps < math.inf:
         raise DomainError(f"eps must be positive and finite, got {eps}")
     if n_paths < 3:
@@ -291,14 +293,16 @@ def growth_probe(spec, x, horizons, h, n_paths, seed, scheme="exact"):
     Returns (mean curve, fitted exponent from log L vs log n regression).
     Raises if the mean curve fails to increase strictly or the exponent is
     not positive; both hold for any nondegenerate drift since the mollifier
-    is strictly positive.  The fit is loglog_slope's, so it needs at least
-    three horizons.
+    is strictly positive.  The fit is loglog_slope's: fewer than three
+    horizons are its InsufficientDataError, raised before any walk.
     """
     if not math.isfinite(x):
         raise DomainError(f"x must be finite, got {x}")
     horizons = np.asarray(horizons, dtype=float)
     if np.any(horizons[:1] == 0) or np.any(np.diff(horizons) == 0):  # horizon_steps checks the rest
         raise DomainError("horizons must be positive and strictly increasing")
+    if len(simulate.horizon_steps(horizons, h)) < 3:
+        raise InsufficientDataError(f"need at least 3 horizons, got {len(horizons)}")
     l_vals = kernel_ensemble(spec, x, [h], horizons, h, n_paths, seed, scheme)
     curve = l_vals[:, :, 0].mean(axis=0)
     if np.any(np.diff(curve) <= 0):

@@ -179,7 +179,8 @@ class TestReportSummary:
         )
         assert summary.all_passed
         path = summary.write(tmp_path)
-        payload = json.loads(open(path).read())
+        with open(path) as fh:
+            payload = json.load(fh)
         assert payload["command"] == "law"
         assert payload["metrics"]["det"] == 1.5
         summary.pass_flags["bad"] = False

@@ -172,8 +172,8 @@ class TestTimeProfile:
         assert (got.fitted_slope, got.fitted_intercept) == (want.fitted_slope, want.fitted_intercept)
 
     def test_one_path_peaks_below_18_bytes_per_step(self):
-        # the averaged curve (8 B) and the Euler table (8 B) while the path is walked, then the curve and
-        # one fixed buffer of lag differences; it peaked at 24.1 B per step with full-length differences,
+        # building the Euler table sets the peak; with the averaged curve held and full-length lag
+        # differences taken of it, it peaked at 24.1 B per step,
         # at 33.6 B per step when it also held every path's curve, its steps and a stds column, and at
         # 49.6 B per step before that
         h = 2.0**-18
@@ -184,6 +184,18 @@ class TestTimeProfile:
         finally:
             tracemalloc.stop()
         assert peak / 2**18 <= 18.0
+
+    def test_16_path_profile_peaks_below_17_bytes_per_step(self):
+        # building the Euler table sets the peak; with the 8 B per step mean curve held beside the
+        # table while 16 paths were walked, it peaked at 19.2 B per step
+        h = 2.0**-18
+        tracemalloc.start()
+        try:
+            time_profile(BRIDGE, 1.0, h, 16, 0, h * 2.0 ** np.arange(2, 8))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / 2**18 <= 17.0
 
 
 def whole_curves(scheme, T, h, n_paths, seed):
@@ -202,22 +214,22 @@ class TestStreamedTimeStatistics:
     @pytest.mark.parametrize("scheme", ["euler", "exact"])
     def test_profile_equals_the_mean_curve(self, monkeypatch, scheme, n_paths, cores):
         monkeypatch.setattr(simulate, "_cores", lambda: cores)
+        # scales 2 and 4 lie past T = 1: their lags count as the curve's last
+        scales = np.concatenate([self.SCALES, [2.0, 4.0]])
         times, curves = whole_curves(scheme, 1.0, self.H, n_paths, 5)
-        want = time_modulus(LocalTimeCurve(0.0, times, curves.mean(axis=0), "kernel", self.H, 5), self.SCALES)
-        got = time_profile(BRIDGE, 1.0, self.H, n_paths, 5, self.SCALES, scheme)
+        want = time_modulus(LocalTimeCurve(0.0, times, curves.mean(axis=0), "kernel", self.H, 5), scales)
+        got = time_profile(BRIDGE, 1.0, self.H, n_paths, 5, scales, scheme)
         assert got.sup_increments.tobytes() == want.sup_increments.tobytes()
         assert (got.fitted_slope, got.fitted_intercept) == (want.fitted_slope, want.fitted_intercept)
 
-    @pytest.mark.parametrize("cores", [1, 2])
-    def test_profile_of_100_paths_sums_by_64_path_task(self, monkeypatch, cores):
-        monkeypatch.setattr(simulate, "_cores", lambda: cores)
-        times, curves = whole_curves("euler", 1.0, self.H, 100, 5)
-        mean = curves[:64].sum(axis=0)
-        mean += curves[64:].sum(axis=0)
-        mean /= 100
-        want = time_modulus(LocalTimeCurve(0.0, times, mean, "kernel", self.H, 5), self.SCALES)
-        got = time_profile(BRIDGE, 1.0, self.H, 100, 5, self.SCALES)
-        assert got.sup_increments.tobytes() == want.sup_increments.tobytes()
+    def test_profile_refuses_65_paths_before_the_table_is_built(self, monkeypatch):
+        # 65 paths were summed by 64-path task, a merge no caller used
+        def refuse_to_build(*args):
+            raise AssertionError("the transition table was built")
+
+        monkeypatch.setattr(simulate, "transition_table", refuse_to_build)
+        with pytest.raises(DomainError, match="^n_paths must be at most 64, got 65"):
+            time_profile(BRIDGE, 1.0, self.H, 65, 5, self.SCALES)
 
     @pytest.mark.parametrize("cores", [1, 2])
     @pytest.mark.parametrize("n_paths", [1, 16, 64])
@@ -390,9 +402,7 @@ class TestSpaceModulus:
     @pytest.mark.parametrize("lags", [[64, 1, 2, 700, 64], [2, 5000, 20000]], ids=["short", "past_the_end"])
     @pytest.mark.parametrize("kind", ["rough", "monotone"])
     def test_rows_at_once_equal_one_row_at_a_time(self, kind, lags):
-        # 4 rows of 6000 samples take short lags in a 4096-sample window, which shifts, and one row
-        # in a single pass; a NaN row sends monotone rows down the general path, which must give
-        # their fast-path bits
+        # 4 rows of 6000 samples, monotone or rough, with a NaN in one row, in one sparse table
         rng = np.random.default_rng(11)
         rows = np.cumsum(rng.standard_normal((4, 6000)) ** (2 if kind == "monotone" else 1), axis=1)
         rows[2, 1234] = math.nan

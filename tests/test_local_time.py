@@ -235,6 +235,15 @@ class TestGrowthProbe:
         with pytest.raises(DomainError, match="^x must be finite"):
             growth_probe(BM, x, [1.0, 2.0, 3.0], 1e-2, 20, 0)
 
+    def test_too_few_horizons_are_refused_before_any_walk(self, monkeypatch):
+        # kernel_ensemble walked every path before loglog_slope found two points
+        def refuse_to_build(*args):
+            raise AssertionError("the transition table was built")
+
+        monkeypatch.setattr(simulate, "transition_table", refuse_to_build)
+        with pytest.raises(InsufficientDataError, match="^need at least 3 horizons, got 2"):
+            growth_probe(BRIDGE, 0.0, [1.0, 2.0], 0.01, 4, 0)
+
     def test_invariant_to_chunk_and_block(self, monkeypatch):
         args = (DriftSpec.power(1.5), 0.0, np.arange(1.0, 4.0), 1e-3, 40, 2)
         ref, _ = growth_probe(*args)

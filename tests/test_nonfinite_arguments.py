@@ -269,6 +269,26 @@ def test_nonfinite_argument_is_a_domain_error(name):
         call()
 
 
+# each walked 1024 paths first: NaN returned (nan, nan, nan), and inf or -inf (0.0, 0.0, nan)
+NON_FINITE_LEVEL_WALKS = {
+    "kernel_second_moment_nan_x": lambda: local_time.kernel_second_moment(BRIDGE, NAN, 1e-4, 1.0, 1e-2, 1024, 0),
+    "kernel_second_moment_infinite_x": lambda: local_time.kernel_second_moment(BRIDGE, INF, 1e-4, 1.0, 1e-2, 1024, 0),
+    "kernel_second_moment_negative_infinite_x": (
+        lambda: local_time.kernel_second_moment(BRIDGE, -INF, 1e-4, 1.0, 1e-2, 1024, 0)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_FINITE_LEVEL_WALKS))
+def test_non_finite_level_is_refused_before_any_walk(monkeypatch, name):
+    def refuse_to_build(*args):
+        raise AssertionError("the transition table was built")
+
+    monkeypatch.setattr(simulate, "transition_table", refuse_to_build)
+    with pytest.raises(DomainError, match="^x must be finite"):
+        NON_FINITE_LEVEL_WALKS[name]()
+
+
 NAN_LEVEL = {
     "kernel_estimate": lambda: local_time.kernel_estimate(PATH, NAN, 0.1, [1.0]),
     # the band test |X - x| < delta is False at a NaN level, so the binned estimate read 0.0
