@@ -203,6 +203,9 @@ def main(argv=None):
     start = time.monotonic()
     try:
         summary = _HANDLERS[args.command](cfg, args)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (DomainError, NumericsError, UnsupportedSchemeError, InsufficientDataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -144,6 +144,11 @@ def _validate(cfg):
         raise ConfigError(f"T: must be at least h, got T={cfg.T}, h={cfg.h}")
     if cfg.n_paths < 1:
         raise ConfigError(f"n_paths: must be at least 1, got {cfg.n_paths}")
+    delta = () if cfg.localtime_delta is None else (cfg.localtime_delta,)
+    for key, vals in (("localtime.eps_ladder", cfg.localtime_eps_ladder), ("localtime.delta", delta),
+                      ("holder.r", (cfg.holder_r,))):
+        if any(v <= 0 for v in vals):
+            raise ConfigError(f"{key}: must be positive, got {min(vals)}")
     steps = max((cfg.T, *cfg.simulate_horizons)) / cfg.h
     if steps > MAX_STEPS:
         key = "T" if cfg.T / cfg.h == steps else "simulate.horizons"

@@ -11,6 +11,7 @@ the oracle the simulation schemes are verified against.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,12 +192,11 @@ def abs_moment(sigma_sq, m):
     """
     if not 0 <= sigma_sq < math.inf:
         raise DomainError(f"sigma_sq must be nonnegative and finite, got {sigma_sq}")
-    m = int(m)
-    if m < 1:
-        raise DomainError("moment order must be >= 1")
+    if not (isinstance(m, numbers.Integral) and m >= 1):
+        raise DomainError(f"m must be an integer of at least 1, got {m}")
     if m % 2 == 1:
         return 0.0
-    n = m // 2
+    n = int(m) // 2
     return math.factorial(2 * n) / (2**n * math.factorial(n)) * sigma_sq**n
 
 

@@ -27,10 +27,8 @@ from . import simulate
 from .errors import DomainError, InsufficientDataError, NumericsError, UnsupportedSchemeError
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-# np.exp is fast for arguments >= _EXP_FAST; below it the result is subnormal or zero and
-# costs 20-150 ns.  Below _EXP_ZERO the result is exactly 0.0.
+# below _EXP_FAST, np.exp's result is subnormal or zero and costs 20-150 ns: densities read 0.0
 _EXP_FAST = -707.0
-_EXP_ZERO = -746.0
 _TILE_SIZE = 2**15  # elements in a row tile of kernel_ensemble's reducer, per buffer
 
 
@@ -56,18 +54,15 @@ def _checkpoint_array(checkpoints, horizon):
 def _gaussian_density(sq_offsets, eps, out=None):
     """p_eps at squared offsets, exp(sq / (-2 eps)) / (sqrt(2 pi) sqrt(eps)); eps broadcasts.
 
-    Written into out when given.  Bit for bit the plain formula, but np.exp runs
-    on the whole array only above _EXP_FAST: exponents below _EXP_ZERO give
-    0.0, those in between go through np.exp one by one, and NaN propagates.
+    Written into out when given.  Bit for bit the plain formula where the
+    exponent is at least _EXP_FAST; below it the density reads 0.0 (the plain
+    value is under 4e-302 for eps >= 1e-12), and NaN propagates.
     """
     e = np.divide(sq_offsets, -2.0 * eps, out=out)
     low = e < _EXP_FAST
-    band = np.flatnonzero(low & (e >= _EXP_ZERO))
-    band_dens = np.exp(e.flat[band])
     np.maximum(e, _EXP_FAST, out=e)
     np.exp(e, out=e)
-    e *= np.logical_not(low, out=low)  # 0.0 below _EXP_FAST; NaN is never low, so it stays
-    e.flat[band] = band_dens
+    np.copyto(e, 0.0, where=low)  # NaN is never low, so it stays
     e /= _SQRT_2PI * np.sqrt(eps)
     return e
 
@@ -83,8 +78,7 @@ def _running_trapezoid(y, h, prev, carry, out, cumulative):
     """
     np.add(prev, y[:1], out=out[:1])
     np.add(y[:-1], y[1:], out=out[1:])
-    out *= 0.5
-    out *= h
+    out *= 0.5 * h  # bit for bit (out * 0.5) * h unless out * 0.5 is subnormal: at the flush edge, eps > 0.65
     out[:1] += carry
     if cumulative or out[0].size == 1:
         np.cumsum(out, axis=0, out=out)

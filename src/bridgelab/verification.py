@@ -367,8 +367,13 @@ def run_verify_suite(cfg, only=None):
     """Execute the acceptance checks and aggregate a ReportSummary.
 
     Individual check failures are recorded as false flags, never raised;
-    infrastructure failures (I/O and the like) propagate.
+    infrastructure failures (I/O and the like) propagate.  An unknown name in
+    only raises ConfigError before any check runs.
     """
+    names = [name for name, _ in CHECKS] + ["figures"]
+    unknown = sorted(set(only or ()) - set(names))
+    if unknown:
+        raise ConfigError(f"unknown checks {', '.join(unknown)}; choose from {', '.join(names)}")
     start = time.monotonic()
     summary = ReportSummary(command="verify", config_digest=config_digest(cfg))
     selected = set(only) if only else None

@@ -12,6 +12,7 @@ import pytest
 
 from bridgelab.config import parse_config
 from bridgelab import verification
+from bridgelab.errors import ConfigError
 
 
 def _criterion(report, number, name, flags):
@@ -136,6 +137,18 @@ def test_sabotaged_variance_flips_law_flag(monkeypatch):
     bad = verification.run_verify_suite(cfg, only={"law_agreement"})
     assert not bad.pass_flags["law_var_within_3se"]
     assert not bad.all_passed
+
+
+def test_unknown_check_name_raises_before_any_check_runs(monkeypatch):
+    # a misspelt name was skipped silently, and a run of only unknown names passed with no flag
+    def never(**kwargs):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(verification, "CHECKS", tuple((name, never) for name, _ in verification.CHECKS))
+    monkeypatch.setattr(verification, "check_figures_repro", never)
+    cfg = parse_config("drift.family = power\ndrift.beta = 0.8\n")
+    with pytest.raises(ConfigError, match="^unknown checks figure; choose from law_agreement, .*, figures$"):
+        verification.run_verify_suite(cfg, only={"law_agreement", "figure"})
 
 
 def test_one_sabotaged_stacked_determinant_flips_identity_flag(monkeypatch):

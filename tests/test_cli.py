@@ -162,17 +162,29 @@ class TestVerifyCommand:
         cfg.write_text("h = 0\n")
         assert run(["verify", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize("checks", ["bogus", "law_agreement,figure"])
+    def test_unknown_check_exits_two_naming_it(self, tmp_path, capsys, checks):
+        # these ran nothing (or skipped the misspelt name) and exited 0
+        assert run(["verify", "--out", tmp_path, "--checks", checks]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: unknown checks {checks.split(',')[-1]}; choose from ")
+
     @pytest.mark.parametrize(
         "text, key",
         [
             ("drift.family = power\ndrift.beta = 1\ndrift.scale = -1\n", "drift.scale"),
             ("drift.family = constant\ndrift.scale = -1\n", "drift.scale"),
             ("drift.family = tabulated\ndrift.table = {table}\n", "drift.table"),
+            ("drift.family = power\nholder.r = 0\n", "holder.r"),
+            ("drift.family = power\nholder.r = -1\n", "holder.r"),
+            ("drift.family = power\nlocaltime.delta = 0\n", "localtime.delta"),
+            ("drift.family = power\nlocaltime.eps_ladder = 0.01,0\n", "localtime.eps_ladder"),
         ],
-        ids=["power_scale", "constant_scale", "nan_table"],
+        ids=["power_scale", "constant_scale", "nan_table", "zero_r", "negative_r", "zero_delta", "zero_eps"],
     )
     def test_bad_drift_exits_two_naming_the_key(self, tmp_path, capsys, text, key):
-        # these ended in a DomainError traceback, or (the NaN table row) in a NumericsError after 200 bisections
+        # these ended in a DomainError traceback, or (the NaN table row) in a NumericsError after 200 bisections;
+        # the holder and localtime rows exited 3 with a library message that named no key
         table = tmp_path / "table.csv"
         table.write_text("time,alpha\n0.0,1.0\n1.0,nan\n")
         cfg = tmp_path / "bad.cfg"

@@ -147,6 +147,10 @@ CALLS = {
         lambda: gaussian_law.abs_moment(INF, 4),
         "^sigma_sq must be nonnegative and finite",
     ),
+    # a fractional order was floored (2.5 gave the second moment); NaN and inf raised ValueError and OverflowError
+    "abs_moment_fractional_m": (lambda: gaussian_law.abs_moment(1.0, 2.5), "^m must be an integer of at least 1, got 2.5"),
+    "abs_moment_nan_m": (lambda: gaussian_law.abs_moment(1.0, NAN), "^m must be an integer of at least 1, got nan"),
+    "abs_moment_infinite_m": (lambda: gaussian_law.abs_moment(1.0, INF), "^m must be an integer of at least 1, got inf"),
     "eval_alpha_t": (lambda: drift.eval_alpha(BRIDGE, NAN), r"alpha\(t\) .*t=nan"),
     "eval_antiderivative_t": (lambda: drift.eval_antiderivative(BRIDGE, [1.0, NAN]), r"A\(t\) .*t=nan"),
     "running_sup_t": (lambda: drift.running_sup(BRIDGE, np.array([NAN])), "running sup .*t=nan"),

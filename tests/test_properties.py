@@ -295,17 +295,28 @@ _BANDS = {
 def test_fused_density_equals_plain_formula(eps, exponents, specials):
     # offsets placed so that their exponents under the first eps fall in each band of np.exp;
     # the plain formula exp(-o^2 / (2 eps)) / sqrt(2 pi eps) is written as the one-pass numpy
-    # expression it always was, o^2 / (-2 eps) and sqrt(2 pi) sqrt(eps), which fixes NaN signs too
+    # expression it always was, o^2 / (-2 eps) and sqrt(2 pi) sqrt(eps), which fixes NaN signs too,
+    # with 0.0 wherever the exponent is below -707 (the subnormal band reads 0.0 as well)
     eps = np.array(eps)
     exps = np.concatenate(list(exponents.values()))
     signs = np.where(np.arange(len(exps)) % 2, 1.0, -1.0)
     offsets = np.concatenate([signs * np.sqrt(-2.0 * eps[0] * exps), specials])
-    plain = np.exp((offsets**2)[:, None] / (-2.0 * eps)) / (math.sqrt(2.0 * math.pi) * np.sqrt(eps))
+    exponent = (offsets**2)[:, None] / (-2.0 * eps)
+    plain = np.where(exponent < -707.0, 0.0, np.exp(exponent)) / (math.sqrt(2.0 * math.pi) * np.sqrt(eps))
     fused = local_time._gaussian_density(np.square(offsets)[:, None], eps)
     assert fused.tobytes() == plain.tobytes()
     out = np.empty_like(plain)
     assert local_time._gaussian_density(np.square(offsets)[:, None], eps, out) is out
     assert out.tobytes() == plain.tobytes()
+
+
+def test_density_flush_boundary():
+    # an exponent of exactly -707 keeps exp(-707); the next double below reads 0.0, and so
+    # does an infinite offset, while NaN stays NaN
+    sq = np.array([1414.0, 2.0 * -np.nextafter(-707.0, -np.inf), np.inf, np.nan])
+    dens = local_time._gaussian_density(sq, 1.0)
+    assert dens[0] == np.exp(np.array([-707.0]))[0] / math.sqrt(2.0 * math.pi)
+    assert dens[0] > 0.0 and dens[1] == 0.0 and dens[2] == 0.0 and math.isnan(dens[3])
 
 
 _M64 = (1 << 64) - 1
